@@ -351,7 +351,6 @@ func (db *DB) AggifyFunction(name string, opts TransformOptions) (*TransformResu
 	if err := db.eng.RegisterFunction(rewritten); err != nil {
 		return nil, err
 	}
-	db.eng.InvalidatePlans()
 	return buildResult(name, rewritten, res), nil
 }
 
@@ -373,7 +372,6 @@ func (db *DB) AggifyProcedure(name string, opts TransformOptions) (*TransformRes
 	if err := db.eng.RegisterProcedure(rewritten); err != nil {
 		return nil, err
 	}
-	db.eng.InvalidatePlans()
 	return buildResult(name, rewritten, res), nil
 }
 

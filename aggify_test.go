@@ -1,11 +1,13 @@
 package aggify_test
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"aggify"
+	"aggify/internal/server"
 )
 
 func newDemoDB(t *testing.T) *aggify.DB {
@@ -162,6 +164,78 @@ func (g *geoMeanAgg) Terminate() (aggify.Value, error) {
 		return aggify.Null, nil
 	}
 	return aggify.Float(math.Pow(g.product, 1/float64(g.n))), nil
+}
+
+// TestRedefinedAggregateReplans: a plan binds the *exec.AggSpec it was
+// compiled against, so redefining an aggregate (CREATE AGGREGATE again, or a
+// native spec registered under the same name) must not be answered from a
+// plan bound to the old one. The same statement text is sent every time,
+// embedded and through server.Backend.Exec, which is the path aggifyd takes.
+func TestRedefinedAggregateReplans(t *testing.T) {
+	foldAgg := func(factor int) string {
+		return fmt.Sprintf(`
+create aggregate FoldAgg(@v float) returns float as
+begin
+  fields (@acc float);
+  init begin set @acc = 0; end
+  accumulate begin set @acc = @acc + @v * %d; end
+  terminate begin return @acc; end
+end`, factor)
+	}
+	const sql = "select FoldAgg(v) from series"
+
+	db := aggify.Open()
+	backend := server.NewBackend(db.Engine())
+	defer backend.Close()
+	execs := map[string]func(string) error{
+		"embedded": db.Exec,
+		"backend":  func(src string) error { _, err := backend.Exec(src); return err },
+	}
+	answers := map[string]func() float64{
+		"embedded": func() float64 {
+			v, err := db.QueryScalar(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v.Float()
+		},
+		"backend": func() float64 {
+			res, err := backend.Exec(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Sets[0].Rows[0][0].Float()
+		},
+	}
+	if err := db.Exec("create table series (v float); insert into series values (1.0), (2.0);"); err != nil {
+		t.Fatal(err)
+	}
+	for _, via := range []string{"embedded", "backend"} {
+		for _, step := range []struct {
+			factor int
+			want   float64
+		}{{1, 3}, {10, 30}} {
+			if err := execs[via](foldAgg(step.factor)); err != nil {
+				t.Fatal(err)
+			}
+			for _, ask := range []string{"embedded", "backend"} {
+				if got := answers[ask](); got != step.want {
+					t.Fatalf("FoldAgg(@v * %d) defined via %s, asked via %s: got %v, want %v",
+						step.factor, via, ask, got, step.want)
+				}
+			}
+		}
+	}
+	// A native spec under the existing name replaces the interpreted one.
+	if err := db.RegisterAggregate("FoldAgg", false, func() aggify.Aggregator { return &geoMeanAgg{} }); err != nil {
+		t.Fatal(err)
+	}
+	want := math.Sqrt(2)
+	for _, ask := range []string{"embedded", "backend"} {
+		if got := answers[ask](); math.Abs(got-want) > 1e-9 {
+			t.Fatalf("native FoldAgg asked via %s: got %v, want %v", ask, got, want)
+		}
+	}
 }
 
 func TestFacadeInlineAndExplain(t *testing.T) {

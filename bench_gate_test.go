@@ -2,8 +2,7 @@
 // bench-regression gate runs (scripts/bench_regress.sh). Every benchmark
 // here is selected by the ^BenchmarkGate regex and must stay cheap — the
 // gate runs them with -count=3 and compares the best run against the
-// committed BENCH_7.json snapshot (BENCH_4.json through BENCH_6.json are the
-// retired earlier baselines).
+// committed BENCH_7.json snapshot.
 package aggify_test
 
 import (
@@ -200,11 +199,11 @@ func BenchmarkGateRangeSeek(b *testing.B) {
 	}
 }
 
-// BenchmarkGatePlanCache measures the fingerprint-keyed plan cache. The
-// replay cell re-parses the same SQL text every iteration — each arrival is
-// a new AST, so only the text-keyed (L2) cache can serve it — and reports
-// the warm hit rate, which the gate requires ≥ 99%. The lookup cell measures
-// a warm AST-identity (L1) hit and must stay allocation-free.
+// BenchmarkGatePlanCache measures the plan cache. The replay cell re-parses
+// the same SQL text every iteration — each arrival is a new AST, so only
+// the entry keyed by text can serve it — and reports the warm hit rate,
+// which the gate requires ≥ 99%. The lookup cell measures a warm hit on the
+// AST node itself and must stay allocation-free.
 func BenchmarkGatePlanCache(b *testing.B) {
 	eng := gateEnv(b)
 	const sql = "select k, sum(v) from gatep where k >= 90 group by k"

@@ -33,15 +33,9 @@ type Engine struct {
 	aggs   map[string]*exec.AggSpec
 	aggSrc map[string]*ast.CreateAggregate
 
-	planMu  sync.Mutex
-	plans   map[planKey]*plan.Plan
-	planTxt map[planTextKey]*planEntry
-	planUse uint64
-	scalars map[scalarKey]exec.Scalar
-	// routinePlans caches compiled routine bodies keyed by definition node
-	// identity (values are opaque to the engine; the interpreter owns them,
-	// including negative entries marking bodies it will not recompile).
-	routinePlans map[any]any
+	// cache holds everything the engine compiles (plancache.go).
+	planMu sync.Mutex
+	cache  planCache
 
 	// DefaultMaxDOP seeds each new session's degree of parallelism
 	// (plan.Options.Parallelism). 0 or 1 means serial execution; sessions
@@ -76,65 +70,20 @@ type Engine struct {
 	ProcCaller func(s *Session, ctx *exec.Ctx, def *ast.CreateProcedure, args []sqltypes.Value) error
 }
 
-// Plan-cache tuning.
-const (
-	// PlanCacheCap bounds the text-keyed (L2) plan cache; beyond it the
-	// least-recently-used entry is evicted.
-	PlanCacheCap = 256
-	// PlanStaleThreshold is how far a table's stats version may drift past
-	// the version a cached plan was costed against before the cache
-	// recompiles the plan. Small enough that access-path choices track the
-	// data, large enough that steady single-row DML does not replan per
-	// statement.
-	PlanStaleThreshold = 64
-)
-
-// planKey is the L1 cache key: AST node identity. Hits are allocation-free,
-// serving repeated executions of the same parsed statement (procedure
-// bodies, cached prepared statements).
-type planKey struct {
-	q    *ast.Select
-	opts plan.Options
-}
-
-// planTextKey is the L2 cache key: a hash of the statement's exact rendered
-// SQL text plus the planner options. Literals are part of the text — they
-// are baked into compiled plans, so (unlike the stat_statements
-// fingerprint) the cache key must not normalize them away. Entries carry
-// the full text as an exact-match collision guard.
-type planTextKey struct {
-	hash uint64
-	opts plan.Options
-}
-
-type planEntry struct {
-	text     string
-	p        *plan.Plan
-	lastUsed uint64
-}
-
-type scalarKey struct {
-	e    ast.Expr
-	opts plan.Options
-}
-
 // New creates an empty engine with the built-in aggregates registered.
 func New() *Engine {
 	e := &Engine{
-		tables:       map[string]*storage.Table{},
-		funcs:        map[string]*ast.CreateFunction{},
-		procs:        map[string]*ast.CreateProcedure{},
-		aggs:         map[string]*exec.AggSpec{},
-		aggSrc:       map[string]*ast.CreateAggregate{},
-		plans:        map[planKey]*plan.Plan{},
-		planTxt:      map[planTextKey]*planEntry{},
-		scalars:      map[scalarKey]exec.Scalar{},
-		routinePlans: map[any]any{},
-		TxnMgr:       txn.NewManager(),
+		tables: map[string]*storage.Table{},
+		funcs:  map[string]*ast.CreateFunction{},
+		procs:  map[string]*ast.CreateProcedure{},
+		aggs:   map[string]*exec.AggSpec{},
+		aggSrc: map[string]*ast.CreateAggregate{},
+		TxnMgr: txn.NewManager(),
 
 		stmtStats: NewStmtStats(DefaultStmtStatsCap),
 		sessions:  map[uint64]*Session{},
 	}
+	e.cache.reset()
 	for name, spec := range exec.BuiltinAggs() {
 		e.aggs[name] = spec
 	}
@@ -171,11 +120,8 @@ func (e *Engine) CreateTable(name string, schema *storage.Schema) (*storage.Tabl
 // DropTable removes a base table (used by tests and the shell).
 func (e *Engine) DropTable(name string) {
 	name = strings.ToLower(name)
-	e.mu.Lock()
-	delete(e.tables, name)
-	e.mu.Unlock()
+	e.mutateCatalog(func() { delete(e.tables, name) })
 	e.logDropTable(name)
-	e.InvalidatePlans()
 }
 
 // Tables returns every base table (stable order not guaranteed). Used by
@@ -247,15 +193,22 @@ func (e *Engine) createIndex(table, column string, ordered bool) error {
 	return nil
 }
 
+// mutateCatalog changes the catalog maps and empties the plan store: a plan
+// binds the tables and definitions it was compiled against.
+func (e *Engine) mutateCatalog(change func()) {
+	e.mu.Lock()
+	change()
+	e.mu.Unlock()
+	e.InvalidatePlans()
+}
+
 // RegisterFunction registers a scalar UDF definition.
 func (e *Engine) RegisterFunction(def *ast.CreateFunction) error {
 	name := strings.ToLower(def.Name)
 	if plan.IsBuiltinScalarFunc(name) || exec.IsBuiltinAgg(name) {
 		return fmt.Errorf("engine: function %s conflicts with a built-in", name)
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.funcs[name] = def
+	e.mutateCatalog(func() { e.funcs[name] = def })
 	return nil
 }
 
@@ -269,9 +222,7 @@ func (e *Engine) Function(name string) (*ast.CreateFunction, bool) {
 
 // RegisterProcedure registers a stored procedure definition.
 func (e *Engine) RegisterProcedure(def *ast.CreateProcedure) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.procs[strings.ToLower(def.Name)] = def
+	e.mutateCatalog(func() { e.procs[strings.ToLower(def.Name)] = def })
 	return nil
 }
 
@@ -290,9 +241,7 @@ func (e *Engine) RegisterAggregateSpec(spec *exec.AggSpec) error {
 	if exec.IsBuiltinAgg(name) {
 		return fmt.Errorf("engine: aggregate %s conflicts with a built-in", name)
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.aggs[name] = spec
+	e.mutateCatalog(func() { e.aggs[name] = spec })
 	return nil
 }
 
@@ -309,10 +258,7 @@ func (e *Engine) RegisterAggregate(def *ast.CreateAggregate, orderSensitive bool
 	}
 	name := strings.ToLower(def.Name)
 	spec.Name = name
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.aggs[name] = spec
-	e.aggSrc[name] = def
+	e.mutateCatalog(func() { e.aggs[name], e.aggSrc[name] = spec, def })
 	return nil
 }
 
@@ -331,175 +277,6 @@ func (e *Engine) AggregateSource(name string) (*ast.CreateAggregate, bool) {
 	defer e.mu.RUnlock()
 	src, ok := e.aggSrc[strings.ToLower(name)]
 	return src, ok
-}
-
-// cachedPlan compiles q under the catalog (or returns a cached plan).
-//
-// The cache has two levels. L1 keys on AST node identity — repeated
-// executions of the same parsed statement (procedure bodies, prepared
-// statements) hit it without allocating. L2 keys on the statement's exact
-// rendered text plus options, so re-parsed arrivals of the same SQL (each
-// TCP request parses afresh) share one compiled plan; an L2 hit promotes
-// the plan into L1 under the new AST pointer. Any hit is revalidated
-// against the plan's table stamps: once a table's stats version drifts
-// past PlanStaleThreshold, the entry is dropped and the query recompiled
-// so access-path choices track the data.
-//
-// Queries touching system views never enter the cache: their backing
-// tables are per-statement telemetry snapshots, so a cached plan would
-// freeze the first observation forever. Queries referencing temp tables or
-// table variables skip L2 only — their rendered text is identical across
-// sessions but resolves to different tables, so sharing by text would leak
-// plans across sessions; L1 (AST identity is session-local) stays safe.
-func (e *Engine) cachedPlan(s *Session, temp func(string) (*storage.Table, bool), opts plan.Options, q *ast.Select) (*plan.Plan, error) {
-	// L1 first, before any query-shape analysis: system-view queries never
-	// enter the cache, so an L1 hit cannot be one, and the warm path stays
-	// allocation-free.
-	key := planKey{q: q, opts: opts}
-	e.planMu.Lock()
-	if p, ok := e.plans[key]; ok {
-		if !planStale(p) {
-			e.planMu.Unlock()
-			s.notePlanCache(true)
-			return p, nil
-		}
-		delete(e.plans, key)
-	}
-	e.planMu.Unlock()
-
-	if selectRefsSystemTable(q) {
-		return plan.Compile(s.Catalog(temp), opts, q)
-	}
-	shareText := !selectRefsTempTable(q)
-	e.planMu.Lock()
-	var text string
-	var tkey planTextKey
-	if shareText {
-		text = q.String()
-		tkey = planTextKey{hash: fnv64(text), opts: opts}
-		if ent, ok := e.planTxt[tkey]; ok && ent.text == text {
-			if !planStale(ent.p) {
-				e.planUse++
-				ent.lastUsed = e.planUse
-				e.plans[key] = ent.p
-				p := ent.p
-				e.planMu.Unlock()
-				s.notePlanCache(true)
-				return p, nil
-			}
-			delete(e.planTxt, tkey)
-		}
-	}
-	e.planMu.Unlock()
-
-	s.notePlanCache(false)
-	p, err := plan.Compile(s.Catalog(temp), opts, q)
-	if err != nil {
-		return nil, err
-	}
-	e.planMu.Lock()
-	e.plans[key] = p
-	if shareText {
-		if len(e.planTxt) >= PlanCacheCap {
-			e.evictPlanLocked()
-		}
-		e.planUse++
-		e.planTxt[tkey] = &planEntry{text: text, p: p, lastUsed: e.planUse}
-	}
-	e.planMu.Unlock()
-	return p, nil
-}
-
-// planStale reports whether any table the plan was costed against has
-// drifted PlanStaleThreshold or more stats-version bumps since compile.
-func planStale(p *plan.Plan) bool {
-	for _, st := range p.Stamps {
-		if st.Table.StatsVersion()-st.StatsVersion >= PlanStaleThreshold {
-			return true
-		}
-	}
-	return false
-}
-
-// evictPlanLocked removes the least-recently-used L2 entry. O(n), but only
-// runs when a new statement shape arrives with the cache already full.
-func (e *Engine) evictPlanLocked() {
-	var victim planTextKey
-	found := false
-	min := uint64(0)
-	for k, ent := range e.planTxt {
-		if !found || ent.lastUsed < min {
-			found, min, victim = true, ent.lastUsed, k
-		}
-	}
-	if found {
-		delete(e.planTxt, victim)
-	}
-}
-
-// fnv64 is FNV-1a over the rendered statement text.
-func fnv64(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// CachedScalar compiles an expression (with caching keyed by AST node
-// identity) for evaluation outside a table context: procedure statements,
-// variable initializers, and aggregate bodies.
-func (e *Engine) CachedScalar(cat plan.Catalog, opts plan.Options, expr ast.Expr) (exec.Scalar, error) {
-	key := scalarKey{e: expr, opts: opts}
-	e.planMu.Lock()
-	s, ok := e.scalars[key]
-	e.planMu.Unlock()
-	if ok {
-		return s, nil
-	}
-	s, err := plan.CompileScalar(cat, opts, expr)
-	if err != nil {
-		return nil, err
-	}
-	e.planMu.Lock()
-	e.scalars[key] = s
-	e.planMu.Unlock()
-	return s, nil
-}
-
-// InvalidatePlans drops the plan and expression caches (after DDL that
-// changes schemas or available indexes).
-func (e *Engine) InvalidatePlans() {
-	e.planMu.Lock()
-	e.plans = map[planKey]*plan.Plan{}
-	e.planTxt = map[planTextKey]*planEntry{}
-	e.scalars = map[scalarKey]exec.Scalar{}
-	e.routinePlans = map[any]any{}
-	e.planMu.Unlock()
-}
-
-// RoutinePlan looks up a cached compiled routine body (see routinePlans).
-func (e *Engine) RoutinePlan(key any) (any, bool) {
-	e.planMu.Lock()
-	v, ok := e.routinePlans[key]
-	e.planMu.Unlock()
-	return v, ok
-}
-
-// StoreRoutinePlan caches a compiled routine body under key.
-func (e *Engine) StoreRoutinePlan(key, val any) {
-	e.planMu.Lock()
-	e.routinePlans[key] = val
-	e.planMu.Unlock()
-}
-
-// PlanCacheLen returns the number of text-keyed cached plans (tests and
-// observability).
-func (e *Engine) PlanCacheLen() int {
-	e.planMu.Lock()
-	defer e.planMu.Unlock()
-	return len(e.planTxt)
 }
 
 // CatalogWithTemp returns a planner catalog over this engine with an

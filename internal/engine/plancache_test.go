@@ -129,7 +129,7 @@ func TestPlanCacheStatsDriftReplan(t *testing.T) {
 		t.Fatalf("drift inserts: %v", err)
 	}
 	misses := sess.PlanCacheMisses()
-	p2, err := sess.PlanQuery(q, nil) // same AST: would be a 0-alloc L1 hit if fresh
+	p2, err := sess.PlanQuery(q, nil) // same AST: would be a 0-alloc hit on the node if fresh
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -148,24 +148,6 @@ func (s *Session) Catalog(temp func(string) (*storage.Table, bool)) plan.Catalog
 	return sessionCatalog{eng: s.Eng, temp: s.tempResolver(temp)}
 }
 
-// PlanQuery compiles (with caching) a query.
-func (s *Session) PlanQuery(q *ast.Select, temp func(string) (*storage.Table, bool)) (*plan.Plan, error) {
-	return s.Eng.cachedPlan(s, temp, s.Opts, q)
-}
-
-// notePlanCache counts a plan-cache outcome for this session; the
-// statement recorder diffs the counters into aggify_stat_statements.
-func (s *Session) notePlanCache(hit bool) {
-	if s == nil {
-		return
-	}
-	if hit {
-		s.planCacheHits.Add(1)
-	} else {
-		s.planCacheMisses.Add(1)
-	}
-}
-
 // PlanCacheHits returns the session's cumulative plan-cache hit count.
 func (s *Session) PlanCacheHits() int64 { return s.planCacheHits.Load() }
 

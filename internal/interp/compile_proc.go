@@ -169,34 +169,19 @@ func (rt *routine) call(s *engine.Session, args []sqltypes.Value) (sqltypes.Valu
 	return sqltypes.Null, nil
 }
 
-// routineForProc returns the cached compiled form of a procedure, or nil
-// when the body cannot use the compiled pipeline (the negative result is
-// cached too, so hot interpreted procedures do not recompile per call).
-func routineForProc(eng *engine.Engine, def *ast.CreateProcedure) *routine {
-	if v, ok := eng.RoutinePlan(def); ok {
-		rt, _ := v.(*routine)
+// routineFor returns the cached compiled form of a procedure or scalar-UDF
+// definition, or nil when the body cannot use the compiled pipeline (the
+// negative result is cached too, as a typed nil, so hot interpreted
+// routines do not recompile per call).
+func routineFor(eng *engine.Engine, def ast.Stmt) *routine {
+	return eng.CachedRoutine(def, func() any {
+		var rt *routine
+		switch d := def.(type) {
+		case *ast.CreateProcedure:
+			rt, _ = compileRoutine(eng, d.Name, d.Params, d.Body)
+		case *ast.CreateFunction:
+			rt, _ = compileRoutine(eng, d.Name, d.Params, d.Body)
+		}
 		return rt
-	}
-	rt, err := compileRoutine(eng, def.Name, def.Params, def.Body)
-	if err != nil {
-		eng.StoreRoutinePlan(def, (*routine)(nil))
-		return nil
-	}
-	eng.StoreRoutinePlan(def, rt)
-	return rt
-}
-
-// routineForFunc is routineForProc for scalar UDFs.
-func routineForFunc(eng *engine.Engine, def *ast.CreateFunction) *routine {
-	if v, ok := eng.RoutinePlan(def); ok {
-		rt, _ := v.(*routine)
-		return rt
-	}
-	rt, err := compileRoutine(eng, def.Name, def.Params, def.Body)
-	if err != nil {
-		eng.StoreRoutinePlan(def, (*routine)(nil))
-		return nil
-	}
-	eng.StoreRoutinePlan(def, rt)
-	return rt
+	}).(*routine)
 }

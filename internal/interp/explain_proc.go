@@ -19,9 +19,9 @@ import (
 func (r *Runner) execExplainProc(st *ast.ExplainProcStmt) error {
 	var lines []string
 	if def, ok := r.Sess.Eng.Procedure(st.Proc); ok {
-		lines = routineTierLines("procedure", def.Name, routineForProc(r.Sess.Eng, def), def.Body)
+		lines = routineTierLines("procedure", def.Name, routineFor(r.Sess.Eng, def), def.Body)
 	} else if def, ok := r.Sess.Eng.Function(st.Proc); ok {
-		lines = routineTierLines("function", def.Name, routineForFunc(r.Sess.Eng, def), def.Body)
+		lines = routineTierLines("function", def.Name, routineFor(r.Sess.Eng, def), def.Body)
 	} else {
 		return fmt.Errorf("interp: unknown procedure %s", st.Proc)
 	}

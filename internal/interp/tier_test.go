@@ -72,7 +72,7 @@ func TestClassifyBodyTierCoverage(t *testing.T) {
 func TestRoutineTiersMatchStaticClassification(t *testing.T) {
 	sess := tierSession(t)
 	def, _ := sess.Eng.Procedure("mixed")
-	rt := routineForProc(sess.Eng, def)
+	rt := routineFor(sess.Eng, def)
 	if rt == nil {
 		t.Fatal("mixed should compile (partially)")
 	}
@@ -80,6 +80,22 @@ func TestRoutineTiersMatchStaticClassification(t *testing.T) {
 	wantC, wantT := TierCoverage(ClassifyBody(def.Body))
 	if gotC != wantC || gotT != wantT {
 		t.Fatalf("compiled coverage %d/%d, static classifier says %d/%d", gotC, gotT, wantC, wantT)
+	}
+}
+
+// TestPlanCacheWarmZeroAllocs is the routine-lookup third of the guard in
+// package engine: every call of a procedure or UDF starts with this lookup.
+func TestPlanCacheWarmZeroAllocs(t *testing.T) {
+	sess := tierSession(t)
+	def, _ := sess.Eng.Procedure("mixed")
+	want := routineFor(sess.Eng, def)
+	allocs := testing.AllocsPerRun(200, func() {
+		if routineFor(sess.Eng, def) != want {
+			t.Fatal("warm routine lookup recompiled")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm routine lookup allocates %v times, want 0", allocs)
 	}
 }
 

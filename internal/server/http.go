@@ -56,14 +56,15 @@ type metricDef struct {
 }
 
 // metricDefs snapshots every scalar metric: the wire-level request
-// registry, the tracer, the transaction manager, the WAL, and the
-// fingerprint stats store.
+// registry, the tracer, the transaction manager, the WAL, the
+// fingerprint stats store, and the plan store.
 func (s *Server) metricDefs() []metricDef {
 	st := s.Stats()
 	tc := s.Tracer.Counters()
 	eng := s.eng
 	txc := eng.TxnMgr.CounterSnapshot()
 	stmts := eng.StmtStatsStore()
+	pc := eng.PlanCacheStats()
 	defs := []metricDef{
 		{"aggifyd_connections_total", "Connections accepted.", "counter", st.Connections},
 		{"aggifyd_requests_total", "Requests served.", "counter", st.Requests},
@@ -88,6 +89,10 @@ func (s *Server) metricDefs() []metricDef {
 		{"aggifyd_checkpoints_total", "WAL checkpoints completed.", "counter", eng.Checkpoints()},
 		{"aggifyd_stmt_fingerprints", "Distinct statement fingerprints tracked.", "gauge", int64(stmts.Len())},
 		{"aggifyd_stmt_evictions_total", "Fingerprint entries evicted from the stats store.", "counter", stmts.Evictions()},
+		{"aggifyd_plan_cache_entries", "Plans, scalar expressions and routine bodies in the plan store.", "gauge", int64(pc.Entries)},
+		{"aggifyd_plan_cache_hits_total", "Plan-store lookups answered from the store.", "counter", pc.Hits},
+		{"aggifyd_plan_cache_misses_total", "Plan-store lookups that had to compile.", "counter", pc.Misses},
+		{"aggifyd_plan_cache_evictions_total", "Plan-store entries evicted by the capacity bound.", "counter", pc.Evictions},
 	}
 	var walBytes, walSynced, walRecords, walFsyncs int64
 	if ws, _, ok := eng.WALStats(); ok {

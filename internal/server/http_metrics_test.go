@@ -46,6 +46,8 @@ func TestMetricsExposesEveryRegisteredMetric(t *testing.T) {
 		"aggifyd_txn_rollbacks_total", "aggifyd_txn_conflicts_total",
 		"aggifyd_wal_bytes_total", "aggifyd_wal_fsyncs_total",
 		"aggifyd_checkpoints_total", "aggifyd_stmt_evictions_total",
+		"aggifyd_plan_cache_entries", "aggifyd_plan_cache_hits_total",
+		"aggifyd_plan_cache_misses_total", "aggifyd_plan_cache_evictions_total",
 	} {
 		found := false
 		for _, d := range defs {
@@ -82,6 +84,12 @@ func TestMetricsStatementTopK(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %s:\n%s", want, body)
+		}
+	}
+	// The SELECT was compiled and is in the plan store, by node and by text.
+	for _, want := range []string{"\naggifyd_plan_cache_entries 2\n", "\naggifyd_plan_cache_misses_total 1\n"} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics missing %q", want)
 		}
 	}
 }

@@ -59,6 +59,12 @@ go test -race ./...
 stage "tracing-overhead guard (disabled tracing must not allocate)"
 go test -count=1 -run TestDisabledTracingZeroAllocs ./internal/trace
 
+stage "plan-cache guard (a warm lookup by AST node must not allocate)"
+go test -count=1 -run TestPlanCacheWarmZeroAllocs ./internal/engine ./internal/interp
+
+stage "benchmark harness (its own module: the root go test never builds it)"
+(cd benchmark && go vet ./... && go test ./...)
+
 stage "aggifyd debug endpoint smoke"
 tmp="$(mktemp -d)"
 go build -o "$tmp/aggifyd" ./cmd/aggifyd
