@@ -165,8 +165,10 @@ func BenchmarkGatePushdown(b *testing.B) {
 // BenchmarkGateRangeSeek measures the ordered-index range seek the
 // choose_access_path rule picks for a selective range predicate, against the
 // same query with the rule disabled (full scan + filter). The gate records
-// rangeseek_speedup = fullscan ns/op ÷ rangeseek ns/op and requires ≥ 5× —
-// the seek touches ~7% of gatep, so it has to dodge most of the scan.
+// rangeseek_speedup = fullscan ns/op ÷ rangeseek ns/op and requires ≥ 2×
+// (measured 2.2–2.8×) — the seek touches ~7% of gatep, at about five times
+// the scan's cost per row now that the scan filters inside its cursor
+// callback.
 func BenchmarkGateRangeSeek(b *testing.B) {
 	eng := gateEnv(b)
 	q := parser.MustParse("select sum(v) from gatep where k >= 90")[0].(*ast.QueryStmt).Query

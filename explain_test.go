@@ -95,6 +95,20 @@ where q.ps_partkey = 1`
 	b.WriteString(runExplain(t, "EXPLAIN "+pushQuery))
 	b.WriteString("\n-- EXPLAIN ANALYZE (rewrite pushdown)\n")
 	b.WriteString(timeRe.ReplaceAllString(runExplain(t, "EXPLAIN ANALYZE "+pushQuery), "time=X"))
+
+	// Predicate paths: the scan takes the leading kernel conjuncts itself
+	// ([filter: bound]: three of three rows read, two emitted); a conjunct
+	// it cannot take names why ([generic: ...]), and a kernel after it runs
+	// in a FilterOp ([bound]); HAVING mixes both ([bound+residual]).
+	const predQuery = `select ps_suppkey, count(*) as n
+from partsupp
+where ps_supplycost between 3 and 6 and ps_suppkey > ps_partkey and ps_partkey in (1, 2)
+group by ps_suppkey
+having count(*) >= 1 and count(*) < ps_suppkey + 100`
+	b.WriteString("\n-- EXPLAIN (predicate paths)\n")
+	b.WriteString(runExplain(t, "EXPLAIN "+predQuery))
+	b.WriteString("\n-- EXPLAIN ANALYZE (predicate paths)\n")
+	b.WriteString(timeRe.ReplaceAllString(runExplain(t, "EXPLAIN ANALYZE "+predQuery), "time=X"))
 	got := b.String()
 
 	golden := filepath.Join("testdata", "explain_analyze.golden")

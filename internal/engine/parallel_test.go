@@ -77,6 +77,17 @@ func TestParallelPlanByteIdentical(t *testing.T) {
 	}
 }
 
+// TestParallelScanKeepsFilterTag checks that the partitions of a filtering
+// scan say so, as the serial scan they replace does.
+func TestParallelScanKeepsFilterTag(t *testing.T) {
+	sess := bigDB(t, 8000)
+	sess.Opts.Parallelism = 4
+	plan := explain(t, sess, "select k, sum(v) from bigt where v < 500 group by k")
+	if !strings.Contains(plan, "ParallelScan(bigt, parts=4) [filter: bound]") {
+		t.Fatalf("expected a filtering parallel scan:\n%s", plan)
+	}
+}
+
 // TestParallelSerialReasons checks that a parallel-enabled session surfaces
 // why a plan stayed serial as an EXPLAIN label suffix.
 func TestParallelSerialReasons(t *testing.T) {

@@ -372,11 +372,9 @@ func (s *Session) Update(st *ast.UpdateStmt, ctx *exec.Ctx) (int, error) {
 		return 0, err
 	}
 	cat := s.Catalog(tempOf(ctx))
-	var pred exec.Scalar
-	if st.Where != nil {
-		if pred, err = plan.CompileRowExpr(cat, s.Opts, st.Where, tab); err != nil {
-			return 0, err
-		}
+	where, err := plan.CompileRowPredicate(cat, s.Opts, st.Where, tab)
+	if err != nil {
+		return 0, err
 	}
 	type setter struct {
 		ord int
@@ -404,32 +402,20 @@ func (s *Session) Update(st *ast.UpdateStmt, ctx *exec.Ctx) (int, error) {
 			row []sqltypes.Value
 		}
 		var changes []change
-		var evalErr error
-		tab.Scan(ctx.Snap, s.Stats, func(rid int, row []sqltypes.Value) bool {
-			if pred != nil {
-				v, err := pred(ctx, row)
-				if err != nil {
-					evalErr = err
-					return false
-				}
-				if !v.Truthy() {
-					return true
-				}
-			}
+		err := s.scanMatching(ctx, tab, where, func(rid int, row []sqltypes.Value) error {
 			newRow := append([]sqltypes.Value(nil), row...)
 			for _, st := range setters {
 				v, err := st.sc(ctx, row)
 				if err != nil {
-					evalErr = err
-					return false
+					return err
 				}
 				newRow[st.ord] = v
 			}
 			changes = append(changes, change{rid, newRow})
-			return true
+			return nil
 		})
-		if evalErr != nil {
-			return 0, evalErr
+		if err != nil {
+			return 0, err
 		}
 		for _, ch := range changes {
 			if err := tab.Update(tx, ch.rid, ch.row); err != nil {
@@ -438,6 +424,25 @@ func (s *Session) Update(st *ast.UpdateStmt, ctx *exec.Ctx) (int, error) {
 		}
 		return len(changes), nil
 	})
+}
+
+// scanMatching scans tab at ctx's snapshot, charging one logical read per
+// visible row, and calls fn for each row satisfying where (nil = all) —
+// through the same bound predicate scans and filters evaluate. It is bound
+// afresh per call, so a retried statement re-reads its variables.
+func (s *Session) scanMatching(ctx *exec.Ctx, tab *storage.Table, where *exec.Predicate, fn func(rid int, row []sqltypes.Value) error) error {
+	var bp exec.BoundPredicate
+	bp.Reset(where)
+	var scanErr error
+	tab.Scan(ctx.Snap, s.Stats, func(rid int, row []sqltypes.Value) bool {
+		ok, err := bp.Match(ctx, row)
+		if err == nil && ok {
+			err = fn(rid, row)
+		}
+		scanErr = err
+		return err == nil
+	})
+	return scanErr
 }
 
 // Delete executes a DELETE statement, returning the number of rows removed.
@@ -449,31 +454,18 @@ func (s *Session) Delete(st *ast.DeleteStmt, ctx *exec.Ctx) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	var pred exec.Scalar
-	if st.Where != nil {
-		if pred, err = plan.CompileRowExpr(s.Catalog(tempOf(ctx)), s.Opts, st.Where, tab); err != nil {
-			return 0, err
-		}
+	where, err := plan.CompileRowPredicate(s.Catalog(tempOf(ctx)), s.Opts, st.Where, tab)
+	if err != nil {
+		return 0, err
 	}
 	return s.dmlApply(ctx, tab, func(tx *txn.Txn) (int, error) {
 		var rids []int
-		var evalErr error
-		tab.Scan(ctx.Snap, s.Stats, func(rid int, row []sqltypes.Value) bool {
-			if pred != nil {
-				v, err := pred(ctx, row)
-				if err != nil {
-					evalErr = err
-					return false
-				}
-				if !v.Truthy() {
-					return true
-				}
-			}
+		err := s.scanMatching(ctx, tab, where, func(rid int, _ []sqltypes.Value) error {
 			rids = append(rids, rid)
-			return true
+			return nil
 		})
-		if evalErr != nil {
-			return 0, evalErr
+		if err != nil {
+			return 0, err
 		}
 		for _, rid := range rids {
 			if err := tab.Delete(tx, rid); err != nil {

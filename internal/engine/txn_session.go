@@ -129,31 +129,43 @@ func (s *Session) dmlApply(ctx *exec.Ctx, tab *storage.Table, apply func(tx *txn
 		}
 		return n, err
 	}
-	var n int
-	var err error
-	for attempt := 0; attempt < dmlMaxRetries; attempt++ {
+	// One attempt in its own frame: the deferred Rollback is a no-op once
+	// the transaction has committed, and also runs if apply panics, so a
+	// contained fault (see server.dispatchContained) leaves no uncommitted
+	// versions behind.
+	attempt := func() (int, error) {
 		tx := s.Eng.TxnMgr.Begin()
+		defer tx.Rollback()
 		saved := ctx.Snap
 		ctx.Snap = tx.Snapshot()
-		n, err = apply(tx)
-		ctx.Snap = saved
+		defer func() { ctx.Snap = saved }()
+		n, err := apply(tx)
 		if err != nil {
-			tx.Rollback()
-			if errors.Is(err, txn.ErrWriteConflict) {
-				s.conflicts.Add(1)
-				continue
-			}
 			return n, err
 		}
-		if err = tx.Commit(); err != nil {
-			if errors.Is(err, txn.ErrWriteConflict) {
-				s.conflicts.Add(1)
-				continue
-			}
+		return n, tx.Commit()
+	}
+	var n int
+	var err error
+	for i := 0; i < dmlMaxRetries; i++ {
+		if n, err = attempt(); err == nil {
+			s.Eng.MaybeVacuum()
+			return n, nil
+		}
+		if !errors.Is(err, txn.ErrWriteConflict) {
 			return n, err
 		}
-		s.Eng.MaybeVacuum()
-		return n, nil
+		s.conflicts.Add(1)
 	}
 	return n, err
+}
+
+// AbortStmt returns the session to a clean idle state after a statement was
+// abandoned mid-flight (a contained panic): the explicit transaction, if
+// any, is rolled back and the session no longer reports as active.
+func (s *Session) AbortStmt() {
+	if s.tx != nil {
+		s.RollbackTxn()
+	}
+	s.stmtStart.Store(0)
 }

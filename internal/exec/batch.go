@@ -114,6 +114,14 @@ func (b *Batch) AppendRow(row Row) {
 	b.n++
 }
 
+// appendFrom copies row i of src (same width) onto the end of the batch.
+func (b *Batch) appendFrom(src *Batch, i int) {
+	for j := range b.Cols {
+		b.Cols[j].Append(src.Cols[j].Vals[i])
+	}
+	b.n++
+}
+
 // Row materializes row i into buf (grown as needed) and returns it. The
 // result aliases buf, not the batch, so it survives batch reuse only as
 // long as buf does.

@@ -416,3 +416,77 @@ func TestBatchOfMixedTree(t *testing.T) {
 		t.Fatalf("drained %d rows, want 100", got)
 	}
 }
+
+// TestFilteringScanRejectsInPlace pins what moving the filter into the scan
+// is for: a row the predicate rejects is charged its logical read but is
+// never buffered and never put into a batch, on either path — and a scan
+// that rejects everything still checks for interruption once per refill.
+func TestFilteringScanRejectsInPlace(t *testing.T) {
+	tab := aggTable(t, 5_000, false)
+	none := NewPredicate([]Conjunct{{Shape: ShapeCompare, Ord: 0, Op: sqltypes.OpLt, Args: []Scalar{ConstScalar(sqltypes.NewInt(-1))}}})
+	for _, batch := range []bool{false, true} {
+		stats := &storage.Stats{}
+		ctx := &Ctx{Stats: stats}
+		scan := &ScanOp{Table: tab, Pred: none}
+		if err := scan.Open(ctx); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		rows := 0
+		if batch {
+			var b *Batch
+			if b, err = scan.NextBatch(ctx); b != nil {
+				rows = b.Len()
+			}
+		} else {
+			var r Row
+			if r, err = scan.Next(ctx); r != nil {
+				rows = 1
+			}
+		}
+		if err != nil || rows != 0 {
+			t.Fatalf("batch=%v: %d rows, err %v from a scan whose filter rejects every row", batch, rows, err)
+		}
+		if reads := stats.LogicalReads.Load(); reads != 5_000 {
+			t.Errorf("batch=%v: %d logical reads, want 5000 (a rejected row is still read)", batch, reads)
+		}
+		if n := scan.BufferedRows(); n != 0 {
+			t.Errorf("batch=%v: %d rejected rows buffered", batch, n)
+		}
+		scan.Close()
+	}
+
+	// Interrupted after the first refill: the scan stops there, although no
+	// row ever reached the consumer.
+	interrupt := make(chan struct{})
+	stats := &storage.Stats{}
+	ctx := &Ctx{Stats: stats, Interrupt: interrupt}
+	calls := 0
+	closing := NewPredicate([]Conjunct{{Generic: func(*Ctx, Row) (sqltypes.Value, error) {
+		if calls++; calls == DefaultBatchSize {
+			close(interrupt)
+		}
+		return sqltypes.NewBool(false), nil
+	}}})
+	scan := &ScanOp{Table: tab, Pred: closing}
+	if err := scan.Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer scan.Close()
+	if _, err := scan.Next(ctx); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("err = %v, want ErrInterrupted", err)
+	}
+	if reads := stats.LogicalReads.Load(); reads != DefaultBatchSize {
+		t.Errorf("%d rows read before the interrupt was seen, want one refill (%d)", reads, DefaultBatchSize)
+	}
+}
+
+// TestUnknownShapeIsAnError pins that a conjunct shape without a kernel is
+// reported and not evaluated as IS NULL.
+func TestUnknownShapeIsAnError(t *testing.T) {
+	var b BoundPredicate
+	b.Reset(NewPredicate([]Conjunct{{Shape: ShapeIsNull + 1, Ord: 0}}))
+	if _, err := b.Match(&Ctx{}, Row{sqltypes.Null}); err == nil {
+		t.Fatal("a conjunct of an unknown shape matched without an error")
+	}
+}

@@ -113,84 +113,21 @@ func (s *ScanSplit) cursor(ctx *Ctx, i int) (*storage.Cursor, int, error) {
 type ParallelScanOp struct {
 	Split *ScanSplit
 	Part  int
+	// Pred, when set, filters inside the scan (see cursorFeed).
+	Pred *Predicate
 
-	cur   *storage.Cursor
-	width int
-	buf   []Row
-	pos   int
-	eof   bool
-	batch *Batch
+	cursorFeed
 }
 
 // Open implements Operator.
 func (o *ParallelScanOp) Open(ctx *Ctx) error {
-	o.buf = nil
-	o.pos = 0
-	o.eof = false
 	cur, width, err := o.Split.cursor(ctx, o.Part)
 	if err != nil {
 		return err
 	}
 	cur.Reset()
-	o.cur = cur
-	o.width = width
+	o.open(cur, width, o.Pred)
 	return nil
-}
-
-// Next implements Operator, streaming the partition in cursor-sized refills.
-func (o *ParallelScanOp) Next(ctx *Ctx) (Row, error) {
-	for o.pos >= len(o.buf) {
-		if o.eof {
-			return nil, nil
-		}
-		if ctx.Interrupted() {
-			return nil, ErrInterrupted
-		}
-		if o.buf == nil {
-			o.buf = make([]Row, 0, DefaultBatchSize)
-		}
-		o.buf = o.buf[:0]
-		o.pos = 0
-		if o.cur.Next(ctx.Stats, DefaultBatchSize, func(row []sqltypes.Value) {
-			o.buf = append(o.buf, row)
-		}) == 0 {
-			o.eof = true
-		}
-	}
-	r := o.buf[o.pos]
-	o.pos++
-	return r, nil
-}
-
-// NextBatch implements BatchOperator.
-func (o *ParallelScanOp) NextBatch(ctx *Ctx) (*Batch, error) {
-	if o.eof {
-		return nil, nil
-	}
-	if ctx.Interrupted() {
-		return nil, ErrInterrupted
-	}
-	if o.batch == nil {
-		o.batch = NewBatch(o.width)
-	}
-	b := o.batch
-	b.Reset(o.width)
-	if o.cur.Next(ctx.Stats, DefaultBatchSize, func(row []sqltypes.Value) {
-		b.AppendRow(row)
-	}) == 0 {
-		o.eof = true
-		return nil, nil
-	}
-	return b, nil
-}
-
-// BatchCapable implements batchCapable.
-func (o *ParallelScanOp) BatchCapable() bool { return true }
-
-// Close implements Operator.
-func (o *ParallelScanOp) Close() {
-	o.cur = nil
-	o.buf = nil
 }
 
 // exchangeWorker drains part into out under a worker context, honouring

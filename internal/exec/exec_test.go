@@ -32,7 +32,7 @@ func TestFilterProject(t *testing.T) {
 		return sqltypes.Apply(sqltypes.OpGt, r[0], sqltypes.NewInt(1))
 	}
 	proj := &ProjectOp{
-		Child: &FilterOp{Child: src, Pred: pred},
+		Child: &FilterOp{Child: src, Pred: NewPredicate([]Conjunct{{Generic: pred}})},
 		Exprs: []Scalar{ColScalar(1)},
 	}
 	rows := drain(t, proj)
@@ -393,7 +393,7 @@ func TestRecursiveCTE(t *testing.T) {
 		return sqltypes.Apply(sqltypes.OpLt, r[0], sqltypes.NewInt(4))
 	}
 	recursive := &ProjectOp{
-		Child: &FilterOp{Child: &DeltaScanOp{Source: &delta}, Pred: cond},
+		Child: &FilterOp{Child: &DeltaScanOp{Source: &delta}, Pred: NewPredicate([]Conjunct{{Generic: cond}})},
 		Exprs: []Scalar{inc},
 	}
 	op := &RecursiveCTEOp{Seed: seed, Recursive: recursive, Delta: &delta}

@@ -63,6 +63,136 @@ func (o *OneRowOp) Next(*Ctx) (Row, error) {
 // Close implements Operator.
 func (o *OneRowOp) Close() {}
 
+// cursorFeed is the pull loop every cursor-backed scan shares (ScanOp,
+// RangeSeekOp, ParallelScanOp embed it): it refills from a storage cursor
+// DefaultBatchSize visited rows at a time and applies the scan's bound
+// predicate inside the cursor callback. A rejected row is charged its
+// logical read like any other, but is never buffered, never crosses an
+// operator boundary and never gets transposed into a Batch. The interrupt
+// check runs once per refill, i.e. per DefaultBatchSize visited rows,
+// however few of them qualify.
+type cursorFeed struct {
+	cur   rowCursor
+	width int
+	bp    BoundPredicate
+
+	// sink is the cursor callback, allocated once per operator so a refill
+	// allocates nothing; ctx and fill are its arguments for the refill in
+	// flight (fill nil = buffer rows, else append to that batch).
+	sink func(row []sqltypes.Value)
+	ctx  *Ctx
+	fill *Batch
+	// err is a predicate error met mid-refill. The row path returns it only
+	// after the rows that preceded it, as evaluating row by row would have.
+	err error
+
+	buf   []Row
+	pos   int
+	eof   bool
+	batch *Batch
+}
+
+// rowCursor is what storage.Cursor and storage.RangeCursor have in common.
+type rowCursor interface {
+	Next(stats *storage.Stats, max int, fn func(row []sqltypes.Value)) int
+}
+
+// open points the feed at a cursor (nil = no rows) over width-column rows.
+func (f *cursorFeed) open(cur rowCursor, width int, pred *Predicate) {
+	f.cur, f.width = cur, width
+	f.bp.Reset(pred)
+	if f.sink == nil {
+		f.sink = f.take
+	}
+	f.err = nil
+	f.buf = f.buf[:0]
+	f.pos = 0
+	f.eof = cur == nil
+}
+
+// take is the cursor callback: filter, then buffer.
+func (f *cursorFeed) take(row []sqltypes.Value) {
+	if f.bp.p != nil {
+		if f.err != nil {
+			return
+		}
+		ok, err := f.bp.Match(f.ctx, row)
+		if err != nil {
+			f.err = err
+			return
+		}
+		if !ok {
+			return
+		}
+	}
+	if f.fill != nil {
+		f.fill.AppendRow(row)
+	} else {
+		f.buf = append(f.buf, row)
+	}
+}
+
+// Next implements Operator.
+func (f *cursorFeed) Next(ctx *Ctx) (Row, error) {
+	for f.pos >= len(f.buf) {
+		if f.err != nil {
+			return nil, f.err
+		}
+		if f.eof {
+			return nil, nil
+		}
+		if ctx.Interrupted() {
+			return nil, ErrInterrupted
+		}
+		f.buf = f.buf[:0]
+		f.pos = 0
+		f.ctx = ctx
+		if f.cur.Next(ctx.Stats, DefaultBatchSize, f.sink) == 0 {
+			f.eof = true
+		}
+	}
+	r := f.buf[f.pos]
+	f.pos++
+	return r, nil
+}
+
+// NextBatch implements BatchOperator, filling a columnar batch straight
+// from the cursor with the rows that pass.
+func (f *cursorFeed) NextBatch(ctx *Ctx) (*Batch, error) {
+	if f.batch == nil {
+		f.batch = NewBatch(f.width)
+	}
+	b := f.batch
+	for {
+		if f.eof {
+			return nil, nil
+		}
+		if ctx.Interrupted() {
+			return nil, ErrInterrupted
+		}
+		b.Reset(f.width)
+		f.ctx, f.fill = ctx, b
+		n := f.cur.Next(ctx.Stats, DefaultBatchSize, f.sink)
+		f.fill = nil
+		if f.err != nil {
+			return nil, f.err
+		}
+		if n == 0 {
+			f.eof = true
+			return nil, nil
+		}
+		if b.Len() > 0 {
+			return b, nil
+		}
+	}
+}
+
+// BatchCapable implements the batch contract: scans produce batches natively.
+func (f *cursorFeed) BatchCapable() bool { return true }
+
+// Close implements Operator.
+func (f *cursorFeed) Close() { f.cur = nil; f.buf = nil }
+
 // ScanOp scans a base table (or table variable / temp table). It streams
 // from a storage cursor one batch at a time: the cursor freezes the slot
 // slice at Open (so concurrent inserts during iteration — e.g. INSERT ...
@@ -71,79 +201,21 @@ func (o *OneRowOp) Close() {}
 // over a large table never materializes the whole table.
 type ScanOp struct {
 	Table *storage.Table
+	// Pred, when set, filters inside the scan (see cursorFeed).
+	Pred *Predicate
 
-	cur   *storage.Cursor
-	buf   []Row
-	pos   int
-	eof   bool
-	batch *Batch
+	cursorFeed
 }
 
 // Open implements Operator.
 func (o *ScanOp) Open(ctx *Ctx) error {
-	o.cur = o.Table.NewCursor(ctx.Snap)
-	o.buf = o.buf[:0]
-	o.pos = 0
-	o.eof = false
+	o.open(o.Table.NewCursor(ctx.Snap), o.Table.Schema.Len(), o.Pred)
 	return nil
 }
 
 // BufferedRows reports the rows currently buffered (at most one batch) —
 // the regression guard for the old materialize-everything-at-Open behavior.
 func (o *ScanOp) BufferedRows() int { return len(o.buf) }
-
-// Next implements Operator.
-func (o *ScanOp) Next(ctx *Ctx) (Row, error) {
-	for o.pos >= len(o.buf) {
-		if o.eof {
-			return nil, nil
-		}
-		if ctx.Interrupted() {
-			return nil, ErrInterrupted
-		}
-		o.buf = o.buf[:0]
-		o.pos = 0
-		if o.cur.Next(ctx.Stats, DefaultBatchSize, func(row []sqltypes.Value) {
-			o.buf = append(o.buf, row)
-		}) == 0 {
-			o.eof = true
-		}
-	}
-	r := o.buf[o.pos]
-	o.pos++
-	return r, nil
-}
-
-// NextBatch implements BatchOperator, filling a columnar batch straight
-// from the storage cursor.
-func (o *ScanOp) NextBatch(ctx *Ctx) (*Batch, error) {
-	if o.eof {
-		return nil, nil
-	}
-	if ctx.Interrupted() {
-		return nil, ErrInterrupted
-	}
-	w := o.Table.Schema.Len()
-	if o.batch == nil {
-		o.batch = NewBatch(w)
-	}
-	b := o.batch
-	b.Reset(w)
-	o.cur.Next(ctx.Stats, DefaultBatchSize, func(row []sqltypes.Value) {
-		b.AppendRow(row)
-	})
-	if b.Len() == 0 {
-		o.eof = true
-		return nil, nil
-	}
-	return b, nil
-}
-
-// BatchCapable implements the batch contract: scans produce batches natively.
-func (o *ScanOp) BatchCapable() bool { return true }
-
-// Close implements Operator.
-func (o *ScanOp) Close() { o.cur = nil; o.buf = nil }
 
 // IndexSeekOp returns the rows of Table whose Column equals the key scalar,
 // which is evaluated at Open (it may reference variables or outer rows).
@@ -227,23 +299,17 @@ type RangeSeekOp struct {
 	Lo, Hi   Scalar // nil = unbounded
 	LoStrict bool
 	HiStrict bool
+	// Pred, when set, filters the in-range rows inside the seek (see
+	// cursorFeed).
+	Pred *Predicate
 
-	cur   *storage.RangeCursor
-	empty bool
-	buf   []Row
-	pos   int
-	eof   bool
-	batch *Batch
+	cursorFeed
 }
 
 // Open implements Operator, evaluating the bound scalars (they may
 // reference variables or outer rows) and opening the range cursor.
 func (o *RangeSeekOp) Open(ctx *Ctx) error {
-	o.cur = nil
-	o.empty = false
-	o.buf = o.buf[:0]
-	o.pos = 0
-	o.eof = false
+	o.open(nil, 0, nil) // no rows unless the seek below succeeds
 	lo, hi := sqltypes.Null, sqltypes.Null
 	if o.Lo != nil {
 		v, err := o.Lo(ctx, nil)
@@ -251,7 +317,6 @@ func (o *RangeSeekOp) Open(ctx *Ctx) error {
 			return err
 		}
 		if v.IsNull() {
-			o.empty = true
 			return nil
 		}
 		lo = v
@@ -262,7 +327,6 @@ func (o *RangeSeekOp) Open(ctx *Ctx) error {
 			return err
 		}
 		if v.IsNull() {
-			o.empty = true
 			return nil
 		}
 		hi = v
@@ -271,74 +335,21 @@ func (o *RangeSeekOp) Open(ctx *Ctx) error {
 	if !ok {
 		return fmt.Errorf("exec: no ordered index on %s(%s)", o.Table.Name, o.Column)
 	}
-	o.cur = cur
+	o.open(cur, o.Table.Schema.Len(), o.Pred)
 	return nil
 }
 
 // BufferedRows reports the rows currently buffered (at most one batch).
 func (o *RangeSeekOp) BufferedRows() int { return len(o.buf) }
 
-// Next implements Operator.
-func (o *RangeSeekOp) Next(ctx *Ctx) (Row, error) {
-	if o.empty {
-		return nil, nil
-	}
-	for o.pos >= len(o.buf) {
-		if o.eof {
-			return nil, nil
-		}
-		if ctx.Interrupted() {
-			return nil, ErrInterrupted
-		}
-		o.buf = o.buf[:0]
-		o.pos = 0
-		if o.cur.Next(ctx.Stats, DefaultBatchSize, func(row []sqltypes.Value) {
-			o.buf = append(o.buf, row)
-		}) == 0 {
-			o.eof = true
-		}
-	}
-	r := o.buf[o.pos]
-	o.pos++
-	return r, nil
-}
-
-// NextBatch implements BatchOperator, filling a columnar batch straight
-// from the range cursor.
-func (o *RangeSeekOp) NextBatch(ctx *Ctx) (*Batch, error) {
-	if o.empty || o.eof {
-		return nil, nil
-	}
-	if ctx.Interrupted() {
-		return nil, ErrInterrupted
-	}
-	w := o.Table.Schema.Len()
-	if o.batch == nil {
-		o.batch = NewBatch(w)
-	}
-	b := o.batch
-	b.Reset(w)
-	o.cur.Next(ctx.Stats, DefaultBatchSize, func(row []sqltypes.Value) {
-		b.AppendRow(row)
-	})
-	if b.Len() == 0 {
-		o.eof = true
-		return nil, nil
-	}
-	return b, nil
-}
-
-// BatchCapable implements the batch contract.
-func (o *RangeSeekOp) BatchCapable() bool { return true }
-
-// Close implements Operator.
-func (o *RangeSeekOp) Close() { o.cur = nil; o.buf = nil }
-
 // LateScanOp scans a table variable or temp table resolved from the
 // context at Open time. Plans over such tables are cached across procedure
 // invocations even though each invocation declares fresh instances.
 type LateScanOp struct {
 	Name string
+	// Pred, when set, filters inside the scan (see cursorFeed).
+	Pred *Predicate
+
 	scan ScanOp
 }
 
@@ -351,7 +362,7 @@ func (o *LateScanOp) Open(ctx *Ctx) error {
 	if !ok {
 		return fmt.Errorf("exec: undeclared table variable %s", o.Name)
 	}
-	o.scan = ScanOp{Table: tab}
+	o.scan.Table, o.scan.Pred = tab, o.Pred
 	return o.scan.Open(ctx)
 }
 
@@ -415,17 +426,23 @@ func (o *BufferScanOp) Close() {}
 
 // ----- Row transformers -----
 
-// FilterOp passes through rows satisfying Pred.
+// FilterOp passes through rows satisfying Pred. The planner places it over
+// children that cannot filter themselves (seeks by key, joins, aggregates,
+// derived tables) and for conjuncts a scan must not run, those that call
+// user code; kernel-only conjuncts over a scan run inside the scan.
 type FilterOp struct {
 	Child Operator
-	Pred  Scalar
+	Pred  *Predicate
 
-	out     *Batch
-	scratch Row
+	bp  BoundPredicate
+	out *Batch
 }
 
 // Open implements Operator.
-func (o *FilterOp) Open(ctx *Ctx) error { return o.Child.Open(ctx) }
+func (o *FilterOp) Open(ctx *Ctx) error {
+	o.bp.Reset(o.Pred)
+	return o.Child.Open(ctx)
+}
 
 // Next implements Operator.
 func (o *FilterOp) Next(ctx *Ctx) (Row, error) {
@@ -434,21 +451,22 @@ func (o *FilterOp) Next(ctx *Ctx) (Row, error) {
 		if err != nil || r == nil {
 			return nil, err
 		}
-		v, err := o.Pred(ctx, r)
+		ok, err := o.bp.Match(ctx, r)
 		if err != nil {
 			return nil, err
 		}
-		if v.Truthy() {
+		if ok {
 			return r, nil
 		}
 	}
 }
 
-// NextBatch implements BatchOperator: the predicate is evaluated per row on
-// a scratch view of the child batch, and qualifying rows are gathered into
-// the output batch. Qualifier-free stretches still advance a whole batch
-// per child pull, so the per-row interrupt stride is preserved by the
-// producers beneath.
+// NextBatch implements BatchOperator: kernels read the child batch's
+// columns in place (only a generic conjunct materializes the row it is
+// handed), and qualifying rows are gathered column by column into the
+// output batch. Qualifier-free stretches still advance a whole batch per
+// child pull, so the per-row interrupt stride is preserved by the producers
+// beneath.
 func (o *FilterOp) NextBatch(ctx *Ctx) (*Batch, error) {
 	src := o.Child.(BatchOperator)
 	for {
@@ -465,13 +483,12 @@ func (o *FilterOp) NextBatch(ctx *Ctx) (*Batch, error) {
 		out := o.out
 		out.Reset(in.Width())
 		for i := 0; i < in.Len(); i++ {
-			o.scratch = in.Row(i, o.scratch)
-			v, err := o.Pred(ctx, o.scratch)
+			ok, err := o.bp.MatchAt(ctx, in, i)
 			if err != nil {
 				return nil, err
 			}
-			if v.Truthy() {
-				out.AppendRow(o.scratch)
+			if ok {
+				out.appendFrom(in, i)
 			}
 		}
 		if out.Len() > 0 {

@@ -258,22 +258,7 @@ func (c *compiler) compileExpr(e ast.Expr, sc *scope, env *cteEnv) (exec.Scalar,
 			if err != nil {
 				return sqltypes.Null, err
 			}
-			ge, err := sqltypes.Apply(sqltypes.OpGe, v, lv)
-			if err != nil {
-				return sqltypes.Null, err
-			}
-			le, err := sqltypes.Apply(sqltypes.OpLe, v, hv)
-			if err != nil {
-				return sqltypes.Null, err
-			}
-			res, err := sqltypes.Apply(sqltypes.OpAnd, ge, le)
-			if err != nil {
-				return sqltypes.Null, err
-			}
-			if negate {
-				res = sqltypes.Not(res)
-			}
-			return res, nil
+			return sqltypes.Between(v, lv, hv, negate), nil
 		}, nil
 	case *ast.InExpr:
 		return c.compileIn(x, sc, env)

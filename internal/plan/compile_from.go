@@ -422,15 +422,9 @@ func (c *compiler) compileFrom(items []ast.TableExpr, where ast.Expr, parent *sc
 				continue
 			}
 			cj.applied = true
-			pred, err := c.compileExpr(cj.expr, sc, env)
-			if err != nil {
+			if builder, n, err = c.addFilter(builder, n, c.filterLabel(cj.expr), cj.expr, sc, env); err != nil {
 				return nil, nil, nil, err
 			}
-			inner := builder
-			n = node(c.filterLabel(cj.expr), n)
-			builder = annotate(func(bc *buildCtx) exec.Operator {
-				return &exec.FilterOp{Child: inner(bc), Pred: pred}
-			}, n)
 		}
 	}
 
@@ -440,15 +434,9 @@ func (c *compiler) compileFrom(items []ast.TableExpr, where ast.Expr, parent *sc
 			continue
 		}
 		cj.applied = true
-		pred, err := c.compileExpr(cj.expr, sc, env)
-		if err != nil {
+		if builder, n, err = c.addFilter(builder, n, c.filterLabel(cj.expr), cj.expr, sc, env); err != nil {
 			return nil, nil, nil, err
 		}
-		inner := builder
-		n = node(c.filterLabel(cj.expr), n)
-		builder = annotate(func(bc *buildCtx) exec.Operator {
-			return &exec.FilterOp{Child: inner(bc), Pred: pred}
-		}, n)
 	}
 
 	// Restore the user-visible FROM column order if greedy ordering
@@ -514,16 +502,11 @@ func (c *compiler) applyFilter(builder opBuilder, n *Node, where ast.Expr, sc *s
 	if where == nil {
 		return builder, sc, n, nil
 	}
-	pred, err := c.compileExpr(where, sc, env)
+	builder, n, err := c.addFilter(builder, n, c.filterLabel(where), where, sc, env)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	inner := builder
-	fn := node(c.filterLabel(where), n)
-	builder = annotate(func(bc *buildCtx) exec.Operator {
-		return &exec.FilterOp{Child: inner(bc), Pred: pred}
-	}, fn)
-	return builder, sc, fn, nil
+	return builder, sc, n, nil
 }
 
 // compileUnit compiles one FROM unit with its assigned single-unit
@@ -552,14 +535,19 @@ func (c *compiler) compileUnit(u *fromUnit, parent *scope, env *cteEnv, nlRight 
 			for _, col := range tab.Schema.Columns {
 				sc.add(u.binding, col.Name, col.Type)
 			}
+			f, remaining, err := c.fuseScanFilter(rest, sc, env)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			rest = remaining
 			name := te.Name
-			sn := node("LateScan(" + name + ")")
+			sn := node("LateScan(" + name + ")" + c.rwSuffix(f.marks) + f.suffix())
 			n = sn
 			builder = annotate(func(bc *buildCtx) exec.Operator {
 				if p := bc.part; p != nil && p.target == sn {
-					return &exec.ParallelScanOp{Split: p.split, Part: p.index}
+					return &exec.ParallelScanOp{Split: p.split, Part: p.index, Pred: f.pred}
 				}
-				return &exec.LateScanOp{Name: name}
+				return &exec.LateScanOp{Name: name, Pred: f.pred}
 			}, sn)
 			break
 		}
@@ -589,7 +577,7 @@ func (c *compiler) compileUnit(u *fromUnit, parent *scope, env *cteEnv, nlRight 
 				sc.add(u.binding, col.Name, col.Type)
 			}
 			if h := c.accessHints[te]; h != nil {
-				hb, hn, hrest, err := c.compileHinted(u, h, tab, unitParent, env)
+				hb, hn, hrest, err := c.compileHinted(u, h, tab, sc, env)
 				if err != nil {
 					return nil, nil, nil, err
 				}
@@ -607,14 +595,9 @@ func (c *compiler) compileUnit(u *fromUnit, parent *scope, env *cteEnv, nlRight 
 				}, n)
 				rest = remaining
 			} else {
-				sn := node("Scan(" + tab.Name + ")")
-				n = sn
-				builder = annotate(func(bc *buildCtx) exec.Operator {
-					if p := bc.part; p != nil && p.target == sn {
-						return &exec.ParallelScanOp{Split: p.split, Part: p.index}
-					}
-					return &exec.ScanOp{Table: tab}
-				}, sn)
+				if builder, n, rest, err = c.scanUnit(tab, "", "", rest, sc, env); err != nil {
+					return nil, nil, nil, err
+				}
 			}
 		}
 	case *ast.SubqueryRef:
@@ -640,15 +623,10 @@ func (c *compiler) compileUnit(u *fromUnit, parent *scope, env *cteEnv, nlRight 
 	}
 
 	for _, p := range rest {
-		pred, err := c.compileExpr(p, sc, env)
-		if err != nil {
+		var err error
+		if builder, n, err = c.addFilter(builder, n, c.filterLabel(p), p, sc, env); err != nil {
 			return nil, nil, nil, err
 		}
-		inner := builder
-		n = node(c.filterLabel(p), n)
-		builder = annotate(func(bc *buildCtx) exec.Operator {
-			return &exec.FilterOp{Child: inner(bc), Pred: pred}
-		}, n)
 	}
 	return builder, sc, n, nil
 }
@@ -657,8 +635,9 @@ func (c *compiler) compileUnit(u *fromUnit, parent *scope, env *cteEnv, nlRight 
 // choose_access_path pass pinned on it: a forced full scan, an index
 // equality seek, or an ordered-index range seek. Predicates whose work the
 // chosen path absorbs are dropped from the residual filter list.
-func (c *compiler) compileHinted(u *fromUnit, h *accessHint, tab *storage.Table, unitParent *scope, env *cteEnv) (opBuilder, *Node, []ast.Expr, error) {
+func (c *compiler) compileHinted(u *fromUnit, h *accessHint, tab *storage.Table, sc *scope, env *cteEnv) (opBuilder, *Node, []ast.Expr, error) {
 	rule := ruleName(RuleChooseAccessPath)
+	unitParent := sc.parent
 	switch h.kind {
 	case accessEq:
 		keyScalar, err := c.compileExpr(h.key, &scope{parent: unitParent}, env)
@@ -691,23 +670,39 @@ func (c *compiler) compileHinted(u *fromUnit, h *accessHint, tab *storage.Table,
 			}
 		}
 		mark = addMark(mark, rule)
-		n := node(fmt.Sprintf("RangeSeek(%s.%s)", tab.Name, h.col) + c.rwSuffix(mark) + costSuffix(h.cost))
+		f, rest, err := c.fuseScanFilter(withoutPreds(u.preds, h.loConj, h.hiConj), sc, env)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		mark = addMark(mark, f.marks)
+		n := node(fmt.Sprintf("RangeSeek(%s.%s)", tab.Name, h.col) + c.rwSuffix(mark) + costSuffix(h.cost) + f.suffix())
 		builder := annotate(func(bc *buildCtx) exec.Operator {
-			return &exec.RangeSeekOp{Table: tab, Column: h.col, Lo: lo, Hi: hi, LoStrict: h.loStrict, HiStrict: h.hiStrict}
+			return &exec.RangeSeekOp{Table: tab, Column: h.col, Lo: lo, Hi: hi, LoStrict: h.loStrict, HiStrict: h.hiStrict, Pred: f.pred}
 		}, n)
-		return builder, n, withoutPreds(u.preds, h.loConj, h.hiConj), nil
+		return builder, n, rest, nil
 	}
-	// Forced full scan: cheaper than any seek candidate. Keep the node
-	// identity usable as a parallel-scan partition target, exactly like an
-	// unhinted scan.
-	sn := node("Scan(" + tab.Name + ")" + c.rwSuffix(rule) + costSuffix(h.cost))
+	// Forced full scan: cheaper than any seek candidate.
+	return c.scanUnit(tab, rule, costSuffix(h.cost), u.preds, sc, env)
+}
+
+// scanUnit compiles a full scan of a base table that applies the kernel
+// prefix of preds itself; the rest is returned for FilterOps above it. The
+// scan's node identity is what a parallel aggregation targets to substitute
+// one partition of a shared split.
+func (c *compiler) scanUnit(tab *storage.Table, mark, cost string, preds []ast.Expr, sc *scope, env *cteEnv) (opBuilder, *Node, []ast.Expr, error) {
+	f, rest, err := c.fuseScanFilter(preds, sc, env)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	sn := node("Scan(" + tab.Name + ")" + c.rwSuffix(addMark(mark, f.marks)) + cost + f.suffix())
+	sn.filterTag = f.suffix()
 	builder := annotate(func(bc *buildCtx) exec.Operator {
 		if p := bc.part; p != nil && p.target == sn {
-			return &exec.ParallelScanOp{Split: p.split, Part: p.index}
+			return &exec.ParallelScanOp{Split: p.split, Part: p.index, Pred: f.pred}
 		}
-		return &exec.ScanOp{Table: tab}
+		return &exec.ScanOp{Table: tab, Pred: f.pred}
 	}, sn)
-	return builder, sn, u.preds, nil
+	return builder, sn, rest, nil
 }
 
 // withoutPreds filters preds down to the members not absorbed by a seek,
@@ -769,15 +764,9 @@ func (c *compiler) compileUnitSeek(u *fromUnit, parent *scope, env *cteEnv, col 
 		return &exec.IndexSeekOp{Table: tab, Column: col, Key: keyScalar}
 	}, n)
 	for _, p := range u.preds {
-		pred, err := c.compileExpr(p, sc, env)
-		if err != nil {
+		if builder, n, err = c.addFilter(builder, n, c.filterLabel(p), p, sc, env); err != nil {
 			return nil, nil, nil, err
 		}
-		inner := builder
-		n = node(c.filterLabel(p), n)
-		builder = annotate(func(bc *buildCtx) exec.Operator {
-			return &exec.FilterOp{Child: inner(bc), Pred: pred}
-		}, n)
 	}
 	return builder, sc, n, nil
 }

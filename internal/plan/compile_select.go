@@ -462,15 +462,9 @@ func (c *compiler) compileCore(q *ast.Select, parent *scope, env *cteEnv, orderB
 			orderBy = rewritten
 		}
 		if having != nil {
-			pred, err := c.compileExpr(having, curScope, env)
-			if err != nil {
+			if builder, n, err = c.addFilter(builder, n, "Filter(HAVING)", having, curScope, env); err != nil {
 				return nil, nil, nil, err
 			}
-			inner := builder
-			n = node("Filter(HAVING)", n)
-			builder = annotate(func(bc *buildCtx) exec.Operator {
-				return &exec.FilterOp{Child: inner(bc), Pred: pred}
-			}, n)
 		}
 	} else if q.Having != nil {
 		return nil, nil, nil, errf("HAVING requires aggregation")
@@ -883,7 +877,8 @@ func (c *compiler) compileAggregation(q *ast.Select, input opBuilder, inScope *s
 				return &exec.ParallelAggOp{Parts: parts, GroupKeys: groupKeys, GroupOrds: groupOrds, Aggs: instances, Workers: workers, NoBatch: c.opts.DisableBatch}
 			}
 			label = fmt.Sprintf("ParallelAgg(workers=%d, keys=%d, aggs=[%s])", workers, len(q.GroupBy), argList)
-			scanLeaf.Op = fmt.Sprintf("ParallelScan(%s, parts=%d)", tab.Name, workers)
+			// The partitions filter as the serial scan would have.
+			scanLeaf.Op = fmt.Sprintf("ParallelScan(%s, parts=%d)", tab.Name, workers) + scanLeaf.filterTag
 			label += c.batchSuffix(n, len(q.GroupBy), groupOrds, instances)
 		} else {
 			builder = func(bc *buildCtx) exec.Operator {

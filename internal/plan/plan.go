@@ -128,6 +128,8 @@ func (p *Plan) RunInstrumented(ctx *exec.Ctx) ([]exec.Row, *Instrumentation, err
 type Node struct {
 	Op       string // operator name, e.g. "IndexSeek(partsupp.ps_partkey)"
 	Children []*Node
+
+	filterTag string // a scan's own filter tag, kept for relabelling it
 }
 
 // String renders the explain tree with indentation.
@@ -317,12 +319,18 @@ func CompileScalarSlots(cat Catalog, opts Options, e ast.Expr, slots map[string]
 }
 
 // CompileRowExpr compiles an expression against the columns of a single
-// table (used for DML: UPDATE SET expressions and WHERE predicates).
+// table (used for DML: UPDATE SET expressions; WHERE goes through
+// CompileRowPredicate).
 func CompileRowExpr(cat Catalog, opts Options, e ast.Expr, tab *storage.Table) (exec.Scalar, error) {
 	c := &compiler{cat: cat, opts: opts}
+	return c.compileExpr(e, tableScope(tab), nil)
+}
+
+// tableScope is the row scope of a single table's columns.
+func tableScope(tab *storage.Table) *scope {
 	sc := &scope{}
 	for _, col := range tab.Schema.Columns {
 		sc.add(tab.Name, col.Name, col.Type)
 	}
-	return c.compileExpr(e, sc, nil)
+	return sc
 }

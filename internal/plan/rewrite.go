@@ -283,19 +283,7 @@ func foldExpr(e ast.Expr) (ast.Expr, int) {
 		ll, llok := x.Lo.(*ast.Literal)
 		lh, lhok := x.Hi.(*ast.Literal)
 		if lok && llok && lhok {
-			// Same pipeline the compiled form runs: Ge, Le, Kleene AND, NOT.
-			// Comparisons and AND/NOT cannot error.
-			ge, err1 := sqltypes.Apply(sqltypes.OpGe, le.Val, ll.Val)
-			lev, err2 := sqltypes.Apply(sqltypes.OpLe, le.Val, lh.Val)
-			if err1 == nil && err2 == nil {
-				v, err := sqltypes.Apply(sqltypes.OpAnd, ge, lev)
-				if err == nil {
-					if x.Negate {
-						v = sqltypes.Not(v)
-					}
-					return ast.Lit(v), n + 1
-				}
-			}
+			return ast.Lit(sqltypes.Between(le.Val, ll.Val, lh.Val, x.Negate)), n + 1
 		}
 		return x, n
 	case *ast.CaseExpr:

@@ -11,6 +11,7 @@ import (
 
 	"aggify/internal/ast"
 	"aggify/internal/engine"
+	"aggify/internal/fingerprint"
 	"aggify/internal/interp"
 	"aggify/internal/parser"
 	"aggify/internal/sqltypes"
@@ -80,6 +81,20 @@ func (b *Backend) SetTraceParent(ctx trace.SpanContext) {
 // span opens a child span of the current request (disabled when untraced).
 func (b *Backend) span(name string) trace.Span {
 	return b.Tracer.StartSpan(b.parent, name)
+}
+
+// requestFingerprint fingerprints the statement text a request carries or,
+// for a Query, names; 0 for requests without one.
+func (b *Backend) requestFingerprint(typ wire.MsgType, body []byte) uint64 {
+	switch typ {
+	case wire.MsgExec, wire.MsgPrepare:
+		return fingerprint.Fingerprint(string(body))
+	case wire.MsgQuery:
+		if id, _, err := wire.DecodeQueryReq(body); err == nil {
+			return fingerprint.Fingerprint(b.stmts[id].src)
+		}
+	}
+	return 0
 }
 
 // OpenCursors returns the number of cursors currently held.

@@ -78,6 +78,7 @@ func (s *Server) metricDefs() []metricDef {
 		{"aggifyd_request_latency_p50_micros", "Median request latency upper bound (us).", "gauge", st.P50Micros},
 		{"aggifyd_request_latency_p99_micros", "P99 request latency upper bound (us).", "gauge", st.P99Micros},
 		{"aggifyd_slow_requests_total", "Requests over the slow-query threshold.", "counter", st.SlowCount},
+		{"aggifyd_panics_total", "Requests that panicked and were contained at the connection boundary.", "counter", s.metrics.panics.Load()},
 		{"aggifyd_traces_started_total", "Locally-rooted traces sampled.", "counter", tc.TracesStarted},
 		{"aggifyd_traces_joined_total", "Client trace contexts joined.", "counter", tc.TracesJoined},
 		{"aggifyd_spans_recorded_total", "Completed spans recorded.", "counter", tc.SpansRecorded},

@@ -35,6 +35,7 @@ type Metrics struct {
 	bytesIn       atomic.Int64
 	bytesOut      atomic.Int64
 	slowCount     atomic.Int64
+	panics        atomic.Int64 // requests that panicked and were contained
 
 	// hist counts requests by latency bucket: bucket i holds requests whose
 	// latency in microseconds needs i bits (i.e. latency < 2^i µs), so the

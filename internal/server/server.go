@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -244,7 +245,7 @@ func (s *Server) handle(c net.Conn) {
 		b.SetTraceParent(sp.Context())
 		start := time.Now()
 		s.reqWG.Add(1)
-		respT, respB := s.dispatch(b, typ, body)
+		respT, respB := s.dispatchContained(b, typ, body)
 		s.reqWG.Done()
 		wn, err := wire.WriteFrame(bw, respT, respB)
 		s.metrics.record(typ, time.Since(start), rn, wn, body, s.SlowThreshold)
@@ -299,6 +300,26 @@ func msgName(typ wire.MsgType) string {
 	default:
 		return "unknown"
 	}
+}
+
+// dispatchContained is dispatch behind the per-connection fault boundary. A
+// panic below it — an engine bug, or a user-registered native aggregate —
+// must not take down every other session with the process: the statement's
+// transaction is rolled back, the client gets an ordinary error reply, the
+// fault is counted (aggifyd_panics_total) and logged with the statement's
+// fingerprint and the stack, and the connection keeps serving.
+func (s *Server) dispatchContained(b *Backend, typ wire.MsgType, body []byte) (respT wire.MsgType, respB []byte) {
+	defer func() {
+		r := recover()
+		if r == nil {
+			return
+		}
+		s.metrics.panics.Add(1)
+		b.sess.AbortStmt()
+		s.logf("aggifyd: panic serving %s fingerprint=%016x: %v\n%s", msgName(typ), b.requestFingerprint(typ, body), r, debug.Stack())
+		respT, respB = wire.MsgError, []byte(fmt.Sprintf("server: internal error: %v", r))
+	}()
+	return s.dispatch(b, typ, body)
 }
 
 // dispatch decodes a request, runs it against the backend, and encodes the

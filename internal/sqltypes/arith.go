@@ -120,11 +120,7 @@ func Apply(op BinaryOp, a, b Value) (Value, error) {
 	case OpAdd, OpSub, OpMul, OpDiv, OpMod:
 		return arith(op, a, b)
 	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
-		c, ok := Compare(a, b)
-		if !ok {
-			return Null, nil
-		}
-		return NewBool(cmpHolds(op, c)), nil
+		return compare3(op, a, b), nil
 	case OpConcat:
 		return NewString(a.Display() + b.Display()), nil
 	case OpLike:
@@ -136,7 +132,30 @@ func Apply(op BinaryOp, a, b Value) (Value, error) {
 	return Null, fmt.Errorf("sqltypes: unsupported operator %v", op)
 }
 
-func cmpHolds(op BinaryOp, c int) bool {
+// Between evaluates v [NOT] BETWEEN lo AND hi: v >= lo, v <= hi, Kleene AND,
+// then the optional NOT. It is the one definition the compiled expression,
+// the constant folder and the bound predicate kernels share; comparisons and
+// AND/NOT cannot fail, so neither can it.
+func Between(v, lo, hi Value, negate bool) Value {
+	res := and3(compare3(OpGe, v, lo), compare3(OpLe, v, hi))
+	if negate {
+		res = Not(res)
+	}
+	return res
+}
+
+// compare3 is the comparison arm of Apply: NULL when either side is NULL or
+// the kinds are incomparable.
+func compare3(op BinaryOp, a, b Value) Value {
+	c, ok := Compare(a, b)
+	if !ok {
+		return Null
+	}
+	return NewBool(CmpHolds(op, c))
+}
+
+// CmpHolds reports whether a Compare result c satisfies comparison op.
+func CmpHolds(op BinaryOp, c int) bool {
 	switch op {
 	case OpEq:
 		return c == 0

@@ -21,8 +21,14 @@
 //     recorded as pushdown_speedup and must be ≥ 1.5 — the predicate-
 //     pushdown rewrite has to actually pay for itself;
 //   - the fullscan ÷ rangeseek ns/op ratio of BenchmarkGateRangeSeek is
-//     recorded as rangeseek_speedup and must be ≥ 5 — the ordered-index
-//     range seek the cost model picks has to dodge most of the scan;
+//     recorded as rangeseek_speedup and must be ≥ 2 — the ordered-index
+//     range seek the cost model picks has to beat the scan it replaces.
+//     The floor was 5 while the full scan filtered through FilterOp; the
+//     scan now filters inside its cursor callback, which took the
+//     denominator from ~19 ms to ~5.5 ms and left the seek at ~2.2 ms, so
+//     the ratio measures 2.2–2.8× (median 2.4× of six gate runs on 2
+//     vCPUs) and 2 sits just under it. The seek's own ns/op is held by
+//     the 25% rule above;
 //   - the interpreted ÷ compiled ns/op ratio of BenchmarkGateProcCompile is
 //     recorded as proc_compile_speedup and must be ≥ 1.5 — the routine
 //     compiler's slot-closure pipeline has to beat the tree-walking
@@ -267,9 +273,9 @@ func main() {
 			cur.PushdownSpeedup))
 	}
 	// And the range-seek ratio: the cost model's ordered-index pick must
-	// dodge most of the full scan.
-	if cur.RangeSeekSpeedup > 0 && cur.RangeSeekSpeedup < 5 {
-		failures = append(failures, fmt.Sprintf("rangeseek speedup %.2fx < 5x (ordered-index range seek not paying for itself)",
+	// beat the filtering full scan it replaces.
+	if cur.RangeSeekSpeedup > 0 && cur.RangeSeekSpeedup < 2 {
+		failures = append(failures, fmt.Sprintf("rangeseek speedup %.2fx < 2x (ordered-index range seek not paying for itself)",
 			cur.RangeSeekSpeedup))
 	}
 	// The compile-vs-interpret ratio is serial on both sides too: the routine

@@ -62,6 +62,14 @@ go test -count=1 -run TestDisabledTracingZeroAllocs ./internal/trace
 stage "plan-cache guard (a warm lookup by AST node must not allocate)"
 go test -count=1 -run TestPlanCacheWarmZeroAllocs ./internal/engine ./internal/interp
 
+stage "filtered-scan guard (a rejected row must not allocate: same count over 1 000 and 50 000 rows)"
+go test -count=1 -run TestFilteredScanAllocsIndependentOfTableSize ./internal/engine
+
+stage "predicate kernels (differential vs the generic closure; one plan, 8 sessions, -race; panic containment)"
+go test -count=1 -run 'TestKernel|TestScanFilterDefers' ./internal/plan
+go test -race -count=1 -run TestBoundPredicateSharedPlanConcurrentSessions ./internal/engine
+go test -race -count=1 -run TestPanicContainedPerConnection ./internal/server
+
 stage "benchmark harness (its own module: the root go test never builds it)"
 (cd benchmark && go vet ./... && go test ./...)
 
