@@ -95,15 +95,6 @@ func (db *DB) Engine() *engine.Engine { return db.eng }
 // Session exposes the DB's default session (statistics, planner options).
 func (db *DB) Session() *engine.Session { return db.sess }
 
-// SetMaxDOP sets the default degree of parallelism for the DB's session and
-// every session created afterwards (server connections included). n > 1
-// allows parallel aggregation plans with up to n workers; 1 forces serial
-// execution. Equivalent to the SET MAXDOP statement on a single session.
-func (db *DB) SetMaxDOP(n int) {
-	db.eng.DefaultMaxDOP = n
-	db.sess.SetMaxDOP(n)
-}
-
 // Exec parses and executes a script: DDL, DML, control flow, CREATE
 // FUNCTION / PROCEDURE / AGGREGATE.
 func (db *DB) Exec(src string) error {
@@ -216,8 +207,7 @@ func (db *DB) NewServer() *Server {
 // the Init/Accumulate/Terminate(/Merge) contract of §3.1.
 //
 // The constructor is called once per group; the returned object's methods
-// implement the contract. Mergeable aggregates (non-nil Merge) are eligible
-// for parallel aggregation.
+// implement the contract.
 func (db *DB) RegisterAggregate(name string, orderSensitive bool, constructor func() Aggregator) error {
 	return db.eng.RegisterAggregateSpec(&exec.AggSpec{
 		Name:           strings.ToLower(name),

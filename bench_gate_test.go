@@ -26,8 +26,8 @@ import (
 	"aggify/internal/wal"
 )
 
-// gateRows clears the planner's parallel row threshold by a wide margin so
-// the serial-vs-parallel cells measure real aggregation work.
+// gateRows is large enough that the paired cells measure real aggregation
+// work, not per-query setup.
 const gateRows = 120_000
 
 var (
@@ -79,36 +79,9 @@ func gateEnv(b *testing.B) *engine.Engine {
 	return gateEng
 }
 
-// BenchmarkGateParallelAgg is the serial/parallel pair behind the gate's
-// speedup ratio: the same grouped aggregation at MAXDOP 1 and 4. The gate
-// records parallel_speedup = serial ns/op ÷ parallel ns/op and requires
-// ≥ 2× when the host has at least 4 CPUs.
-func BenchmarkGateParallelAgg(b *testing.B) {
-	eng := gateEnv(b)
-	q := parser.MustParse("select k, count(*), sum(v), min(v), max(v) from gate group by k")[0].(*ast.QueryStmt).Query
-	for _, workers := range []int{1, 4} {
-		name := "serial"
-		if workers > 1 {
-			name = fmt.Sprintf("maxdop=%d", workers)
-		}
-		b.Run(name, func(b *testing.B) {
-			sess := eng.NewSession()
-			sess.Opts.Parallelism = workers
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := sess.Query(q, sess.Ctx(nil, nil)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(gateRows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-		})
-	}
-}
-
 // BenchmarkGateBatch is the vectorized-vs-row pair behind the gate's batch
-// speedup ratio: the same grouped aggregation as the parallel pair, serial
-// on both sides, with the batch path on and off — so the ratio isolates
-// vectorized execution from parallelism. The gate records
+// speedup ratio: the same grouped aggregation with the batch path on and
+// off. The gate records
 // batch_speedup = row ns/op ÷ batch ns/op and requires ≥ 1.5×.
 func BenchmarkGateBatch(b *testing.B) {
 	eng := gateEnv(b)

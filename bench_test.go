@@ -387,31 +387,8 @@ func BenchmarkAblationFetchSize(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationParallelMerge exercises the aggregate Merge contract:
-// serial versus parallel aggregation of a large grouped SUM.
-func BenchmarkAblationParallelMerge(b *testing.B) {
-	env := tpchEnv(b)
-	query := "select l_suppkey, sum(l_extendedprice), count(*) from lineitem group by l_suppkey"
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			sess := env.Eng.NewSession()
-			if workers > 1 {
-				sess.Opts.Parallelism = workers
-			}
-			stmts := parser.MustParse(query)
-			q := stmts[0].(*ast.QueryStmt).Query
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := sess.Query(q, sess.Ctx(nil, nil)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationOrderEnforcement compares Eq. 6's enforced streaming
-// aggregate (sort below, serial) with the unordered hash path on the same
+// aggregate (sort below) with the unordered hash path on the same
 // order-insensitive aggregation.
 func BenchmarkAblationOrderEnforcement(b *testing.B) {
 	db := aggify.Open()

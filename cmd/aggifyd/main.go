@@ -62,7 +62,6 @@ func main() {
 	traceSample := flag.Float64("trace-sample", 0, "fraction of untraced requests that root server-local traces, in [0,1]")
 	traceOut := flag.String("trace-out", "", "append completed trace spans as JSON lines to this file")
 	logFormat := flag.String("log-format", "text", "log line format: text or json")
-	maxdop := flag.Int("maxdop", 1, "default degree of parallelism for new sessions (1 = serial; sessions override with SET MAXDOP)")
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "", log.LstdFlags)
@@ -75,11 +74,7 @@ func main() {
 	}
 
 	db := aggify.Open()
-	if *maxdop < 1 {
-		log.Fatalf("aggifyd: -maxdop must be >= 1, got %d", *maxdop)
-	}
 	eng := db.Engine()
-	eng.DefaultMaxDOP = *maxdop
 	if *dataDir != "" {
 		mode, err := wal.ParseSyncMode(*walSync)
 		if err != nil {

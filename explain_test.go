@@ -18,10 +18,6 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files with the cur
 // the golden comparison.
 var timeRe = regexp.MustCompile(`time=[^ )]+`)
 
-// workersRe normalizes worker and partition counts in parallel plans; the
-// golden pins the shape, not the DOP heuristic's exact pick.
-var workersRe = regexp.MustCompile(`(workers|parts)=\d+`)
-
 func runExplain(t *testing.T, sql string) string {
 	t.Helper()
 	return runExplainDB(t, newDemoDB(t), sql)
@@ -59,31 +55,6 @@ order by s_name`
 	b.WriteString(runExplain(t, "EXPLAIN "+query))
 	b.WriteString("\n-- EXPLAIN ANALYZE\n")
 	b.WriteString(timeRe.ReplaceAllString(runExplain(t, "EXPLAIN ANALYZE "+query), "time=X"))
-
-	// A parallel plan: grouped aggregation over a table that clears the
-	// planner's row threshold, at MAXDOP 4. Worker/partition counts are
-	// normalized so the golden pins the operator shape rather than the DOP
-	// heuristic's exact pick.
-	par := newDemoDB(t)
-	if err := par.Exec("create table metrics (k int, v int)"); err != nil {
-		t.Fatal(err)
-	}
-	tab, ok := par.Engine().Table("metrics")
-	if !ok {
-		t.Fatal("metrics table missing")
-	}
-	for i := 0; i < 6000; i++ {
-		if err := tab.Insert(nil, []aggify.Value{aggify.Int(int64(i % 7)), aggify.Int(int64(i % 101))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	par.SetMaxDOP(4)
-	const parQuery = "select k, count(*) as n, sum(v) as total from metrics group by k"
-	b.WriteString("\n-- EXPLAIN (parallel, maxdop=4)\n")
-	b.WriteString(workersRe.ReplaceAllString(runExplainDB(t, par, "EXPLAIN "+parQuery), "$1=N"))
-	b.WriteString("\n-- EXPLAIN ANALYZE (parallel, maxdop=4)\n")
-	b.WriteString(workersRe.ReplaceAllString(
-		timeRe.ReplaceAllString(runExplainDB(t, par, "EXPLAIN ANALYZE "+parQuery), "time=X"), "$1=N"))
 
 	// A rewrite-pass plan: the selective predicate above the derived table is
 	// pushed inside and becomes an index seek; the `rewrites:` header and the

@@ -115,8 +115,6 @@ func CloneStmt(s Stmt) Stmt {
 		return &DeclareTable{Name: st.Name, Cols: append([]ColumnDef(nil), st.Cols...)}
 	case *SetStmt:
 		return &SetStmt{Targets: append([]string(nil), st.Targets...), Value: CloneExpr(st.Value)}
-	case *SetOption:
-		return &SetOption{Name: st.Name, Value: CloneExpr(st.Value)}
 	case *IfStmt:
 		return &IfStmt{Cond: CloneExpr(st.Cond), Then: CloneStmt(st.Then), Else: CloneStmt(st.Else)}
 	case *WhileStmt:

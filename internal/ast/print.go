@@ -252,8 +252,6 @@ func (p *printer) stmt(s Stmt) {
 		} else {
 			p.line("SET (%s) = %s;", strings.Join(st.Targets, ", "), st.Value)
 		}
-	case *SetOption:
-		p.line("SET %s = %s;", strings.ToUpper(st.Name), st.Value)
 	case *IfStmt:
 		p.line("IF %s", st.Cond)
 		p.indentedStmt(st.Then)

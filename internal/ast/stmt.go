@@ -40,13 +40,6 @@ type SetStmt struct {
 	Value   Expr
 }
 
-// SetOption sets a session option: SET MAXDOP = 4. Options are plain
-// identifiers (no sigil), distinguishing them from variable assignment.
-type SetOption struct {
-	Name  string // lower-cased option name, e.g. "maxdop"
-	Value Expr
-}
-
 // IfStmt is IF cond stmt [ELSE stmt].
 type IfStmt struct {
 	Cond Expr
@@ -263,10 +256,9 @@ type CreateAggregate struct {
 	Accum     *Block
 	Terminate *Block
 	// Merge, when present, folds another instance's state into this one
-	// (the contract's Merge step, enabling parallel aggregation). The other
-	// instance's fields are visible as @other_<field> variables. Aggify
-	// derives it for additive accumulate bodies; it may also be written by
-	// hand as a MERGE section.
+	// (the contract's Merge step). The other instance's fields are visible
+	// as @other_<field> variables. Aggify derives it for additive
+	// accumulate bodies; it may also be written by hand as a MERGE section.
 	Merge *Block
 }
 
@@ -274,7 +266,6 @@ func (*Block) stmtNode()            {}
 func (*DeclareVar) stmtNode()       {}
 func (*DeclareTable) stmtNode()     {}
 func (*SetStmt) stmtNode()          {}
-func (*SetOption) stmtNode()        {}
 func (*IfStmt) stmtNode()           {}
 func (*WhileStmt) stmtNode()        {}
 func (*ForStmt) stmtNode()          {}

@@ -132,8 +132,6 @@ func StmtExprs(s Stmt, fn func(Expr) bool) {
 		visit(st.Init)
 	case *SetStmt:
 		visit(st.Value)
-	case *SetOption:
-		visit(st.Value)
 	case *IfStmt:
 		visit(st.Cond)
 	case *WhileStmt:

@@ -8,10 +8,11 @@ import (
 )
 
 // TestPaperShape is the headline regression test: on the per-invocation
-// cursor-loop queries, Aggify must beat the original by a wide margin and
-// Aggify+ must also win (the Figure 9(a) shape). Factors are asserted
-// loosely (>2x) to stay robust to machine noise; EXPERIMENTS.md records the
-// measured medians.
+// cursor-loop queries all three modes must return the same rows, the
+// original must materialise its cursors into worktables, and Aggify and
+// Aggify+ must touch no worktable at all (the shape behind Figure 9(a) and
+// §10.4, which this engine makes exact). The timing ratios are logged, not
+// asserted: the headline one is the repository benchmark's aggify_speedup.
 func TestPaperShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape test runs seconds of benchmarks")
@@ -20,33 +21,33 @@ func TestPaperShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	best := func(q *tpch.WorkloadQuery, mode Mode) time.Duration {
-		b := time.Hour
-		for i := 0; i < 3; i++ {
-			r, err := env.RunTPCH(q, mode, 0, time.Minute)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r.TimedOut {
-				t.Fatalf("%s %s timed out", q.ID, mode)
-			}
-			if r.Elapsed < b {
-				b = r.Elapsed
-			}
+	run := func(q *tpch.WorkloadQuery, mode Mode) *Result {
+		r, err := env.RunTPCH(q, mode, 0, time.Minute)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return b
+		if r.TimedOut {
+			t.Fatalf("%s %s timed out", q.ID, mode)
+		}
+		return r
 	}
 	for _, id := range []string{"Q2", "Q13", "Q18"} {
 		q, _ := tpch.QueryByID(id)
-		orig := best(q, Original)
-		agg := best(q, Aggify)
-		plus := best(q, AggifyPlus)
-		if orig < 2*agg {
-			t.Errorf("%s: Aggify gain %.1fx, want > 2x (orig=%v aggify=%v)",
-				id, float64(orig)/float64(agg), orig, agg)
+		orig := run(q, Original)
+		if orig.Stats.WorktableWrites == 0 {
+			t.Errorf("%s: original wrote no worktable rows", id)
 		}
-		if orig < plus {
-			t.Errorf("%s: Aggify+ (%v) slower than original (%v)", id, plus, orig)
+		for _, mode := range []Mode{Aggify, AggifyPlus} {
+			r := run(q, mode)
+			if r.Checksum != orig.Checksum {
+				t.Errorf("%s %s: checksum %x, original %x", id, mode, r.Checksum, orig.Checksum)
+			}
+			if r.Stats.WorktableWrites != 0 || r.Stats.WorktableReads != 0 {
+				t.Errorf("%s %s: worktable writes=%d reads=%d, want none",
+					id, mode, r.Stats.WorktableWrites, r.Stats.WorktableReads)
+			}
+			t.Logf("%s %s: %.1fx (orig=%v, %v)", id, mode,
+				float64(orig.Elapsed)/float64(r.Elapsed), orig.Elapsed, r.Elapsed)
 		}
 	}
 }

@@ -4,9 +4,42 @@ import (
 	"strings"
 	"testing"
 
+	"aggify/internal/ast"
+	"aggify/internal/engine"
 	"aggify/internal/interp"
 	"aggify/internal/parser"
+	"aggify/internal/sqltypes"
 )
+
+// bigDB builds a session over a table of several batches' worth of rows.
+func bigDB(t *testing.T, rows int64) *engine.Session {
+	t.Helper()
+	sess := newDB(t, "create table bigt (k int, v int);")
+	tab, _ := sess.Eng.Table("bigt")
+	for i := int64(0); i < rows; i++ {
+		_ = tab.Insert(nil, []sqltypes.Value{sqltypes.NewInt(i % 97), sqltypes.NewInt(i % 1001)})
+	}
+	return sess
+}
+
+func mustSelect(t *testing.T, sql string) *ast.Select {
+	t.Helper()
+	stmts := parser.MustParse(sql)
+	q, ok := stmts[0].(*ast.QueryStmt)
+	if !ok || len(stmts) != 1 {
+		t.Fatalf("not a single query: %s", sql)
+	}
+	return q.Query
+}
+
+func explain(t *testing.T, sess *engine.Session, sql string) string {
+	t.Helper()
+	lines, err := sess.ExplainQuery(mustSelect(t, sql), false, sess.Ctx(nil, nil))
+	if err != nil {
+		t.Fatalf("explain %q: %v", sql, err)
+	}
+	return strings.Join(lines, "\n")
+}
 
 // TestExplainBatchAnnotations checks that EXPLAIN reports whether an
 // aggregation runs on the vectorized batch path — and, when it falls back,
@@ -56,13 +89,5 @@ end`)); err != nil {
 	}
 	if strings.Contains(plan, "[batch]") {
 		t.Fatalf("disabled session must not claim the batch path:\n%s", plan)
-	}
-
-	// The parallel plan annotates its ParallelAgg the same way.
-	par := sess.Eng.NewSession()
-	par.Opts.Parallelism = 4
-	plan = explain(t, par, "select k, sum(v) from bigt group by k")
-	if !strings.Contains(plan, "ParallelAgg(workers=4") || !strings.Contains(plan, "[batch]") {
-		t.Fatalf("parallel plan should be batch-annotated:\n%s", plan)
 	}
 }

@@ -37,11 +37,6 @@ type Engine struct {
 	planMu sync.Mutex
 	cache  planCache
 
-	// DefaultMaxDOP seeds each new session's degree of parallelism
-	// (plan.Options.Parallelism). 0 or 1 means serial execution; sessions
-	// override it with SET MAXDOP.
-	DefaultMaxDOP int
-
 	// TxnMgr allocates commit epochs, snapshots, and transactions for every
 	// base table. Always non-nil; without an attached durability sink the
 	// engine runs the same MVCC protocol purely in memory.

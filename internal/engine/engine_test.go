@@ -622,28 +622,6 @@ end`)
 	}
 }
 
-func TestParallelAggregationMatchesSerial(t *testing.T) {
-	sess := newDB(t, sampleDB)
-	serial := query(t, sess, "select ps_partkey, sum(ps_supplycost), count(*) from partsupp group by ps_partkey order by ps_partkey")
-	par := sess.Eng.NewSession()
-	par.Opts.Parallelism = 4
-	stmts := parser.MustParse("select ps_partkey, sum(ps_supplycost), count(*) from partsupp group by ps_partkey order by ps_partkey")
-	_, rows, err := par.Query(stmts[0].(*ast.QueryStmt).Query, par.Ctx(nil, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(serial) {
-		t.Fatalf("parallel %d vs serial %d", len(rows), len(serial))
-	}
-	for i := range rows {
-		for j := range rows[i] {
-			if !sqltypes.GroupEqual(rows[i][j], serial[i][j]) {
-				t.Fatalf("row %d: %v vs %v", i, rows[i], serial[i])
-			}
-		}
-	}
-}
-
 func TestLogicalReadAccounting(t *testing.T) {
 	sess := newDB(t, sampleDB)
 	before := sess.Stats.Snapshot()

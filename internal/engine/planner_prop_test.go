@@ -117,8 +117,6 @@ func TestPlannerRewritesPreserveResults(t *testing.T) {
 	unindexed := buildPropDB(t, false)
 	noDecor := buildPropDB(t, true)
 	noDecor.Opts.DisableDecorrelation = true
-	parallel := buildPropDB(t, true)
-	parallel.Opts.Parallelism = 4
 
 	rng := rand.New(rand.NewSource(20200615))
 	for trial := 0; trial < 60; trial++ {
@@ -127,7 +125,6 @@ func TestPlannerRewritesPreserveResults(t *testing.T) {
 		for name, sess := range map[string]*engine.Session{
 			"unindexed":      unindexed,
 			"no-decorrelate": noDecor,
-			"parallel":       parallel,
 		} {
 			got := runSQL(t, sess, sql)
 			if len(got) != len(want) {

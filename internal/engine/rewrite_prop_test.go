@@ -14,11 +14,11 @@ import (
 
 // Property test for the logical rewrite pass: every generated query must
 // return byte-identical rows with the pass enabled and with every rule
-// disabled, serially and at MAXDOP 4, and with the vectorized batch path
-// forced off (same trial structure as the Merge property test in
-// internal/exec). Unlike TestPlannerRewritesPreserveResults
-// this comparison is order-sensitive — each query orders by all its output
-// columns, so a wrongly dropped or misplaced sort shows up as a diff.
+// disabled, and with the vectorized batch path forced off (same trial
+// structure as the Merge property test in internal/exec). Unlike
+// TestPlannerRewritesPreserveResults this comparison is order-sensitive —
+// each query orders by all its output columns, so a wrongly dropped or
+// misplaced sort shows up as a diff.
 
 // randomRewriteQuery emits one query shaped to give the rewrite rules
 // something to chew on: constant subexpressions, filters above derived
@@ -132,25 +132,21 @@ create index o1 on t1(d) using ordered;
 		name string
 		sess *engine.Session
 	}
-	mk := func(rules plan.RuleSet, dop int, noBatch bool) *engine.Session {
+	mk := func(rules plan.RuleSet, noBatch bool) *engine.Session {
 		s := eng.NewSession()
 		s.Opts.DisableRules = rules
-		s.Opts.Parallelism = dop
 		s.Opts.DisableBatch = noBatch
 		return s
 	}
 	configs := []cfg{
-		{"rewrite-serial", mk(0, 1, false)},
-		{"norewrite-serial", mk(plan.RuleAll, 1, false)},
-		{"rewrite-dop4", mk(0, 4, false)},
-		{"norewrite-dop4", mk(plan.RuleAll, 4, false)},
-		{"rewrite-serial-rowpath", mk(0, 1, true)},
-		{"rewrite-dop4-rowpath", mk(0, 4, true)},
-		// The cost-based rules individually off: each must reproduce the
-		// same rows the full pass produces.
-		{"no-accesspath-serial", mk(plan.RuleChooseAccessPath, 1, false)},
-		{"no-reorder-serial", mk(plan.RuleReorderJoins, 1, false)},
-		{"no-costbased-dop4", mk(plan.RuleChooseAccessPath|plan.RuleReorderJoins, 4, false)},
+		{"rewrite", mk(0, false)},
+		{"norewrite", mk(plan.RuleAll, false)},
+		{"rewrite-rowpath", mk(0, true)},
+		// The cost-based rules off, one at a time and together: each must
+		// reproduce the same rows the full pass produces.
+		{"no-accesspath", mk(plan.RuleChooseAccessPath, false)},
+		{"no-reorder", mk(plan.RuleReorderJoins, false)},
+		{"no-costbased", mk(plan.RuleChooseAccessPath|plan.RuleReorderJoins, false)},
 	}
 
 	for trial := 0; trial < 80; trial++ {

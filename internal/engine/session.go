@@ -52,7 +52,6 @@ type Session struct {
 	conflicts      atomic.Int64 // write conflicts hit by this session's DML
 	queryExecs     atomic.Int64 // query executions
 	batchExecs     atomic.Int64 // ... with batch-mode plans
-	parallelExecs  atomic.Int64 // ... with parallel plans
 	rewrittenExecs atomic.Int64 // ... whose plans had rewrite rules fire
 
 	planCacheHits   atomic.Int64 // plan compilations avoided by the plan cache
@@ -63,19 +62,8 @@ type Session struct {
 // the engine's live-session registry (Close unregisters it).
 func (e *Engine) NewSession() *Session {
 	s := &Session{Eng: e, Stats: &storage.Stats{}, tempTables: map[string]*storage.Table{}}
-	s.Opts.Parallelism = e.DefaultMaxDOP
 	e.registerSession(s)
 	return s
-}
-
-// SetMaxDOP sets the session's degree of parallelism: n > 1 allows parallel
-// plans with up to n workers, 1 forces serial execution, and 0 resets to the
-// engine's default.
-func (s *Session) SetMaxDOP(n int) {
-	if n == 0 {
-		n = s.Eng.DefaultMaxDOP
-	}
-	s.Opts.Parallelism = n
 }
 
 // CreateTempTable registers a session-scoped temp table (#name). Creating
@@ -188,9 +176,6 @@ func (s *Session) notePlanExec(p *plan.Plan) {
 	s.queryExecs.Add(1)
 	if p.Batched {
 		s.batchExecs.Add(1)
-	}
-	if p.Parallel {
-		s.parallelExecs.Add(1)
 	}
 	if len(p.Rewrites) > 0 {
 		s.rewrittenExecs.Add(1)

@@ -30,44 +30,42 @@ type StmtStat struct {
 
 	lastUsed atomic.Int64 // store's logical clock at the most recent call
 
-	Calls         atomic.Int64
-	Errors        atomic.Int64
-	TotalMicros   atomic.Int64
-	MinMicros     atomic.Int64 // math.MaxInt64 until the first call lands
-	MaxMicros     atomic.Int64
-	Rows          atomic.Int64 // rows emitted to the client
-	LogicalReads  atomic.Int64
-	WALBytes      atomic.Int64 // bytes framed into the WAL (approximate under concurrency)
-	Conflicts     atomic.Int64 // write conflicts hit (including retried ones)
-	QueryExecs    atomic.Int64 // query executions inside the statement
-	BatchExecs    atomic.Int64 // ... of which ran batch-mode plans
-	ParallelExecs atomic.Int64 // ... of which ran parallel plans
-	Rewritten     atomic.Int64 // ... of which had logical rewrite rules fire
-	PlanHits      atomic.Int64 // plan compilations the plan cache served
-	PlanMisses    atomic.Int64 // plan compilations the cache could not serve
+	Calls        atomic.Int64
+	Errors       atomic.Int64
+	TotalMicros  atomic.Int64
+	MinMicros    atomic.Int64 // math.MaxInt64 until the first call lands
+	MaxMicros    atomic.Int64
+	Rows         atomic.Int64 // rows emitted to the client
+	LogicalReads atomic.Int64
+	WALBytes     atomic.Int64 // bytes framed into the WAL (approximate under concurrency)
+	Conflicts    atomic.Int64 // write conflicts hit (including retried ones)
+	QueryExecs   atomic.Int64 // query executions inside the statement
+	BatchExecs   atomic.Int64 // ... of which ran batch-mode plans
+	Rewritten    atomic.Int64 // ... of which had logical rewrite rules fire
+	PlanHits     atomic.Int64 // plan compilations the plan cache served
+	PlanMisses   atomic.Int64 // plan compilations the cache could not serve
 }
 
 // StmtStatRow is a point-in-time copy of one entry, used by the system
 // table and the /metrics exporter.
 type StmtStatRow struct {
-	Fingerprint   uint64
-	Query         string
-	Calls         int64
-	Errors        int64
-	TotalMicros   int64
-	MinMicros     int64
-	MaxMicros     int64
-	Rows          int64
-	LogicalReads  int64
-	WALBytes      int64
-	Conflicts     int64
-	QueryExecs    int64
-	BatchExecs    int64
-	RowExecs      int64 // QueryExecs - BatchExecs
-	ParallelExecs int64
-	Rewritten     int64
-	PlanHits      int64
-	PlanMisses    int64
+	Fingerprint  uint64
+	Query        string
+	Calls        int64
+	Errors       int64
+	TotalMicros  int64
+	MinMicros    int64
+	MaxMicros    int64
+	Rows         int64
+	LogicalReads int64
+	WALBytes     int64
+	Conflicts    int64
+	QueryExecs   int64
+	BatchExecs   int64
+	RowExecs     int64 // QueryExecs - BatchExecs
+	Rewritten    int64
+	PlanHits     int64
+	PlanMisses   int64
 }
 
 // StmtStats is the bounded per-fingerprint store.
@@ -169,24 +167,23 @@ func (ss *StmtStats) Snapshot() []StmtStatRow {
 		q := e.QueryExecs.Load()
 		b := e.BatchExecs.Load()
 		out[i] = StmtStatRow{
-			Fingerprint:   e.Fingerprint,
-			Query:         e.Query,
-			Calls:         e.Calls.Load(),
-			Errors:        e.Errors.Load(),
-			TotalMicros:   e.TotalMicros.Load(),
-			MinMicros:     min,
-			MaxMicros:     e.MaxMicros.Load(),
-			Rows:          e.Rows.Load(),
-			LogicalReads:  e.LogicalReads.Load(),
-			WALBytes:      e.WALBytes.Load(),
-			Conflicts:     e.Conflicts.Load(),
-			QueryExecs:    q,
-			BatchExecs:    b,
-			RowExecs:      q - b,
-			ParallelExecs: e.ParallelExecs.Load(),
-			Rewritten:     e.Rewritten.Load(),
-			PlanHits:      e.PlanHits.Load(),
-			PlanMisses:    e.PlanMisses.Load(),
+			Fingerprint:  e.Fingerprint,
+			Query:        e.Query,
+			Calls:        e.Calls.Load(),
+			Errors:       e.Errors.Load(),
+			TotalMicros:  e.TotalMicros.Load(),
+			MinMicros:    min,
+			MaxMicros:    e.MaxMicros.Load(),
+			Rows:         e.Rows.Load(),
+			LogicalReads: e.LogicalReads.Load(),
+			WALBytes:     e.WALBytes.Load(),
+			Conflicts:    e.Conflicts.Load(),
+			QueryExecs:   q,
+			BatchExecs:   b,
+			RowExecs:     q - b,
+			Rewritten:    e.Rewritten.Load(),
+			PlanHits:     e.PlanHits.Load(),
+			PlanMisses:   e.PlanMisses.Load(),
 		}
 	}
 	return out
@@ -220,7 +217,6 @@ func (ss *StmtStats) record(fp uint64, raw string, micros int64, failed bool, d 
 	e.Conflicts.Add(d.conflicts)
 	e.QueryExecs.Add(d.queries)
 	e.BatchExecs.Add(d.batch)
-	e.ParallelExecs.Add(d.parallel)
 	e.Rewritten.Add(d.rewritten)
 	e.PlanHits.Add(d.planHits)
 	e.PlanMisses.Add(d.planMisses)
@@ -229,9 +225,9 @@ func (ss *StmtStats) record(fp uint64, raw string, micros int64, failed bool, d 
 // stmtDelta carries the per-statement counter deltas from BeginStmt's
 // snapshot to EndStmt.
 type stmtDelta struct {
-	rows, reads, wal, conflicts         int64
-	queries, batch, parallel, rewritten int64
-	planHits, planMisses                int64
+	rows, reads, wal, conflicts int64
+	queries, batch, rewritten   int64
+	planHits, planMisses        int64
 }
 
 // StmtRecord is the in-flight handle between BeginStmt and EndStmt. It is
@@ -268,7 +264,6 @@ func (s *Session) BeginStmt(raw string) StmtRecord {
 			conflicts:  s.conflicts.Load(),
 			queries:    s.queryExecs.Load(),
 			batch:      s.batchExecs.Load(),
-			parallel:   s.parallelExecs.Load(),
 			rewritten:  s.rewrittenExecs.Load(),
 			planHits:   s.planCacheHits.Load(),
 			planMisses: s.planCacheMisses.Load(),
@@ -294,7 +289,6 @@ func (s *Session) EndStmt(rec StmtRecord, err error) {
 		conflicts:  s.conflicts.Load() - rec.base.conflicts,
 		queries:    s.queryExecs.Load() - rec.base.queries,
 		batch:      s.batchExecs.Load() - rec.base.batch,
-		parallel:   s.parallelExecs.Load() - rec.base.parallel,
 		rewritten:  s.rewrittenExecs.Load() - rec.base.rewritten,
 		planHits:   s.planCacheHits.Load() - rec.base.planHits,
 		planMisses: s.planCacheMisses.Load() - rec.base.planMisses,

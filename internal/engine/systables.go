@@ -86,7 +86,6 @@ func (e *Engine) statStatements() *storage.Table {
 		intCol("query_execs"),
 		intCol("batch_execs"),
 		intCol("row_execs"),
-		intCol("parallel_execs"),
 		intCol("rewritten"),
 		intCol("plan_cache_hits"),
 		intCol("plan_cache_misses"),
@@ -107,7 +106,6 @@ func (e *Engine) statStatements() *storage.Table {
 			sqltypes.NewInt(r.QueryExecs),
 			sqltypes.NewInt(r.BatchExecs),
 			sqltypes.NewInt(r.RowExecs),
-			sqltypes.NewInt(r.ParallelExecs),
 			sqltypes.NewInt(r.Rewritten),
 			sqltypes.NewInt(r.PlanHits),
 			sqltypes.NewInt(r.PlanMisses),

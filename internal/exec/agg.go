@@ -8,7 +8,7 @@ import (
 )
 
 // Aggregator is the custom-aggregate contract of §3.1: Init (Reset),
-// Accumulate (Step), Terminate (Result), and Merge for parallel execution.
+// Accumulate (Step), Terminate (Result), and the optional Merge.
 // Built-in aggregates and Aggify-generated aggregates both implement it.
 type Aggregator interface {
 	// Reset re-initializes the aggregate state (the contract's Init).
@@ -20,7 +20,8 @@ type Aggregator interface {
 	// Result computes the final value (the contract's Terminate).
 	Result(ctx *Ctx) (sqltypes.Value, error)
 	// Merge combines the partial state of another instance of the same
-	// aggregate (the contract's Merge, used by parallel aggregation).
+	// aggregate (the contract's optional Merge: folding two partitions of
+	// the input separately and merging equals folding the whole input).
 	Merge(other Aggregator) error
 }
 
@@ -43,19 +44,11 @@ type AggSpec struct {
 	New func() Aggregator
 	// OrderSensitive marks aggregates whose result depends on input order
 	// (Aggify-generated aggregates over ORDER BY cursors). The planner must
-	// feed them with a streaming aggregate below an enforced sort, and must
-	// not parallelize them (paper §6.1).
+	// feed them with a streaming aggregate below an enforced sort (paper
+	// §6.1).
 	OrderSensitive bool
-	// Mergeable marks aggregates whose Merge method is implemented, making
-	// them eligible for parallel aggregation.
+	// Mergeable marks aggregates whose Merge method is implemented.
 	Mergeable bool
-	// ParallelSafe marks aggregates whose Step may run concurrently on
-	// distinct instances without shared mutable state. Built-ins qualify;
-	// interpreted custom aggregates do not (their Accumulate bodies run on
-	// the owning session, which is single-threaded), and compiled custom
-	// aggregates qualify only when their programs are pure slot machines
-	// (no cursors, table access, or function calls).
-	ParallelSafe bool
 }
 
 // ----- Built-in aggregates -----
@@ -63,7 +56,7 @@ type AggSpec struct {
 // BuiltinAggs returns the specs of the built-in aggregate functions.
 func BuiltinAggs() map[string]*AggSpec {
 	mk := func(name string, f func() Aggregator) *AggSpec {
-		return &AggSpec{Name: name, New: f, Mergeable: true, ParallelSafe: true}
+		return &AggSpec{Name: name, New: f, Mergeable: true}
 	}
 	return map[string]*AggSpec{
 		"count": mk("count", func() Aggregator { return &countAgg{} }),
@@ -348,8 +341,7 @@ func (a *FuncAggregator) Step(ctx *Ctx, args []sqltypes.Value) error { return a.
 // Result implements Aggregator.
 func (a *FuncAggregator) Result(ctx *Ctx) (sqltypes.Value, error) { return a.FinalFn(ctx) }
 
-// Merge implements Aggregator; aggregates without MergeFn reject parallel
-// merging, which makes the planner fall back to serial aggregation.
+// Merge implements Aggregator; aggregates without MergeFn reject it.
 func (a *FuncAggregator) Merge(other Aggregator) error {
 	if a.MergeFn == nil {
 		return fmt.Errorf("exec: aggregate does not support Merge")

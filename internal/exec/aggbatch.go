@@ -2,10 +2,9 @@ package exec
 
 import "aggify/internal/sqltypes"
 
-// This file implements the vectorized aggregation fold shared by HashAggOp
-// (serial) and ParallelAggOp (one fold per worker). Instead of evaluating
-// key and argument scalars and dispatching Aggregator.Step once per row, the
-// fold consumes whole batches: group keys are read straight out of the
+// This file implements HashAggOp's vectorized aggregation fold. Instead of
+// evaluating key and argument scalars and dispatching Aggregator.Step once
+// per row, the fold consumes whole batches: group keys are read straight out of the
 // batch's columns when the planner resolved them to ordinals, rows are
 // bucketed into per-group selection vectors (in input order, so
 // order-within-group — and with it float summation order — matches the row
@@ -43,48 +42,45 @@ func BatchWorthwhile(nKeys int, groupOrds []int, aggs []AggInstance) bool {
 }
 
 // batchAggFold accumulates batches into a group table, preserving first-seen
-// group order. The same pagGroup table/order representation as the row path
-// is used so ParallelAggOp's Merge phase is path-agnostic.
+// group order.
 type batchAggFold struct {
 	groupKeys []Scalar
 	groupOrds []int // when non-nil, input ordinal of every group key
 	aggs      []AggInstance
 
-	table map[uint64][]*pagGroup
-	order []*pagGroup
-	// scalar is the pre-created group of a scalar aggregate (no group keys).
-	// HashAggOp pre-creates it so empty input still yields the Init+Terminate
-	// row; ParallelAggOp workers must not (a partition with no rows
-	// contributes no partial, exactly like the row path's aggregateStream).
-	scalar *pagGroup
+	table map[uint64][]*aggGroup
+	order []*aggGroup
+	// scalar is the pre-created group of a scalar aggregate (no group keys),
+	// so empty input still yields the Init+Terminate row.
+	scalar *aggGroup
 
 	keybuf  []sqltypes.Value
 	rowbuf  Row
 	bufs    [][]sqltypes.Value
-	touched []*pagGroup
+	touched []*aggGroup
 	allSel  []int
 }
 
-// newBatchAggFold builds a fold. preScalar pre-creates the scalar group for
-// aggregations without group keys (HashAggOp semantics).
-func newBatchAggFold(groupKeys []Scalar, groupOrds []int, aggs []AggInstance, preScalar bool) *batchAggFold {
+// newBatchAggFold builds a fold, pre-creating the scalar group for
+// aggregations without group keys.
+func newBatchAggFold(groupKeys []Scalar, groupOrds []int, aggs []AggInstance) *batchAggFold {
 	f := &batchAggFold{
 		groupKeys: groupKeys,
 		groupOrds: groupOrds,
 		aggs:      aggs,
-		table:     map[uint64][]*pagGroup{},
+		table:     map[uint64][]*aggGroup{},
 		keybuf:    make([]sqltypes.Value, len(groupKeys)),
 		bufs:      argBuffers(aggs),
 	}
-	if len(groupKeys) == 0 && preScalar {
+	if len(groupKeys) == 0 {
 		f.scalar = f.newGroup(nil)
 		f.order = append(f.order, f.scalar)
 	}
 	return f
 }
 
-func (f *batchAggFold) newGroup(keys []sqltypes.Value) *pagGroup {
-	g := &pagGroup{keys: keys, aggs: make([]Aggregator, len(f.aggs))}
+func (f *batchAggFold) newGroup(keys []sqltypes.Value) *aggGroup {
+	g := &aggGroup{keys: keys, aggs: make([]Aggregator, len(f.aggs))}
 	for i, ai := range f.aggs {
 		g.aggs[i] = ai.Spec.New()
 		g.aggs[i].Reset()
@@ -116,20 +112,10 @@ func (f *batchAggFold) run(ctx *Ctx, src BatchOperator) error {
 func (f *batchAggFold) fold(ctx *Ctx, b *Batch) error {
 	n := b.Len()
 	if len(f.groupKeys) == 0 {
-		g := f.scalar
-		if g == nil {
-			// Worker-side scalar aggregate: create the single group on the
-			// first row, like the row path does.
-			if len(f.order) == 0 {
-				f.order = append(f.order, f.newGroup(nil))
-				f.table[sqltypes.HashRow(nil)] = append(f.table[sqltypes.HashRow(nil)], f.order[0])
-			}
-			g = f.order[0]
-		}
 		for len(f.allSel) < n {
 			f.allSel = append(f.allSel, len(f.allSel))
 		}
-		return f.stepGroup(ctx, g, b, f.allSel[:n])
+		return f.stepGroup(ctx, f.scalar, b, f.allSel[:n])
 	}
 	for i := 0; i < n; i++ {
 		if f.groupOrds != nil {
@@ -147,7 +133,7 @@ func (f *batchAggFold) fold(ctx *Ctx, b *Batch) error {
 			}
 		}
 		h := sqltypes.HashRow(f.keybuf)
-		var g *pagGroup
+		var g *aggGroup
 		for _, cand := range f.table[h] {
 			if sqltypes.RowsGroupEqual(cand.keys, f.keybuf) {
 				g = cand
@@ -177,7 +163,7 @@ func (f *batchAggFold) fold(ctx *Ctx, b *Batch) error {
 // stepGroup folds the selected rows of b into one group's aggregates. sel is
 // in ascending row order, so each aggregate observes its inputs in exactly
 // the order the row path would feed them.
-func (f *batchAggFold) stepGroup(ctx *Ctx, g *pagGroup, b *Batch, sel []int) error {
+func (f *batchAggFold) stepGroup(ctx *Ctx, g *aggGroup, b *Batch, sel []int) error {
 	for j := range f.aggs {
 		inst := &f.aggs[j]
 		agg := g.aggs[j]

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sync"
 
 	"aggify/internal/sqltypes"
 )
@@ -71,6 +70,13 @@ type HashAggOp struct {
 // BufferedRows reports the number of materialized groups.
 func (o *HashAggOp) BufferedRows() int { return len(o.groups) }
 
+// aggGroup is one group's keys and aggregator instances.
+type aggGroup struct {
+	keys []sqltypes.Value
+	aggs []Aggregator
+	sel  []int // transient per-batch selection vector (batchAggFold only)
+}
+
 // Open implements Operator: it consumes the child entirely.
 func (o *HashAggOp) Open(ctx *Ctx) error {
 	o.groups = nil
@@ -80,9 +86,9 @@ func (o *HashAggOp) Open(ctx *Ctx) error {
 	}
 	defer o.Child.Close()
 
-	var order []*pagGroup
+	var order []*aggGroup
 	if !o.NoBatch && CanBatch(o.Child) && BatchWorthwhile(len(o.GroupKeys), o.GroupOrds, o.Aggs) {
-		f := newBatchAggFold(o.GroupKeys, o.GroupOrds, o.Aggs, true)
+		f := newBatchAggFold(o.GroupKeys, o.GroupOrds, o.Aggs)
 		if err := f.run(ctx, o.Child.(BatchOperator)); err != nil {
 			return err
 		}
@@ -109,19 +115,19 @@ func (o *HashAggOp) Open(ctx *Ctx) error {
 }
 
 // rowFold is the row-at-a-time accumulation loop.
-func (o *HashAggOp) rowFold(ctx *Ctx) ([]*pagGroup, error) {
-	newGroup := func(keys []sqltypes.Value) *pagGroup {
-		g := &pagGroup{keys: keys, aggs: make([]Aggregator, len(o.Aggs))}
+func (o *HashAggOp) rowFold(ctx *Ctx) ([]*aggGroup, error) {
+	newGroup := func(keys []sqltypes.Value) *aggGroup {
+		g := &aggGroup{keys: keys, aggs: make([]Aggregator, len(o.Aggs))}
 		for i, ai := range o.Aggs {
 			g.aggs[i] = ai.Spec.New()
 			g.aggs[i].Reset()
 		}
 		return g
 	}
-	table := map[uint64][]*pagGroup{}
+	table := map[uint64][]*aggGroup{}
 	bufs := argBuffers(o.Aggs)
-	var order []*pagGroup // preserve first-seen group order for determinism
-	var scalarGroup *pagGroup
+	var order []*aggGroup // preserve first-seen group order for determinism
+	var scalarGroup *aggGroup
 	if len(o.GroupKeys) == 0 {
 		scalarGroup = newGroup(nil)
 		order = append(order, scalarGroup)
@@ -308,295 +314,6 @@ func (o *StreamAggOp) Close() {
 		o.Child.Close()
 	}
 }
-
-// ParallelAggOp aggregates its input across worker goroutines, each running
-// its own aggregator instances, and combines partial states with Merge —
-// the parallel path of the custom-aggregate contract (§3.1). It must only
-// be used for order-insensitive aggregates.
-//
-// Two input modes:
-//   - Parts (preferred): one pre-partitioned child subtree per worker,
-//     typically Filter/Project chains over a ParallelScanOp. Workers pull
-//     their partition concurrently under private contexts (see exchange.go)
-//     so scans, predicate evaluation, and accumulation all parallelize.
-//   - Child (fallback): the serial input is drained first, then split into
-//     contiguous chunks — only the accumulation parallelizes.
-//
-// Both modes merge worker partials in partition order into worker 0's
-// table, so the output group order equals the serial HashAggOp's first-seen
-// order (partitions are contiguous in serial input order) and results are
-// byte-identical to the serial plan.
-type ParallelAggOp struct {
-	Child     Operator
-	Parts     []Operator
-	GroupKeys []Scalar
-	Aggs      []AggInstance
-	Workers   int
-	// GroupOrds, when non-nil (same length as GroupKeys), gives the input
-	// column ordinal of every group key for the vectorized fold.
-	GroupOrds []int
-	// NoBatch forces the row-at-a-time path (set under Options.DisableBatch).
-	NoBatch bool
-
-	groups []Row
-	pos    int
-}
-
-// BufferedRows reports the number of materialized groups.
-func (o *ParallelAggOp) BufferedRows() int { return len(o.groups) }
-
-type pagGroup struct {
-	keys []sqltypes.Value
-	aggs []Aggregator
-	sel  []int // transient per-batch selection vector (batchAggFold only)
-}
-
-// Open implements Operator.
-func (o *ParallelAggOp) Open(ctx *Ctx) error {
-	o.groups = nil
-	o.pos = 0
-	var partials []map[uint64][]*pagGroup
-	var orders [][]*pagGroup
-	var err error
-	if len(o.Parts) > 0 {
-		partials, orders, err = o.runPartitioned(ctx)
-	} else {
-		partials, orders, err = o.runChunked(ctx)
-	}
-	if err != nil {
-		return err
-	}
-	// Merge worker partials into worker 0's table.
-	master := partials[0]
-	masterOrder := orders[0]
-	for w := 1; w < len(partials); w++ {
-		for _, g := range orders[w] {
-			h := sqltypes.HashRow(g.keys)
-			var target *pagGroup
-			for _, cand := range master[h] {
-				if sqltypes.RowsGroupEqual(cand.keys, g.keys) {
-					target = cand
-					break
-				}
-			}
-			if target == nil {
-				master[h] = append(master[h], g)
-				masterOrder = append(masterOrder, g)
-				continue
-			}
-			for i := range target.aggs {
-				if err := target.aggs[i].Merge(g.aggs[i]); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	if len(o.GroupKeys) == 0 && len(masterOrder) == 0 {
-		// Scalar aggregate over empty input: Init + Terminate.
-		g := &pagGroup{aggs: make([]Aggregator, len(o.Aggs))}
-		for i, ai := range o.Aggs {
-			g.aggs[i] = ai.Spec.New()
-			g.aggs[i].Reset()
-		}
-		masterOrder = append(masterOrder, g)
-	}
-	for _, g := range masterOrder {
-		out := make(Row, len(g.keys)+len(g.aggs))
-		copy(out, g.keys)
-		for i, a := range g.aggs {
-			v, err := a.Result(ctx)
-			if err != nil {
-				return err
-			}
-			out[len(g.keys)+i] = v
-		}
-		o.groups = append(o.groups, out)
-	}
-	return nil
-}
-
-// runPartitioned pulls one pre-partitioned subtree per worker, each folding
-// its rows into a private group table under a private context. An error in
-// any worker closes quit so the others stop promptly.
-func (o *ParallelAggOp) runPartitioned(ctx *Ctx) ([]map[uint64][]*pagGroup, [][]*pagGroup, error) {
-	n := len(o.Parts)
-	partials := make([]map[uint64][]*pagGroup, n)
-	orders := make([][]*pagGroup, n)
-	errs := make([]error, n)
-	quit := make(chan struct{})
-	var abort sync.Once
-	stop := func() { abort.Do(func() { close(quit) }) }
-	// quit always closes on the way out so the Done relay below never
-	// outlives this call.
-	defer stop()
-	if ctx.Done != nil {
-		// Relay a parent-level cancellation (early Rows.Close) into quit.
-		go func() {
-			select {
-			case <-ctx.Done:
-				stop()
-			case <-quit:
-			}
-		}()
-	}
-	var wg sync.WaitGroup
-	for w, part := range o.Parts {
-		wg.Add(1)
-		go func(w int, part Operator) {
-			defer wg.Done()
-			wctx, flush := workerCtx(ctx, quit)
-			defer flush()
-			defer part.Close()
-			if err := part.Open(wctx); err != nil {
-				errs[w] = err
-				abort.Do(func() { close(quit) })
-				return
-			}
-			if !o.NoBatch && CanBatch(part) && BatchWorthwhile(len(o.GroupKeys), o.GroupOrds, o.Aggs) {
-				// Vectorized worker fold. preScalar is false: an empty
-				// partition must contribute no partial, exactly like
-				// aggregateStream (Open's scalar fallback supplies the
-				// Init+Terminate row when every partition is empty).
-				f := newBatchAggFold(o.GroupKeys, o.GroupOrds, o.Aggs, false)
-				errs[w] = f.run(wctx, part.(BatchOperator))
-				partials[w], orders[w] = f.table, f.order
-			} else {
-				partials[w], orders[w], errs[w] = o.aggregateStream(wctx, part.Next)
-			}
-			if errs[w] != nil {
-				abort.Do(func() { close(quit) })
-			}
-		}(w, part)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return partials, orders, nil
-}
-
-// runChunked is the materialize-then-split fallback used when the planner
-// could not partition the input subtree: only accumulation parallelizes.
-func (o *ParallelAggOp) runChunked(ctx *Ctx) ([]map[uint64][]*pagGroup, [][]*pagGroup, error) {
-	rows, err := Drain(ctx, o.Child)
-	if err != nil {
-		return nil, nil, err
-	}
-	workers := o.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(rows) && len(rows) > 0 {
-		workers = len(rows)
-	}
-	if len(rows) == 0 {
-		workers = 1
-	}
-	partials := make([]map[uint64][]*pagGroup, workers)
-	orders := make([][]*pagGroup, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	chunk := (len(rows) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			wctx, flush := workerCtx(ctx, nil)
-			defer flush()
-			pos := lo
-			partials[w], orders[w], errs[w] = o.aggregateStream(wctx, func(*Ctx) (Row, error) {
-				if pos >= hi {
-					return nil, nil
-				}
-				r := rows[pos]
-				pos++
-				return r, nil
-			})
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return partials, orders, nil
-}
-
-// aggregateStream folds rows from next into a fresh group table, preserving
-// first-seen group order.
-func (o *ParallelAggOp) aggregateStream(ctx *Ctx, next func(*Ctx) (Row, error)) (map[uint64][]*pagGroup, []*pagGroup, error) {
-	table := map[uint64][]*pagGroup{}
-	bufs := argBuffers(o.Aggs)
-	var order []*pagGroup
-	n := 0
-	for {
-		row, err := next(ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		if row == nil {
-			return table, order, nil
-		}
-		n++
-		if n%1024 == 0 && ctx.Interrupted() {
-			return nil, nil, ErrInterrupted
-		}
-		var keys []sqltypes.Value
-		if len(o.GroupKeys) > 0 {
-			keys = make([]sqltypes.Value, len(o.GroupKeys))
-			for i, k := range o.GroupKeys {
-				v, err := k(ctx, row)
-				if err != nil {
-					return nil, nil, err
-				}
-				keys[i] = v
-			}
-		}
-		h := sqltypes.HashRow(keys)
-		var g *pagGroup
-		for _, cand := range table[h] {
-			if sqltypes.RowsGroupEqual(cand.keys, keys) {
-				g = cand
-				break
-			}
-		}
-		if g == nil {
-			g = &pagGroup{keys: keys, aggs: make([]Aggregator, len(o.Aggs))}
-			for i, ai := range o.Aggs {
-				g.aggs[i] = ai.Spec.New()
-				g.aggs[i].Reset()
-			}
-			table[h] = append(table[h], g)
-			order = append(order, g)
-		}
-		for i := range o.Aggs {
-			if err := o.Aggs[i].step(ctx, g.aggs[i], row, bufs[i]); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-}
-
-// Next implements Operator.
-func (o *ParallelAggOp) Next(*Ctx) (Row, error) {
-	if o.pos >= len(o.groups) {
-		return nil, nil
-	}
-	r := o.groups[o.pos]
-	o.pos++
-	return r, nil
-}
-
-// Close implements Operator.
-func (o *ParallelAggOp) Close() { o.groups = nil }
 
 // RecursiveCTEOp evaluates a recursive common table expression with UNION
 // ALL semantics: the seed runs once; then the recursive branch runs against

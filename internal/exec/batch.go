@@ -137,8 +137,7 @@ func (b *Batch) Row(i int, buf Row) Row {
 }
 
 // Rows materializes every row of the batch into freshly allocated slices
-// backed by one slab — the unpack path for row-oriented consumers above a
-// batched exchange.
+// backed by one slab — the unpack path for row-oriented consumers.
 func (b *Batch) Rows() []Row {
 	w := len(b.Cols)
 	slab := make([]sqltypes.Value, b.n*w)
@@ -149,20 +148,6 @@ func (b *Batch) Rows() []Row {
 			r[j] = b.Cols[j].Vals[i]
 		}
 		out[i] = r
-	}
-	return out
-}
-
-// Clone returns a deep copy the caller owns (used by exchange workers to
-// detach a batch from its producer's reusable buffer before a channel send).
-func (b *Batch) Clone() *Batch {
-	out := &Batch{Cols: make([]Column, len(b.Cols)), n: b.n}
-	for i := range b.Cols {
-		src := &b.Cols[i]
-		dst := &out.Cols[i]
-		dst.Vals = append([]sqltypes.Value(nil), src.Vals...)
-		dst.nulls = append([]uint64(nil), src.nulls...)
-		dst.hasNulls = src.hasNulls
 	}
 	return out
 }
@@ -199,8 +184,8 @@ func CanBatch(op Operator) bool {
 // AdaptBatch lifts any row-at-a-time operator into the batch contract by
 // packing its rows into reusable DefaultBatchSize batches. It is the
 // compatibility shim that keeps every existing operator usable in a batched
-// plan (exchange transport, mixed trees) without modification. Width is
-// taken from the first row.
+// plan (mixed trees) without modification. Width is taken from the first
+// row.
 type AdaptBatch struct {
 	Child Operator
 

@@ -6,7 +6,6 @@ import (
 
 	"aggify/internal/sqltypes"
 	"aggify/internal/storage"
-	"aggify/internal/testutil"
 )
 
 func TestColumnNullBitmap(t *testing.T) {
@@ -144,6 +143,14 @@ func TestHashAggBatchAllNulls(t *testing.T) {
 	}
 }
 
+func seqRows(lo, hi int64) []Row {
+	var out []Row
+	for i := lo; i < hi; i++ {
+		out = append(out, intRow(i))
+	}
+	return out
+}
+
 // TestAdaptBatch checks the row→batch adapter on empty input and on a row
 // count that is an exact multiple of the batch size (the boundary where an
 // off-by-one would emit a phantom empty batch or drop the last one).
@@ -261,121 +268,6 @@ func TestBatchFoldInterrupt(t *testing.T) {
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("err = %v, want ErrInterrupted", err)
 	}
-}
-
-// TestParallelAggBatchWorkers runs the partitioned (batch-fold-per-worker)
-// parallel aggregation against the serial row path and requires
-// byte-identical groups — partitions stream through SplitCursors, so this
-// also covers the ScanSplit rewrite.
-func TestParallelAggBatchWorkers(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	tab := aggTable(t, 9_000, false)
-	split := &ScanSplit{Table: tab, NParts: 4}
-	parts := make([]Operator, 4)
-	for i := range parts {
-		parts[i] = &ParallelScanOp{Split: split, Part: i}
-	}
-	par := &ParallelAggOp{
-		Parts:     parts,
-		GroupKeys: []Scalar{ColScalar(0)},
-		GroupOrds: []int{0},
-		Aggs:      mkAggs(1),
-		Workers:   4,
-	}
-	serial := &HashAggOp{
-		Child:     &ScanOp{Table: tab},
-		GroupKeys: []Scalar{ColScalar(0)},
-		Aggs:      mkAggs(1),
-		NoBatch:   true,
-	}
-	got, err := Drain(&Ctx{Stats: &storage.Stats{}}, par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Drain(&Ctx{Stats: &storage.Stats{}}, serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d parallel groups vs %d serial", len(got), len(want))
-	}
-	for i := range got {
-		if !sqltypes.RowsGroupEqual(got[i], want[i]) {
-			t.Fatalf("group %d: parallel %v != serial %v", i, got[i], want[i])
-		}
-	}
-}
-
-// TestExchangeBatchTransport pulls whole batches through an ordered exchange
-// over streaming scan partitions and checks serial order is reproduced.
-func TestExchangeBatchTransport(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	tab := storage.NewTable("t", storage.NewSchema(storage.Col("n", sqltypes.Int)))
-	const n = 5000
-	for i := int64(0); i < n; i++ {
-		_ = tab.Insert(nil, intRow(i))
-	}
-	split := &ScanSplit{Table: tab, NParts: 3}
-	ex := &ExchangeOp{
-		Parts: []Operator{
-			&ParallelScanOp{Split: split, Part: 0},
-			&ParallelScanOp{Split: split, Part: 1},
-			&ParallelScanOp{Split: split, Part: 2},
-		},
-		Ordered: true,
-	}
-	ctx := &Ctx{Stats: &storage.Stats{}}
-	if err := ex.Open(ctx); err != nil {
-		t.Fatal(err)
-	}
-	defer ex.Close()
-	if !CanBatch(ex) {
-		t.Fatal("exchange should be batch-capable")
-	}
-	var next int64
-	for {
-		b, err := ex.NextBatch(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b == nil {
-			break
-		}
-		for i := 0; i < b.Len(); i++ {
-			if got := b.Cols[0].Vals[i].Int(); got != next {
-				t.Fatalf("row %d: got %d (order not serial)", next, got)
-			}
-			next++
-		}
-	}
-	if next != n {
-		t.Fatalf("drained %d rows, want %d", next, n)
-	}
-}
-
-// TestExchangeEarlyCloseMidBatch closes the consumer after a handful of rows
-// — mid-batch, with workers still producing — and requires zero leaked
-// goroutines (the early-Rows.Close path on the batched transport).
-func TestExchangeEarlyCloseMidBatch(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	ex := &ExchangeOp{
-		Parts: []Operator{
-			&BufferScanOp{Rows: seqRows(0, 100_000)},
-			&BufferScanOp{Rows: seqRows(100_000, 200_000)},
-		},
-		Ordered: true,
-		Buffer:  1,
-	}
-	ctx := &Ctx{Stats: &storage.Stats{}}
-	if err := ex.Open(ctx); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := ex.Next(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ex.Close()
 }
 
 // TestBatchOfMixedTree checks batchOf: a native producer passes through

@@ -31,8 +31,7 @@ type Ctx struct {
 	Stats *storage.Stats
 	// Snap is the snapshot all base-table reads go through: the statement
 	// or transaction's pinned commit epoch. Nil reads the latest committed
-	// state. Worker contexts copy the Ctx by value, so parallel scan
-	// partitions and exchange workers inherit the same frozen epoch.
+	// state.
 	Snap *txn.Snapshot
 	// CallFunc invokes a scalar function (built-in or UDF) by name.
 	CallFunc func(name string, args []sqltypes.Value) (sqltypes.Value, error)
@@ -44,12 +43,6 @@ type Ctx struct {
 	// aborts execution with ErrInterrupted (used to cap the paper's
 	// "forcibly terminated" original-program runs).
 	Interrupt <-chan struct{}
-	// Done, when non-nil, cancels this (sub)execution when closed. It is
-	// the prompt-cancellation path for parallel plans: exchange operators
-	// install their quit channel here for worker subtrees, so an early
-	// consumer Close (TopOp hitting its limit, Rows.Close) unblocks
-	// workers mid-scan instead of letting them run to completion.
-	Done <-chan struct{}
 	// Owner carries the engine session that built this context; interpreted
 	// custom aggregates use it to run the queries inside their Accumulate
 	// bodies. Typed as any to keep exec independent of the engine package.
@@ -63,19 +56,11 @@ type Ctx struct {
 // ErrInterrupted is returned when Ctx.Interrupt fires mid-execution.
 var ErrInterrupted = errors.New("exec: interrupted")
 
-// Interrupted reports whether the context has been cancelled, either by the
-// session-level Interrupt or by the execution-local Done channel.
+// Interrupted reports whether the session-level Interrupt has fired.
 func (c *Ctx) Interrupted() bool {
 	if c.Interrupt != nil {
 		select {
 		case <-c.Interrupt:
-			return true
-		default:
-		}
-	}
-	if c.Done != nil {
-		select {
-		case <-c.Done:
 			return true
 		default:
 		}

@@ -326,62 +326,6 @@ func TestStreamAggObservesOrder(t *testing.T) {
 	}
 }
 
-func TestParallelAggMatchesSerial(t *testing.T) {
-	var rows []Row
-	for i := int64(0); i < 1000; i++ {
-		rows = append(rows, intRow(i%7, i))
-	}
-	mk := func() []AggInstance {
-		return []AggInstance{
-			{Spec: builtinAgg(t, "count"), Star: true},
-			{Spec: builtinAgg(t, "sum"), Args: []Scalar{ColScalar(1)}},
-			{Spec: builtinAgg(t, "min"), Args: []Scalar{ColScalar(1)}},
-			{Spec: builtinAgg(t, "max"), Args: []Scalar{ColScalar(1)}},
-			{Spec: builtinAgg(t, "avg"), Args: []Scalar{ColScalar(1)}},
-		}
-	}
-	serial := &HashAggOp{Child: &BufferScanOp{Rows: rows}, GroupKeys: []Scalar{ColScalar(0)}, Aggs: mk()}
-	parallel := &ParallelAggOp{Child: &BufferScanOp{Rows: rows}, GroupKeys: []Scalar{ColScalar(0)}, Aggs: mk(), Workers: 4}
-	sr := drain(t, serial)
-	pr := drain(t, parallel)
-	if len(sr) != len(pr) {
-		t.Fatalf("group counts differ: %d vs %d", len(sr), len(pr))
-	}
-	index := map[int64]Row{}
-	for _, r := range pr {
-		index[r[0].Int()] = r
-	}
-	for _, s := range sr {
-		p := index[s[0].Int()]
-		if p == nil {
-			t.Fatalf("missing group %v", s[0])
-		}
-		for i := range s {
-			if i == 5 { // avg: compare approximately
-				if d := s[i].Float() - p[i].Float(); d > 1e-9 || d < -1e-9 {
-					t.Fatalf("avg differs: %v vs %v", s, p)
-				}
-				continue
-			}
-			if !sqltypes.GroupEqual(s[i], p[i]) {
-				t.Fatalf("group %v: serial %v vs parallel %v", s[0], s, p)
-			}
-		}
-	}
-}
-
-func TestParallelAggEmptyScalar(t *testing.T) {
-	op := &ParallelAggOp{
-		Child:   bufferOf(),
-		Aggs:    []AggInstance{{Spec: builtinAgg(t, "count"), Star: true}},
-		Workers: 4,
-	}
-	rows := drain(t, op)
-	if len(rows) != 1 || rows[0][0].Int() != 0 {
-		t.Fatalf("parallel empty scalar agg = %v", rows)
-	}
-}
-
 func TestRecursiveCTE(t *testing.T) {
 	// WITH cte(i) AS (SELECT 0 UNION ALL SELECT i+1 FROM cte WHERE i < 4)
 	var delta []Row

@@ -10,12 +10,6 @@ import (
 // OpStats accumulates runtime counters for one instrumented operator. All
 // measurements are inclusive of the operator's subtree: the renderer
 // subtracts child stats to attribute exclusive costs.
-//
-// All counters are atomic: a parallel plan instantiates the subtree below an
-// exchange once per worker, and every instance shares the OpStats keyed by
-// the (single) explain node, so workers update the same counters
-// concurrently. Loops then counts the per-worker Opens and Time sums worker
-// wall clock — it may exceed the query's elapsed time, like CPU time does.
 type OpStats struct {
 	loops        atomic.Int64
 	nextCalls    atomic.Int64
@@ -32,7 +26,7 @@ type OpStats struct {
 }
 
 // Loops reports Open calls (an operator on the inner side of a nested-loop
-// join re-opens once per outer row; a parallel subtree opens once per worker).
+// join re-opens once per outer row).
 func (s *OpStats) Loops() int64 { return s.loops.Load() }
 
 // NextCalls reports Next invocations, including the final EOF call.
@@ -41,8 +35,7 @@ func (s *OpStats) NextCalls() int64 { return s.nextCalls.Load() }
 // Rows reports rows emitted.
 func (s *OpStats) Rows() int64 { return s.rows.Load() }
 
-// Time reports wall time spent inside Open+Next+Close of the subtree,
-// summed across parallel workers.
+// Time reports wall time spent inside Open+Next+Close of the subtree.
 func (s *OpStats) Time() time.Duration { return time.Duration(s.timeNanos.Load()) }
 
 // PeakBuffered reports the largest BufferedRows observation for blocking
@@ -80,8 +73,7 @@ func (s *OpStats) observeBuffered(n int64) {
 }
 
 // Buffered is implemented by blocking operators that materialize rows
-// (SortOp, HashJoinOp's build side, HashAggOp, ParallelAggOp,
-// RecursiveCTEOp). BufferedRows must be O(1): it is probed after every
+// (SortOp, HashJoinOp's build side, HashAggOp, RecursiveCTEOp). BufferedRows must be O(1): it is probed after every
 // Open/Next call of an instrumented execution.
 type Buffered interface {
 	BufferedRows() int

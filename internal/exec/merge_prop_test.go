@@ -98,7 +98,7 @@ func mergeableBuiltins(t *testing.T) []*AggSpec {
 // Property: for every Mergeable builtin, splitting an input into K partitions,
 // accumulating each into its own Aggregator, and folding the partials with
 // Merge (in partition order) yields exactly the serial result — the §3.1
-// contract parallel aggregation relies on. Inputs mix NULLs, negatives, and
+// Merge contract. Inputs mix NULLs, negatives, and
 // (second loop) int64-overflow duals.
 func TestMergePropertyBuiltins(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))

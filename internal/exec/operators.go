@@ -64,7 +64,7 @@ func (o *OneRowOp) Next(*Ctx) (Row, error) {
 func (o *OneRowOp) Close() {}
 
 // cursorFeed is the pull loop every cursor-backed scan shares (ScanOp,
-// RangeSeekOp, ParallelScanOp embed it): it refills from a storage cursor
+// RangeSeekOp embed it): it refills from a storage cursor
 // DefaultBatchSize visited rows at a time and applies the scan's bound
 // predicate inside the cursor callback. A rejected row is charged its
 // logical read like any other, but is never buffered, never crosses an

@@ -35,77 +35,10 @@ func newAggSpec(eng *engine.Engine, def *ast.CreateAggregate, orderSensitive boo
 			Name:           def.Name,
 			OrderSensitive: orderSensitive,
 			Mergeable:      prog.merge != nil,
-			ParallelSafe:   prog.merge != nil && !orderSensitive && progParallelSafe(eng, prog),
 			New:            func() exec.Aggregator { return &compiledAgg{prog: prog, needInit: true} },
 		}, nil
 	}
 	return InterpretedAggSpec(def, orderSensitive), nil
-}
-
-// progParallelSafe reports whether a compiled aggregate is a pure slot
-// machine whose Init/Accumulate may run concurrently on distinct instances:
-// no cursors, no machine tables, no DML or PRINT (those reach the shared
-// session), and no subqueries or user function calls in any expression
-// (those run on the single-threaded session). Terminate is held to the same
-// bar for simplicity, although it only runs post-merge.
-func progParallelSafe(eng *engine.Engine, prog *program) bool {
-	if prog.nCursors > 0 || prog.nTables > 0 {
-		return false
-	}
-	def := prog.def
-	safe := true
-	exprCheck := func(x ast.Expr) bool {
-		switch t := x.(type) {
-		case *ast.Subquery:
-			// FROM-less projections are tuple constructors (the shape the
-			// Aggify generator emits in Terminate); they never reach the
-			// session. Returning true keeps walking their item expressions.
-			if pureProjection(t.Query) {
-				return true
-			}
-			safe = false
-			return false
-		case *ast.InExpr:
-			if t.Query != nil {
-				safe = false
-				return false
-			}
-		case *ast.FuncCall:
-			if _, isUDF := eng.Function(t.Name); isUDF {
-				safe = false
-				return false
-			}
-		}
-		return true
-	}
-	bodies := []*ast.Block{def.Init, def.Accum, def.Terminate}
-	if def.Merge != nil {
-		bodies = append(bodies, def.Merge)
-	}
-	for _, b := range bodies {
-		ast.WalkStmt(b, func(s ast.Stmt) bool {
-			switch s.(type) {
-			case *ast.InsertStmt, *ast.UpdateStmt, *ast.DeleteStmt, *ast.PrintStmt,
-				*ast.QueryStmt, *ast.ExecStmt, *ast.DeclareCursor, *ast.DeclareTable:
-				safe = false
-				return false
-			}
-			ast.StmtExprs(s, exprCheck)
-			return safe
-		})
-		if !safe {
-			return false
-		}
-	}
-	return true
-}
-
-// pureProjection reports whether q is a bare SELECT of expressions — no
-// table access or query machinery of any kind.
-func pureProjection(q *ast.Select) bool {
-	return q != nil && len(q.With) == 0 && !q.Distinct && q.Top == nil &&
-		len(q.From) == 0 && q.Where == nil && len(q.GroupBy) == 0 &&
-		q.Having == nil && len(q.OrderBy) == 0 && q.Union == nil
 }
 
 // InterpretedAggSpec builds an aggregate spec that always runs through the
@@ -115,11 +48,8 @@ func InterpretedAggSpec(def *ast.CreateAggregate, orderSensitive bool) *exec.Agg
 	return &exec.AggSpec{
 		Name:           def.Name,
 		OrderSensitive: orderSensitive,
-		// Interpreted Merge works (chunked parallel mode, property tests),
-		// but interpreted bodies run on the single-threaded session, so the
-		// spec is never ParallelSafe.
-		Mergeable: def.Merge != nil,
-		New:       func() exec.Aggregator { return &interpAgg{def: def, needInit: true} },
+		Mergeable:      def.Merge != nil,
+		New:            func() exec.Aggregator { return &interpAgg{def: def, needInit: true} },
 	}
 }
 

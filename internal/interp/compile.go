@@ -731,25 +731,6 @@ func (bc *blockCompiler) stmt(s ast.Stmt) (compiledStmt, error) {
 				return m.sess.RollbackTxn()
 			}
 		}, nil
-	case *ast.SetOption:
-		if st.Name != "maxdop" {
-			return nil, fmt.Errorf("interp: unknown session option %q", st.Name)
-		}
-		val, err := bc.scalar(st.Value)
-		if err != nil {
-			return nil, err
-		}
-		return func(m *machine) error {
-			v, err := val(m)
-			if err != nil {
-				return err
-			}
-			if v.Kind() != sqltypes.KindInt || v.Int() < 0 {
-				return fmt.Errorf("interp: SET MAXDOP requires a non-negative integer, got %s", v)
-			}
-			m.sess.SetMaxDOP(int(v.Int()))
-			return nil
-		}, nil
 	}
 	return nil, fmt.Errorf("interp: statement %T is not compilable", s)
 }

@@ -205,8 +205,6 @@ func (r *Runner) exec(s ast.Stmt) error {
 		return nil
 	case *ast.SetStmt:
 		return r.execSet(st)
-	case *ast.SetOption:
-		return r.execSetOption(st)
 	case *ast.IfStmt:
 		cond, err := r.eval(st.Cond)
 		if err != nil {
@@ -401,26 +399,6 @@ func (r *Runner) execSet(st *ast.SetStmt) error {
 		}
 	}
 	return nil
-}
-
-// execSetOption applies a session option: SET MAXDOP = n caps the degree of
-// parallelism for subsequent queries on this session (1 disables, 0 resets
-// to the server default).
-func (r *Runner) execSetOption(st *ast.SetOption) error {
-	v, err := r.eval(st.Value)
-	if err != nil {
-		return err
-	}
-	switch st.Name {
-	case "maxdop":
-		if v.Kind() != sqltypes.KindInt || v.Int() < 0 {
-			return fmt.Errorf("interp: SET MAXDOP requires a non-negative integer, got %s", v)
-		}
-		r.Sess.SetMaxDOP(int(v.Int()))
-		return nil
-	default:
-		return fmt.Errorf("interp: unknown session option %q", st.Name)
-	}
 }
 
 func (r *Runner) execFor(st *ast.ForStmt) error {

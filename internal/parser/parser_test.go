@@ -395,6 +395,16 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestSetTakesOnlyVariables pins what the removed session option now gets:
+// SET has no option form, so a bare identifier target is a parse error.
+func TestSetTakesOnlyVariables(t *testing.T) {
+	_, err := Parse("SET MAXDOP = 4")
+	const want = "parser: line 1: expected variable after SET"
+	if err == nil || err.Error() != want {
+		t.Fatalf("Parse(SET MAXDOP = 4) error = %v, want %q", err, want)
+	}
+}
+
 func TestPrintRoundtrip(t *testing.T) {
 	// Format output must re-parse to an identical rendering (fixpoint).
 	sources := []string{

@@ -2,7 +2,6 @@ package parser
 
 import (
 	"strconv"
-	"strings"
 
 	"aggify/internal/ast"
 	"aggify/internal/sqltypes"
@@ -421,19 +420,6 @@ func (p *Parser) typeName() (string, error) {
 
 func (p *Parser) parseSet() (ast.Stmt, error) {
 	p.advance() // SET
-	// Session options are bare identifiers: SET MAXDOP = 4.
-	if p.isKw("maxdop") {
-		opt := strings.ToLower(p.advance().text)
-		if err := p.expectPunct("="); err != nil {
-			return nil, err
-		}
-		e, err := p.ParseExpr()
-		if err != nil {
-			return nil, err
-		}
-		p.endStmt()
-		return &ast.SetOption{Name: opt, Value: e}, nil
-	}
 	st := &ast.SetStmt{}
 	if p.isPunct("(") {
 		p.advance()
@@ -1006,7 +992,7 @@ func (p *Parser) parseCreateAggregate() (ast.Stmt, error) {
 		return nil, err
 	}
 	// Optional MERGE section: folds another instance's state (visible as
-	// @other_<field> variables) into this one, enabling parallel aggregation.
+	// @other_<field> variables) into this one.
 	var mergeBlock ast.Stmt
 	if p.acceptKw("merge") {
 		mergeBlock, err = p.parseBlock()

@@ -541,14 +541,10 @@ func (c *compiler) compileUnit(u *fromUnit, parent *scope, env *cteEnv, nlRight 
 			}
 			rest = remaining
 			name := te.Name
-			sn := node("LateScan(" + name + ")" + c.rwSuffix(f.marks) + f.suffix())
-			n = sn
-			builder = annotate(func(bc *buildCtx) exec.Operator {
-				if p := bc.part; p != nil && p.target == sn {
-					return &exec.ParallelScanOp{Split: p.split, Part: p.index, Pred: f.pred}
-				}
+			n = node("LateScan(" + name + ")" + c.rwSuffix(f.marks) + f.suffix())
+			builder = annotate(func(*buildCtx) exec.Operator {
 				return &exec.LateScanOp{Name: name, Pred: f.pred}
-			}, sn)
+			}, n)
 			break
 		}
 		if b := env.lookup(te.Name); b != nil {
@@ -686,20 +682,14 @@ func (c *compiler) compileHinted(u *fromUnit, h *accessHint, tab *storage.Table,
 }
 
 // scanUnit compiles a full scan of a base table that applies the kernel
-// prefix of preds itself; the rest is returned for FilterOps above it. The
-// scan's node identity is what a parallel aggregation targets to substitute
-// one partition of a shared split.
+// prefix of preds itself; the rest is returned for FilterOps above it.
 func (c *compiler) scanUnit(tab *storage.Table, mark, cost string, preds []ast.Expr, sc *scope, env *cteEnv) (opBuilder, *Node, []ast.Expr, error) {
 	f, rest, err := c.fuseScanFilter(preds, sc, env)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	sn := node("Scan(" + tab.Name + ")" + c.rwSuffix(addMark(mark, f.marks)) + cost + f.suffix())
-	sn.filterTag = f.suffix()
-	builder := annotate(func(bc *buildCtx) exec.Operator {
-		if p := bc.part; p != nil && p.target == sn {
-			return &exec.ParallelScanOp{Split: p.split, Part: p.index, Pred: f.pred}
-		}
+	builder := annotate(func(*buildCtx) exec.Operator {
 		return &exec.ScanOp{Table: tab, Pred: f.pred}
 	}, sn)
 	return builder, sn, rest, nil

@@ -33,29 +33,26 @@ func Compile(cat Catalog, opts Options, q *ast.Select) (*Plan, error) {
 		return nil, err
 	}
 	p := &Plan{Columns: cols, Explain: n, build: builder, Rewrites: rewrites, Stamps: sc.stamps()}
-	p.Parallel, p.Batched = planShape(n)
+	p.Batched = planBatched(n)
 	return p, nil
 }
 
-// planShape derives the Parallel/Batched plan summary flags from the
-// explain tree's operator labels (the same ones EXPLAIN prints, so the
-// flags can never disagree with what the user sees).
-func planShape(n *Node) (parallel, batched bool) {
+// planBatched derives the Batched plan summary flag from the explain tree's
+// operator labels (the same ones EXPLAIN prints, so the flag can never
+// disagree with what the user sees).
+func planBatched(n *Node) bool {
 	if n == nil {
-		return false, false
-	}
-	if strings.HasPrefix(n.Op, "ParallelAgg(") {
-		parallel = true
+		return false
 	}
 	if strings.HasSuffix(n.Op, " [batch]") {
-		batched = true
+		return true
 	}
 	for _, c := range n.Children {
-		p, b := planShape(c)
-		parallel = parallel || p
-		batched = batched || b
+		if planBatched(c) {
+			return true
+		}
 	}
-	return parallel, batched
+	return false
 }
 
 // compileSelect compiles a query (with CTEs and UNION ALL) against an
@@ -791,8 +788,6 @@ func (c *compiler) compileAggregation(q *ast.Select, input opBuilder, inScope *s
 	groupOrds := ordsOf(q.GroupBy, inScope)
 	instances := make([]exec.AggInstance, len(aggs))
 	orderSensitive := q.OrderEnforced
-	allMergeable := true
-	allParallelSafe := true
 	for i, a := range aggs {
 		inst := exec.AggInstance{Spec: a.spec, Star: a.call.Star}
 		if !a.call.Star {
@@ -807,12 +802,6 @@ func (c *compiler) compileAggregation(q *ast.Select, input opBuilder, inScope *s
 		}
 		if a.spec.OrderSensitive {
 			orderSensitive = true
-		}
-		if !a.spec.Mergeable {
-			allMergeable = false
-		}
-		if !a.spec.ParallelSafe {
-			allParallelSafe = false
 		}
 		instances[i] = inst
 	}
@@ -829,67 +818,20 @@ func (c *compiler) compileAggregation(q *ast.Select, input opBuilder, inScope *s
 	}
 	argList := strings.Join(names, ", ")
 
-	wantParallel := c.opts.Parallelism > 1
 	var builder opBuilder
 	var label string
 	if orderSensitive {
-		// Eq. 6 enforcement: streaming aggregate preserving input order,
-		// no parallelism.
+		// Eq. 6 enforcement: streaming aggregate preserving input order.
 		builder = func(bc *buildCtx) exec.Operator {
 			return &exec.StreamAggOp{Child: input(bc), GroupKeys: groupKeys, Aggs: instances}
 		}
 		label = fmt.Sprintf("StreamAgg(keys=%d, aggs=[%s])", len(q.GroupBy), argList)
-		if wantParallel {
-			label += " [serial: order-sensitive aggregate]"
-		}
 	} else {
-		// Decide whether this aggregation can be run partitioned. The
-		// reason a parallel-enabled session stays serial is surfaced as an
-		// EXPLAIN label suffix so plans are auditable without a debugger.
-		serialReason := ""
-		var scanLeaf *Node
-		var scanTab *storage.Table
-		if wantParallel {
-			switch {
-			case !allMergeable:
-				serialReason = "aggregate not mergeable"
-			case !allParallelSafe:
-				serialReason = "aggregate not parallel-safe"
-			default:
-				scanLeaf, scanTab, serialReason = c.parallelInput(q, n, aggs)
-			}
+		builder = func(bc *buildCtx) exec.Operator {
+			return &exec.HashAggOp{Child: input(bc), GroupKeys: groupKeys, GroupOrds: groupOrds, Aggs: instances, NoBatch: c.opts.DisableBatch}
 		}
-		if wantParallel && serialReason == "" {
-			workers := c.opts.Parallelism
-			tab := scanTab
-			target := scanLeaf
-			builder = func(bc *buildCtx) exec.Operator {
-				// The split is per-execution: all partitions share one row
-				// snapshot (loaded once) and each worker subtree is built
-				// through a buildCtx copy carrying its partition index.
-				split := &exec.ScanSplit{Table: tab, NParts: workers}
-				parts := make([]exec.Operator, workers)
-				for i := range parts {
-					wbc := *bc
-					wbc.part = &scanPart{split: split, index: i, target: target}
-					parts[i] = input(&wbc)
-				}
-				return &exec.ParallelAggOp{Parts: parts, GroupKeys: groupKeys, GroupOrds: groupOrds, Aggs: instances, Workers: workers, NoBatch: c.opts.DisableBatch}
-			}
-			label = fmt.Sprintf("ParallelAgg(workers=%d, keys=%d, aggs=[%s])", workers, len(q.GroupBy), argList)
-			// The partitions filter as the serial scan would have.
-			scanLeaf.Op = fmt.Sprintf("ParallelScan(%s, parts=%d)", tab.Name, workers) + scanLeaf.filterTag
-			label += c.batchSuffix(n, len(q.GroupBy), groupOrds, instances)
-		} else {
-			builder = func(bc *buildCtx) exec.Operator {
-				return &exec.HashAggOp{Child: input(bc), GroupKeys: groupKeys, GroupOrds: groupOrds, Aggs: instances, NoBatch: c.opts.DisableBatch}
-			}
-			label = fmt.Sprintf("HashAgg(keys=%d, aggs=[%s])", len(q.GroupBy), argList)
-			if wantParallel {
-				label += " [serial: " + serialReason + "]"
-			}
-			label += c.batchSuffix(n, len(q.GroupBy), groupOrds, instances)
-		}
+		label = fmt.Sprintf("HashAgg(keys=%d, aggs=[%s])", len(q.GroupBy), argList)
+		label += c.batchSuffix(n, len(q.GroupBy), groupOrds, instances)
 	}
 	an := node(label, n)
 	return annotate(builder, an), outScope, an, nil
@@ -919,9 +861,9 @@ func ordsOf(exprs []ast.Expr, sc *scope) []int {
 }
 
 // batchSuffix reports how an aggregation will consume its input, as an
-// EXPLAIN label suffix mirroring the ` [serial: ...]` convention: ` [batch]`
-// when the input chain produces batches natively end to end and the
-// aggregates vectorize, or a ` [row: ...]` reason otherwise.
+// EXPLAIN label suffix: ` [batch]` when the input chain produces batches
+// natively end to end and the aggregates vectorize, or a ` [row: ...]`
+// reason otherwise.
 func (c *compiler) batchSuffix(n *Node, nKeys int, groupOrds []int, aggs []exec.AggInstance) string {
 	switch {
 	case c.opts.DisableBatch:
@@ -951,127 +893,5 @@ func batchChain(n *Node) bool {
 		return false
 	}
 	return strings.HasPrefix(n.Op, "Scan(") || strings.HasPrefix(n.Op, "IndexSeek(") ||
-		strings.HasPrefix(n.Op, "RangeSeek(") ||
-		strings.HasPrefix(n.Op, "LateScan(") || strings.HasPrefix(n.Op, "ParallelScan(")
-}
-
-// parallelRowThreshold is the minimum base-table row count (at plan time;
-// cached plans are not re-costed) for a partitioned aggregation — below it
-// worker startup dominates any scan overlap.
-const parallelRowThreshold = 4096
-
-// parallelInput decides whether an aggregation's input subtree can be range-
-// partitioned across workers. Eligible shapes are a chain of filters,
-// projections, and trivial derived tables over a single base-table scan —
-// the derived-table case is exactly the shape the Aggify rewrite emits
-// (SELECT Agg(...) FROM (Q) aggify_q) — with no subquery or scalar UDF in
-// any expression a worker would evaluate (those run interpreted bodies on
-// the owning session, which is single-threaded). It returns the scan leaf's
-// explain node and table, or a human-readable reason for staying serial.
-func (c *compiler) parallelInput(q *ast.Select, n *Node, aggs []aggCall) (*Node, *storage.Table, string) {
-	const notPartitionable = "plan shape not partitionable"
-	leaf := n
-	// Prefix matches: Filter and Derived labels may carry ` [rw:rule]`
-	// rewrite annotations.
-	for strings.HasPrefix(leaf.Op, "Filter") || leaf.Op == "Project" || strings.HasPrefix(leaf.Op, "Derived(") {
-		if len(leaf.Children) != 1 {
-			return nil, nil, notPartitionable
-		}
-		leaf = leaf.Children[0]
-	}
-	if !strings.HasPrefix(leaf.Op, "Scan(") || len(leaf.Children) != 0 {
-		return nil, nil, notPartitionable
-	}
-	tab, reason := c.parallelFrom(q)
-	if reason != "" {
-		return nil, nil, reason
-	}
-	exprs := append([]ast.Expr{q.Where}, q.GroupBy...)
-	for _, a := range aggs {
-		if !a.call.Star {
-			exprs = append(exprs, a.call.Args...)
-		}
-	}
-	if unsafe := c.workerUnsafe(exprs); unsafe != "" {
-		return nil, nil, unsafe
-	}
-	if tab.RowCount() < parallelRowThreshold {
-		return nil, nil, "small input"
-	}
-	return leaf, tab, ""
-}
-
-// parallelFrom resolves an aggregation query's FROM chain down to its base
-// table, descending through trivial derived tables (single source, no
-// DISTINCT/TOP/GROUP BY/HAVING/ORDER BY/UNION) and vetting every nested
-// expression a worker would evaluate. It returns the base table or a reason
-// for staying serial.
-func (c *compiler) parallelFrom(q *ast.Select) (*storage.Table, string) {
-	const notPartitionable = "plan shape not partitionable"
-	for {
-		if len(q.From) != 1 {
-			return nil, notPartitionable
-		}
-		switch ref := q.From[0].(type) {
-		case *ast.TableRef:
-			if lateBound(ref.Name) {
-				// Table variables / temp tables are late-bound per
-				// invocation, so their size is unknown at plan time; keep
-				// them serial.
-				return nil, "late-bound table"
-			}
-			tab, err := c.cat.ResolveTable(ref.Name)
-			if err != nil {
-				return nil, notPartitionable
-			}
-			return tab, ""
-		case *ast.SubqueryRef:
-			inner := ref.Query
-			if inner == nil || len(inner.With) > 0 || inner.Distinct || inner.Top != nil ||
-				len(inner.GroupBy) > 0 || inner.Having != nil || len(inner.OrderBy) > 0 ||
-				inner.Union != nil {
-				return nil, notPartitionable
-			}
-			exprs := []ast.Expr{inner.Where}
-			for _, it := range inner.Items {
-				exprs = append(exprs, it.Expr)
-			}
-			if unsafe := c.workerUnsafe(exprs); unsafe != "" {
-				return nil, unsafe
-			}
-			q = inner
-		default:
-			return nil, notPartitionable
-		}
-	}
-}
-
-// workerUnsafe scans expressions a parallel worker would evaluate for
-// constructs that must run on the single-threaded owning session.
-func (c *compiler) workerUnsafe(exprs []ast.Expr) string {
-	unsafe := ""
-	for _, e := range exprs {
-		ast.WalkExpr(e, func(x ast.Expr) bool {
-			switch t := x.(type) {
-			case *ast.Subquery:
-				unsafe = "subquery in worker expression"
-				return false
-			case *ast.InExpr:
-				if t.Query != nil {
-					unsafe = "subquery in worker expression"
-					return false
-				}
-			case *ast.FuncCall:
-				if c.cat.ScalarFuncExists(t.Name) {
-					unsafe = "scalar UDF in worker expression"
-					return false
-				}
-			}
-			return true
-		})
-		if unsafe != "" {
-			return unsafe
-		}
-	}
-	return ""
+		strings.HasPrefix(n.Op, "RangeSeek(") || strings.HasPrefix(n.Op, "LateScan(")
 }

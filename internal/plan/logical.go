@@ -2,8 +2,8 @@
 // physical compilation. Compile builds it from the (already decorrelated)
 // SELECT, the rewrite pass (rewrite.go) normalizes it, and lowering turns it
 // back into a canonical AST the existing physical compiler consumes — so
-// every physical decision (index selection, join algorithm, parallel
-// eligibility) keeps working on the tree it already understands.
+// every physical decision (index selection, join algorithm) keeps working
+// on the tree it already understands.
 //
 // The IR is deliberately lossless and conservative: buildLogical refuses any
 // shape it cannot round-trip exactly (ok=false), in which case the rewrite

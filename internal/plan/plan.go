@@ -5,9 +5,9 @@
 // folding, predicate pushdown, projection pruning, redundant-sort
 // elimination, each individually toggleable and reported in EXPLAIN), and
 // physical compilation: predicate placement, index-seek selection,
-// join-order and join-algorithm choice, scalar-subquery apply, parallel
-// aggregation eligibility, and the paper's Eq. 6 streaming-aggregate
-// enforcement for order-sensitive custom aggregates.
+// join-order and join-algorithm choice, scalar-subquery apply, and the
+// paper's Eq. 6 streaming-aggregate enforcement for order-sensitive custom
+// aggregates.
 package plan
 
 import (
@@ -44,9 +44,6 @@ type Options struct {
 	// RuleAll disables the whole pass. A bitmask rather than a slice so
 	// Options stays usable as a plan-cache key.
 	DisableRules RuleSet
-	// Parallelism > 1 allows parallel aggregation (via the aggregate Merge
-	// contract) for order-insensitive aggregations over large inputs.
-	Parallelism int
 	// DisableBatch forces row-at-a-time execution even where the vectorized
 	// batch path would apply (benchmarks and property tests run both paths
 	// and compare byte for byte).
@@ -67,12 +64,10 @@ type Plan struct {
 	// the query untouched. Surfaced as the EXPLAIN `rewrites:` header.
 	Rewrites []string
 
-	// Parallel and Batched summarize the physical plan shape (derived from
-	// the explain tree at compile time): whether any operator runs a
-	// parallel aggregation, and whether any aggregation consumes columnar
-	// batches. The engine's statement stats aggregate them per fingerprint.
-	Parallel bool
-	Batched  bool
+	// Batched summarizes the physical plan shape (derived from the explain
+	// tree at compile time): whether any aggregation consumes columnar
+	// batches. The engine's statement stats aggregate it per fingerprint.
+	Batched bool
 
 	// Stamps records the stats version of every base table this plan was
 	// costed against at compile time. The engine plan cache compares them
@@ -128,8 +123,6 @@ func (p *Plan) RunInstrumented(ctx *exec.Ctx) ([]exec.Row, *Instrumentation, err
 type Node struct {
 	Op       string // operator name, e.g. "IndexSeek(partsupp.ps_partkey)"
 	Children []*Node
-
-	filterTag string // a scan's own filter tag, kept for relabelling it
 }
 
 // String renders the explain tree with indentation.
@@ -251,17 +244,6 @@ type buildCtx struct {
 	// instr, when set, wraps each annotated operator (keyed by its explain
 	// node) as it is instantiated; nil for plain executions.
 	instr func(n *Node, op exec.Operator) exec.Operator
-	// part, when set, redirects the scan whose explain node is part.target
-	// to a partition of a shared split: ParallelAggOp builds each worker's
-	// input subtree through a buildCtx copy carrying its partition index.
-	part *scanPart
-}
-
-// scanPart identifies one worker's slice of a partitioned scan.
-type scanPart struct {
-	split  *exec.ScanSplit
-	index  int
-	target *Node
 }
 
 // annotate pairs a freshly created explain node with the builder that

@@ -8,10 +8,10 @@
 //
 // The rules are deliberately conservative: a transformation applies only
 // when the rewritten query is byte-identical in results (row values AND row
-// order, serial and parallel) to the original, including SQL NULL semantics
-// and error behavior — constant folding never folds an expression whose
-// evaluation errors (overflow, division by zero), and predicates only move
-// when the moved copy is total (cannot raise a new runtime error).
+// order) to the original, including SQL NULL semantics and error behavior —
+// constant folding never folds an expression whose evaluation errors
+// (overflow, division by zero), and predicates only move when the moved copy
+// is total (cannot raise a new runtime error).
 package plan
 
 import (
@@ -36,8 +36,8 @@ const (
 	// RulePushFilter pushes single-source predicates into plain derived
 	// tables (through the projection, by substituting item expressions) and
 	// below inner joins — including the `(Q) aggify_q` derived table the
-	// Aggify rewrite emits, so pushed predicates reach the base scan, become
-	// index seeks, and keep parallel eligibility.
+	// Aggify rewrite emits, so pushed predicates reach the base scan and
+	// become index seeks.
 	RulePushFilter
 	// RulePushFilterDecor pushes predicates through the shapes decorrelation
 	// emits: group-key predicates into grouped derived tables, and preserved-
@@ -46,8 +46,7 @@ const (
 	// measures what it claims.
 	RulePushFilterDecor
 	// RulePruneProject drops unreferenced pass-through columns from derived
-	// table projections so only referenced columns flow through joins and
-	// exchanges.
+	// table projections so only referenced columns flow through joins.
 	RulePruneProject
 	// RuleDropSort removes constant and duplicate ORDER BY keys and an outer
 	// ORDER BY that re-states a prefix of the order a derived table already

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -23,8 +24,7 @@ import (
 func startServer(t *testing.T, opts ...func(*server.Server)) (*engine.Engine, *server.Server, string) {
 	t.Helper()
 	// Registered before the shutdown cleanup below, so it runs after it
-	// (cleanups are LIFO): no connection handler or exchange worker may
-	// survive the drain.
+	// (cleanups are LIFO): no connection handler may survive the drain.
 	testutil.VerifyNoLeaks(t)
 	eng := engine.New()
 	interp.Install(eng)
@@ -102,6 +102,34 @@ print 'loaded';
 	}
 	if _, err := stmt.Query(sqltypes.NewInt(1)); err != nil {
 		t.Fatalf("connection unusable after error: %v", err)
+	}
+}
+
+// TestRemovedSessionOptionFailsCleanly: SET MAXDOP is gone with the parallel
+// path, so a client that still sends it gets an error reply — not a panic
+// and not silent acceptance — and the connection keeps serving.
+func TestRemovedSessionOptionFailsCleanly(t *testing.T) {
+	_, _, addr := startServer(t)
+	conn, err := client.Dial(addr, wire.LAN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	err = conn.Exec("SET MAXDOP = 4")
+	if err == nil || !strings.Contains(err.Error(), "expected variable after SET") {
+		t.Fatalf("SET MAXDOP = 4: err = %v, want a parse error", err)
+	}
+	stmt, err := conn.Prepare("select 1")
+	if err != nil {
+		t.Fatalf("connection unusable after the error: %v", err)
+	}
+	rs, err := stmt.Query()
+	if err != nil {
+		t.Fatalf("connection unusable after the error: %v", err)
+	}
+	defer rs.Close()
+	if !rs.Next() {
+		t.Fatalf("select 1 returned no row: %v", rs.Err())
 	}
 }
 

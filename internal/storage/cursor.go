@@ -29,38 +29,6 @@ func (t *Table) NewCursor(snap *txn.Snapshot) *Cursor {
 	return &Cursor{slots: slots, snap: snap}
 }
 
-// SplitCursors carves one frozen snapshot of the table's slots into n
-// contiguous range cursors. Concatenating the partitions' rows in index
-// order reproduces the serial scan order exactly, which is what lets
-// parallel plans emit byte-identical output; the table is locked once, not
-// once per partition.
-func (t *Table) SplitCursors(snap *txn.Snapshot, n int) []*Cursor {
-	t.mu.RLock()
-	slots := t.slots
-	t.mu.RUnlock()
-	if n < 1 {
-		n = 1
-	}
-	chunk := (len(slots) + n - 1) / n
-	out := make([]*Cursor, n)
-	for i := range out {
-		lo := i * chunk
-		hi := lo + chunk
-		if lo > len(slots) {
-			lo = len(slots)
-		}
-		if hi > len(slots) {
-			hi = len(slots)
-		}
-		out[i] = &Cursor{slots: slots[lo:hi], snap: snap}
-	}
-	return out
-}
-
-// Reset rewinds the cursor to the start of its frozen slot range, so a
-// re-opened operator re-reads (and re-charges) the same rows.
-func (c *Cursor) Reset() { c.pos = 0 }
-
 // Next delivers up to max visible rows to fn, charging stats one logical
 // read per row, and returns the number delivered. A return of 0 (with
 // max > 0) means the cursor is exhausted. The delivered row slices are

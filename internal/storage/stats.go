@@ -4,8 +4,8 @@ import "sync/atomic"
 
 // Stats accumulates logical I/O counters, mirroring the measurements the
 // paper reports in Table 2 (logical reads) and §10.4 (worktable activity).
-// All counters are safe for concurrent use (parallel aggregation workers
-// share the session's Stats).
+// The counters are atomics, so a Stats may be read from another goroutine
+// while its session executes.
 type Stats struct {
 	// LogicalReads counts rows read from persistent base tables and indexes.
 	LogicalReads atomic.Int64
@@ -29,18 +29,6 @@ func (s *Stats) Reset() {
 	s.WorktableBytes.Store(0)
 	s.RowsEmitted.Store(0)
 	s.IndexSeeks.Store(0)
-}
-
-// AddSnapshot folds a snapshot delta into the counters. Parallel workers
-// accumulate into a worker-local Stats and flush the total here once at
-// exit, keeping each worker's before/after deltas serially consistent.
-func (s *Stats) AddSnapshot(d Snapshot) {
-	s.LogicalReads.Add(d.LogicalReads)
-	s.WorktableWrites.Add(d.WorktableWrites)
-	s.WorktableReads.Add(d.WorktableReads)
-	s.WorktableBytes.Add(d.WorktableBytes)
-	s.RowsEmitted.Add(d.RowsEmitted)
-	s.IndexSeeks.Add(d.IndexSeeks)
 }
 
 // Snapshot is a point-in-time copy of the counters.

@@ -79,10 +79,8 @@ func (t *Table) Managed() bool { return t.mgr != nil }
 // (statistics, compiled plans) can detect drift cheaply.
 func (t *Table) StatsVersion() uint64 { return t.statsVersion.Load() }
 
-// RowCount returns the number of committed live rows. (Before MVCC this
-// returned the slot count, which silently included every deleted row —
-// the planner's parallelism threshold drifted upward forever on
-// delete-heavy tables.)
+// RowCount returns the number of committed live rows, not the slot count:
+// deleted rows keep their slots.
 func (t *Table) RowCount() int { return int(t.liveRows.Load()) }
 
 // SlotCount returns the total number of slots ever allocated, live or dead.

@@ -18,11 +18,11 @@ type TB interface {
 }
 
 // VerifyNoLeaks registers a cleanup that fails the test if any goroutine
-// running this module's code (exchange workers, server connection handlers,
-// client readers) outlives the test body. Goroutines already alive when the
-// guard is installed are exempt, as is the goroutine running the check
-// itself. Shutdown is asynchronous in places (connection teardown, worker
-// drain), so the check retries with backoff before declaring a leak.
+// running this module's code (server connection handlers, client readers)
+// outlives the test body. Goroutines already alive when the guard is
+// installed are exempt, as is the goroutine running the check itself.
+// Shutdown is asynchronous in places (connection teardown), so the check
+// retries with backoff before declaring a leak.
 func VerifyNoLeaks(t TB) {
 	t.Helper()
 	before := map[string]bool{}

@@ -5,18 +5,9 @@
 //
 //   - any benchmark more than -threshold (default 25%) slower than its
 //     snapshot entry fails the gate;
-//   - the serial ÷ parallel ns/op ratio of BenchmarkGateParallelAgg is
-//     recorded as parallel_speedup and must be ≥ 2 when enforcement is
-//     armed. Arming requires both the snapshot AND the current host to have
-//     at least 4 CPUs: -update refuses to arm the parallel cells on a
-//     smaller host (the recorded ratio would be meaningless), and a compare
-//     run on a smaller host prints a loud DISARMED banner instead of
-//     silently skipping (use -strict to turn the banner into a failure).
-//     A ≥4-CPU host comparing against an unarmed snapshot fails outright:
-//     the baseline must be re-recorded there so enforcement actually binds;
 //   - the row ÷ batch ns/op ratio of BenchmarkGateBatch is recorded as
-//     batch_speedup and must be ≥ 1.5 — both cells are serial, so the
-//     vectorized path has to pay for itself on any host;
+//     batch_speedup and must be ≥ 1.5 — the vectorized path has to pay
+//     for itself;
 //   - the norewrite ÷ rewrite ns/op ratio of BenchmarkGatePushdown is
 //     recorded as pushdown_speedup and must be ≥ 1.5 — the predicate-
 //     pushdown rewrite has to actually pay for itself;
@@ -69,18 +60,12 @@ type benchResult struct {
 }
 
 type snapshot struct {
-	Note       string        `json:"note"`
-	NumCPU     int           `json:"num_cpu"`
-	Benchmarks []benchResult `json:"benchmarks"`
-	// ParallelArmed records whether the snapshot was taken on a host where
-	// the ≥2× parallel enforcement is meaningful (NumCPU >= 4). Comparing on
-	// a multi-CPU host against an unarmed snapshot is a gate failure: the
-	// baseline must be re-recorded there.
-	ParallelArmed    bool    `json:"parallel_armed"`
-	ParallelSpeedup  float64 `json:"parallel_speedup"`
-	BatchSpeedup     float64 `json:"batch_speedup"`
-	PushdownSpeedup  float64 `json:"pushdown_speedup"`
-	RangeSeekSpeedup float64 `json:"rangeseek_speedup"`
+	Note             string        `json:"note"`
+	NumCPU           int           `json:"num_cpu"`
+	Benchmarks       []benchResult `json:"benchmarks"`
+	BatchSpeedup     float64       `json:"batch_speedup"`
+	PushdownSpeedup  float64       `json:"pushdown_speedup"`
+	RangeSeekSpeedup float64       `json:"rangeseek_speedup"`
 	// ProcCompileSpeedup is interpreted ÷ compiled ns/op for the same
 	// routine body; the compile-first pipeline must hold ≥ 1.5×.
 	ProcCompileSpeedup float64 `json:"proc_compile_speedup"`
@@ -89,8 +74,6 @@ type snapshot struct {
 }
 
 const (
-	serialBench    = "BenchmarkGateParallelAgg/serial"
-	parallelBench  = "BenchmarkGateParallelAgg/maxdop=4"
 	batchBench     = "BenchmarkGateBatch/batch"
 	rowBench       = "BenchmarkGateBatch/row"
 	rewriteBench   = "BenchmarkGatePushdown/rewrite"
@@ -101,10 +84,6 @@ const (
 	lookupBench    = "BenchmarkGatePlanCache/lookup"
 	compiledBench  = "BenchmarkGateProcCompile/compiled"
 	interpBench    = "BenchmarkGateProcCompile/interpreted"
-
-	// minParallelCPUs is the host size below which a 4-worker speedup ratio
-	// measures scheduler contention, not parallelism.
-	minParallelCPUs = 4
 )
 
 var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
@@ -116,7 +95,6 @@ func main() {
 	benchtime := flag.String("benchtime", "200ms", "per-benchmark measuring time")
 	count := flag.Int("count", 3, "runs per benchmark (best is kept)")
 	threshold := flag.Float64("threshold", 0.25, "allowed fractional slowdown vs the snapshot")
-	strict := flag.Bool("strict", false, "fail (instead of warn) when parallel enforcement is disarmed on this host")
 	flag.Parse()
 
 	results, err := runBenchmarks(*benchRe, *benchtime, *count)
@@ -126,21 +104,14 @@ func main() {
 	if len(results) == 0 {
 		fatalf("no benchmarks matched %q", *benchRe)
 	}
-	armed := runtime.NumCPU() >= minParallelCPUs
 	cur := snapshot{
-		Note:          "Bench-regression snapshot. Regenerate with: scripts/bench_regress.sh -update (parallel cells arm only on a >=4-CPU host)",
-		NumCPU:        runtime.NumCPU(),
-		Benchmarks:    results,
-		ParallelArmed: armed,
+		Note:       "Bench-regression snapshot. Regenerate with: scripts/bench_regress.sh -update",
+		NumCPU:     runtime.NumCPU(),
+		Benchmarks: results,
 	}
 	byName := map[string]benchResult{}
 	for _, r := range results {
 		byName[r.Name] = r
-	}
-	if s, ok := byName[serialBench]; ok {
-		if p, ok := byName[parallelBench]; ok && p.NsPerOp > 0 {
-			cur.ParallelSpeedup = round3(s.NsPerOp / p.NsPerOp)
-		}
 	}
 	if row, ok := byName[rowBench]; ok {
 		if bat, ok := byName[batchBench]; ok && bat.NsPerOp > 0 {
@@ -176,7 +147,6 @@ func main() {
 		}
 		fmt.Println(line)
 	}
-	fmt.Printf("parallel speedup (serial/maxdop=4): %.2fx on %d CPUs\n", cur.ParallelSpeedup, cur.NumCPU)
 	fmt.Printf("batch speedup (row/batch): %.2fx\n", cur.BatchSpeedup)
 	fmt.Printf("pushdown speedup (norewrite/rewrite): %.2fx\n", cur.PushdownSpeedup)
 	fmt.Printf("rangeseek speedup (fullscan/rangeseek): %.2fx\n", cur.RangeSeekSpeedup)
@@ -184,14 +154,6 @@ func main() {
 	fmt.Printf("plan cache: %.1f%% warm hit rate, %.0f allocs/op warm lookup\n", cur.PlanCacheHitPct, cur.PlanCacheAllocs)
 
 	if *update {
-		if !armed {
-			// Refuse to bake a <4-CPU parallel baseline into the snapshot:
-			// the cells are recorded for reference, but parallel_armed stays
-			// false so a compare run can tell a real baseline from a bogus
-			// one instead of silently never enforcing.
-			fmt.Fprintf(os.Stderr, "benchgate: WARNING: updating on a %d-CPU host — parallel cells recorded UNARMED;\n", cur.NumCPU)
-			fmt.Fprintf(os.Stderr, "benchgate: re-run scripts/bench_regress.sh -update on a >=%d-CPU host to arm the >=2x parallel enforcement\n", minParallelCPUs)
-		}
 		buf, err := json.MarshalIndent(cur, "", "  ")
 		if err != nil {
 			fatalf("%v", err)
@@ -199,7 +161,7 @@ func main() {
 		if err := os.WriteFile(*snapPath, append(buf, '\n'), 0o644); err != nil {
 			fatalf("%v", err)
 		}
-		fmt.Printf("snapshot written to %s (parallel_armed=%v)\n", *snapPath, armed)
+		fmt.Printf("snapshot written to %s\n", *snapPath)
 		return
 	}
 
@@ -212,19 +174,10 @@ func main() {
 		fatalf("parse %s: %v", *snapPath, err)
 	}
 
-	// Parallel cells are exempt from the per-benchmark threshold and
-	// missing/extra checks when enforcement is not armed on both sides: an
-	// unarmed number measures a different machine shape, not a regression.
-	parallelCell := func(name string) bool { return name == parallelBench }
-	enforceParallel := armed && prev.ParallelArmed
-
 	var failures []string
 	seen := map[string]bool{}
 	for _, old := range prev.Benchmarks {
 		seen[old.Name] = true
-		if parallelCell(old.Name) && !enforceParallel {
-			continue
-		}
 		now, ok := byName[old.Name]
 		if !ok {
 			failures = append(failures, fmt.Sprintf("%s: in snapshot but did not run", old.Name))
@@ -237,32 +190,11 @@ func main() {
 		}
 	}
 	for _, r := range results {
-		if !seen[r.Name] && !(parallelCell(r.Name) && !enforceParallel) {
+		if !seen[r.Name] {
 			failures = append(failures, fmt.Sprintf("%s: not in snapshot (run scripts/bench_regress.sh -update)", r.Name))
 		}
 	}
-	switch {
-	case armed && !prev.ParallelArmed:
-		// The one silent-disarm shape that used to slip through: a multi-CPU
-		// CI host comparing against a baseline recorded on a small box. Fail
-		// until the baseline is re-recorded here, so the ≥2× check binds.
-		failures = append(failures, fmt.Sprintf(
-			"snapshot %s was recorded UNARMED on a %d-CPU host but this host has %d CPUs: re-record it here (scripts/bench_regress.sh -update) to arm parallel enforcement",
-			*snapPath, prev.NumCPU, runtime.NumCPU()))
-	case !armed:
-		banner := fmt.Sprintf("parallel enforcement DISARMED: host has %d CPUs (< %d) — the >=2x MAXDOP-4 check did NOT run",
-			runtime.NumCPU(), minParallelCPUs)
-		if *strict {
-			failures = append(failures, banner)
-		} else {
-			fmt.Fprintln(os.Stderr, "benchgate: WARNING: "+banner)
-		}
-	case cur.ParallelSpeedup < 2.0:
-		failures = append(failures, fmt.Sprintf("parallel speedup %.2fx < 2x at MAXDOP=4 on %d CPUs",
-			cur.ParallelSpeedup, runtime.NumCPU()))
-	}
-	// The batch ratio is CPU-count-independent (both cells are serial), so it
-	// binds everywhere the pair ran.
+	// The ratios bind wherever their pair ran.
 	if cur.BatchSpeedup > 0 && cur.BatchSpeedup < 1.5 {
 		failures = append(failures, fmt.Sprintf("batch speedup %.2fx < 1.5x (vectorized path not paying for itself)",
 			cur.BatchSpeedup))
@@ -278,8 +210,7 @@ func main() {
 		failures = append(failures, fmt.Sprintf("rangeseek speedup %.2fx < 2x (ordered-index range seek not paying for itself)",
 			cur.RangeSeekSpeedup))
 	}
-	// The compile-vs-interpret ratio is serial on both sides too: the routine
-	// compiler must pay for itself on any host.
+	// The routine compiler must pay for itself too.
 	if cur.ProcCompileSpeedup > 0 && cur.ProcCompileSpeedup < 1.5 {
 		failures = append(failures, fmt.Sprintf("proc compile speedup %.2fx < 1.5x (routine compiler not paying for itself)",
 			cur.ProcCompileSpeedup))
