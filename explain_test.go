@@ -2,6 +2,7 @@ package aggify_test
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -80,6 +81,26 @@ having count(*) >= 1 and count(*) < ps_suppkey + 100`
 	b.WriteString(runExplain(t, "EXPLAIN "+predQuery))
 	b.WriteString("\n-- EXPLAIN ANALYZE (predicate paths)\n")
 	b.WriteString(timeRe.ReplaceAllString(runExplain(t, "EXPLAIN ANALYZE "+predQuery), "time=X"))
+
+	// A BETWEEN on an indexed key is one range seek: it reads the 50 rows it
+	// returns, not the 200 of the table.
+	partDB := aggify.Open()
+	var part strings.Builder
+	part.WriteString("create table part (p_partkey int, p_name varchar(20));\ncreate index pk_p on part(p_partkey);\ninsert into part values ")
+	for k := 1; k <= 200; k++ {
+		if k > 1 {
+			part.WriteString(", ")
+		}
+		fmt.Fprintf(&part, "(%d, 'part %d')", k, k)
+	}
+	if err := partDB.Exec(part.String()); err != nil {
+		t.Fatal(err)
+	}
+	const betweenQuery = `select p_partkey from part where p_partkey between 101 and 150`
+	b.WriteString("\n-- EXPLAIN (range seek by BETWEEN)\n")
+	b.WriteString(runExplainDB(t, partDB, "EXPLAIN "+betweenQuery))
+	b.WriteString("\n-- EXPLAIN ANALYZE (range seek by BETWEEN)\n")
+	b.WriteString(timeRe.ReplaceAllString(runExplainDB(t, partDB, "EXPLAIN ANALYZE "+betweenQuery), "time=X"))
 	got := b.String()
 
 	golden := filepath.Join("testdata", "explain_analyze.golden")

@@ -362,11 +362,7 @@ func (p *printer) stmt(s Stmt) {
 		}
 		p.line("CREATE TABLE %s (%s);", st.Name, strings.Join(cols, ", "))
 	case *CreateIndex:
-		using := ""
-		if st.Ordered {
-			using = " USING ORDERED"
-		}
-		p.line("CREATE INDEX %s ON %s(%s)%s;", st.Name, st.Table, st.Column, using)
+		p.line("CREATE INDEX %s ON %s(%s);", st.Name, st.Table, st.Column)
 	case *CreateFunction:
 		p.line("CREATE FUNCTION %s(%s) RETURNS %s AS", st.Name, formatParams(st.Params), st.Returns)
 		p.stmt(st.Body)

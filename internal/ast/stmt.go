@@ -222,12 +222,12 @@ type CreateTable struct {
 	Cols []ColumnDef
 }
 
-// CreateIndex is CREATE INDEX name ON table(column) [USING HASH|ORDERED].
+// CreateIndex is CREATE INDEX name ON table(column). Every index is
+// ordered; a trailing USING HASH|ORDERED parses and is dropped.
 type CreateIndex struct {
-	Name    string
-	Table   string
-	Column  string
-	Ordered bool
+	Name   string
+	Table  string
+	Column string
 }
 
 // CreateFunction is CREATE FUNCTION f(params) RETURNS type AS BEGIN ... END.

@@ -82,9 +82,9 @@ func (e *Engine) logCreateTable(name string, schema *storage.Schema) error {
 	})
 }
 
-func (e *Engine) logCreateIndex(table, column string, ordered bool) error {
+func (e *Engine) logCreateIndex(table, column string) error {
 	return e.logDDL(func(epoch uint64) []byte {
-		return wal.EncodeCreateIndex(epoch, table, column, ordered)
+		return wal.EncodeCreateIndex(epoch, table, column)
 	})
 }
 
@@ -124,13 +124,8 @@ func (e *Engine) OpenData(dir string, mode wal.SyncMode) error {
 			if err != nil {
 				return fmt.Errorf("engine: checkpoint recovery: %w", err)
 			}
-			for _, ix := range img.Indexes {
-				if ix.Ordered {
-					err = t.CreateOrderedIndex(ix.Column)
-				} else {
-					err = t.CreateIndex(ix.Column)
-				}
-				if err != nil {
+			for _, col := range img.Indexes {
+				if err := t.CreateIndex(col); err != nil {
 					return fmt.Errorf("engine: checkpoint recovery: %w", err)
 				}
 			}
@@ -178,7 +173,7 @@ func (e *Engine) OpenData(dir string, mode wal.SyncMode) error {
 			if r.Epoch <= cpEpoch {
 				return nil
 			}
-			if err := e.createIndex(r.Table, r.Column, r.Ordered); err != nil {
+			if err := e.CreateIndex(r.Table, r.Column); err != nil {
 				return fmt.Errorf("engine: wal recovery: %w", err)
 			}
 			if r.Epoch > epoch {
@@ -236,15 +231,10 @@ func (e *Engine) Checkpoint() error {
 		sort.Slice(tables, func(i, j int) bool { return tables[i].Name < tables[j].Name })
 		cp := &wal.Checkpoint{Epoch: epoch}
 		for _, t := range tables {
-			defs := t.IndexDefs()
-			idxs := make([]wal.IndexDef, len(defs))
-			for i, d := range defs {
-				idxs[i] = wal.IndexDef{Column: d.Column, Ordered: d.Ordered}
-			}
 			cp.Tables = append(cp.Tables, wal.TableImage{
 				Name:    t.Name,
 				Cols:    colsOf(t.Schema),
-				Indexes: idxs,
+				Indexes: t.IndexColumns(),
 				Slots:   t.CheckpointSlots(epoch),
 			})
 		}

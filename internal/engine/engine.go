@@ -155,33 +155,17 @@ func (e *Engine) Table(name string) (*storage.Table, bool) {
 	return t, ok
 }
 
-// CreateIndex builds a hash index on a base table column and invalidates
-// cached plans so they can pick the new access path.
+// CreateIndex builds an ordered index on a base table column and
+// invalidates cached plans so they can pick the new access path.
 func (e *Engine) CreateIndex(table, column string) error {
-	return e.createIndex(table, column, false)
-}
-
-// CreateOrderedIndex builds an ordered (range-capable) index on a base
-// table column and invalidates cached plans.
-func (e *Engine) CreateOrderedIndex(table, column string) error {
-	return e.createIndex(table, column, true)
-}
-
-func (e *Engine) createIndex(table, column string, ordered bool) error {
 	t, ok := e.Table(table)
 	if !ok {
 		return fmt.Errorf("engine: no table %s", table)
 	}
-	var err error
-	if ordered {
-		err = t.CreateOrderedIndex(column)
-	} else {
-		err = t.CreateIndex(column)
-	}
-	if err != nil {
+	if err := t.CreateIndex(column); err != nil {
 		return err
 	}
-	if err := e.logCreateIndex(strings.ToLower(table), strings.ToLower(column), ordered); err != nil {
+	if err := e.logCreateIndex(strings.ToLower(table), strings.ToLower(column)); err != nil {
 		return err
 	}
 	e.InvalidatePlans()

@@ -169,7 +169,7 @@ func TestPlanCacheOptionsIsolation(t *testing.T) {
 
 	withRule := explain()
 	if !strings.Contains(withRule, "RangeSeek(pcb.k)") {
-		t.Fatalf("cost model did not pick the ordered index:\n%s", withRule)
+		t.Fatalf("cost model did not pick the range seek:\n%s", withRule)
 	}
 	sess.Opts.DisableRules = plan.RuleChooseAccessPath
 	noRule := explain()
@@ -250,25 +250,19 @@ func TestStatStatementsPlanCacheColumns(t *testing.T) {
 }
 
 // TestStatColumnsView: aggify_stat_columns exposes one row per histogram
-// bucket per indexed column, with the index kind and bucket row counts.
+// bucket per indexed column, with the bucket row counts.
 func TestStatColumnsView(t *testing.T) {
 	sess := newDB(t, planCacheDB+"create index idx_pcv on pc(v);\n")
 	rows := query(t, sess,
-		"select column_name, index_kind, bucket_rows from aggify_stat_columns where table_name = 'pc' order by column_name, bucket")
+		"select column_name, bucket_rows from aggify_stat_columns where table_name = 'pc' order by column_name, bucket")
 	if len(rows) == 0 {
 		t.Fatal("no aggify_stat_columns rows for pc")
 	}
 	perCol := map[string]int64{}
-	kinds := map[string]string{}
 	for _, r := range rows {
-		col, kind := r[0].Str(), r[1].Str()
-		kinds[col] = kind
-		if !r[2].IsNull() {
-			perCol[col] += r[2].Int()
+		if !r[1].IsNull() {
+			perCol[r[0].Str()] += r[1].Int()
 		}
-	}
-	if kinds["k"] != "ordered" || kinds["v"] != "hash" {
-		t.Fatalf("index kinds = %v, want k:ordered v:hash", kinds)
 	}
 	// Every committed row lands in exactly one bucket per column.
 	if perCol["k"] != 5 || perCol["v"] != 5 {

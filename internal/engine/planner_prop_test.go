@@ -11,6 +11,9 @@ import (
 	"aggify/internal/engine"
 	"aggify/internal/interp"
 	"aggify/internal/parser"
+	"aggify/internal/plan"
+	"aggify/internal/sqltypes"
+	"aggify/internal/storage"
 )
 
 // Property test: the planner's rewrites (index-seek selection, greedy join
@@ -157,5 +160,240 @@ func TestPlannerUsesIndexWhenAvailable(t *testing.T) {
 	}
 	if p2.Explain.Contains("IndexSeek") {
 		t.Fatalf("unindexed DB cannot seek:\n%s", p2.Explain)
+	}
+}
+
+// accessSessions returns two sessions over eng: choose_access_path on (the
+// cost model may pick a range or equality seek) and off (scans, plus the
+// equality seek the FROM compiler takes on its own).
+func accessSessions(eng *engine.Engine) (on, off *engine.Session) {
+	on, off = eng.NewSession(), eng.NewSession()
+	off.Opts.DisableRules = plan.RuleChooseAccessPath
+	return on, off
+}
+
+// runAccess runs sql with the given parameters and variables and renders
+// the rows in emission order (no canonicalizing: a seek must emit the rows
+// in the order the scan does) and the error, "" when there is none.
+func runAccess(t *testing.T, sess *engine.Session, sql string, params []sqltypes.Value, vars map[string]sqltypes.Value) ([]string, string) {
+	t.Helper()
+	ctx := sess.Ctx(nil, nil)
+	ctx.Params = params
+	ctx.Vars = func(name string) (sqltypes.Value, bool) {
+		v, ok := vars[name]
+		return v, ok
+	}
+	_, rows, err := sess.Query(parseSelect(t, sql), ctx)
+	if err != nil {
+		return nil, err.Error()
+	}
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		cells := make([]string, len(r))
+		for j, v := range r {
+			cells[j] = v.String()
+		}
+		out[i] = strings.Join(cells, "|")
+	}
+	return out, ""
+}
+
+// explainAccess renders sql's plan under sess.
+func explainAccess(t *testing.T, sess *engine.Session, sql string) string {
+	t.Helper()
+	lines, err := sess.ExplainQuery(parseSelect(t, sql), false, sess.Ctx(nil, nil))
+	if err != nil {
+		t.Fatalf("explain %q: %v", sql, err)
+	}
+	return strings.Join(lines, "\n")
+}
+
+// TestSeekOperandErrorParity: a seek evaluates its key or bounds at Open,
+// before it reads a row, while a filter evaluates an operand only on the
+// rows that reach it. An operand that can raise must therefore stay in the
+// filter, so the same query returns the same rows, or fails with the same
+// error, whichever access path runs it.
+func TestSeekOperandErrorParity(t *testing.T) {
+	eng := engine.New()
+	interp.Install(eng)
+	seedRange(t, eng, "w", 1000)
+	if err := eng.CreateIndex("w", "k"); err != nil {
+		t.Fatal(err)
+	}
+	on, off := accessSessions(eng)
+	for _, tc := range []struct {
+		sql     string
+		wantErr bool
+		onPath  string // the access path with choose_access_path on
+		offPath string // and off
+	}{
+		// v = -7 rejects every row first, so no row reaches the division.
+		{"select v from w where v = -7 and k >= 1/0", false, "Scan(", "Scan("},
+		{"select v from w where v = -7 and k = 1/0", false, "Scan(", "Scan("},
+		{"select v from w where v = -7 and k between 1/0 and 5", false, "Scan(", "Scan("},
+		{"select v from w where v = -7 and 1/0 < k", false, "Scan(", "Scan("},
+		// Alone, the first row raises it.
+		{"select v from w where k >= 1/0", true, "Scan(", "Scan("},
+		{"select v from w where k = 1/0", true, "Scan(", "Scan("},
+		{"select v from w where k between 0 and 1/0", true, "Scan(", "Scan("},
+		// Operands that cannot raise still seek.
+		{"select v from w where v = 3 and k between 990 and 999", false, "RangeSeek(", "Scan("},
+		{"select v from w where k = 17", false, "IndexSeek(", "IndexSeek("},
+	} {
+		wantRows, wantErr := runAccess(t, off, tc.sql, nil, nil)
+		gotRows, gotErr := runAccess(t, on, tc.sql, nil, nil)
+		if (gotErr != "") != tc.wantErr || gotErr != wantErr {
+			t.Errorf("%s: error %q with choose_access_path, %q without; want an error: %v", tc.sql, gotErr, wantErr, tc.wantErr)
+		} else if strings.Join(gotRows, ";") != strings.Join(wantRows, ";") {
+			t.Errorf("%s: rows %v with choose_access_path, %v without", tc.sql, gotRows, wantRows)
+		}
+		for sess, path := range map[*engine.Session]string{on: tc.onPath, off: tc.offPath} {
+			if plan := explainAccess(t, sess, tc.sql); !strings.Contains(plan, path) {
+				t.Errorf("%s: plan has no %s:\n%s", tc.sql, path, plan)
+			}
+		}
+	}
+}
+
+// betweenCase is one generated query with the values its `?` and `@var`
+// operands take.
+type betweenCase struct {
+	sql    string
+	params []sqltypes.Value
+	vars   map[string]sqltypes.Value
+	negate bool
+}
+
+// betweenBaseDay is 1995-01-01, the first day the date column holds.
+var betweenBaseDay = sqltypes.MustDate("1995-01-01").Int()
+
+// randomBetween emits `select … where col [NOT] BETWEEN a AND b AND p` (the
+// conjuncts in either order) over table r(k int, d date, v int), k in
+// [0, maxK). The bounds are drawn from literals, `?`, `@var`, NULL,
+// lo > hi, float bounds on the int column and date-shaped strings on the
+// date column; each non-negated case is narrow enough that the cost model
+// prefers the range seek. p never raises.
+func randomBetween(rng *rand.Rand, maxK int) betweenCase {
+	c := betweenCase{negate: rng.Intn(3) == 0, vars: map[string]sqltypes.Value{}}
+	lo := rng.Intn(maxK)
+	hi := lo + rng.Intn(maxK/20+1)
+	col, a, b := "k", fmt.Sprint(lo), fmt.Sprint(hi)
+	switch rng.Intn(7) {
+	case 0: // literals
+	case 1: // parameters
+		a, b = "?", "?"
+		c.params = []sqltypes.Value{sqltypes.NewInt(int64(lo)), sqltypes.NewInt(int64(hi))}
+	case 2: // variables
+		a, b = "@lo", "@hi"
+		c.vars["@lo"], c.vars["@hi"] = sqltypes.NewInt(int64(lo)), sqltypes.NewInt(int64(hi))
+	case 3: // a NULL bound matches nothing
+		switch rng.Intn(3) {
+		case 0:
+			a = "null"
+		case 1:
+			b = "null"
+		default:
+			a, b = "?", "null"
+			c.params = []sqltypes.Value{sqltypes.NewInt(int64(lo))}
+		}
+	case 4: // lo > hi matches nothing
+		a, b = fmt.Sprint(hi+1+rng.Intn(5)), fmt.Sprint(lo)
+	case 5: // float bounds on the int column
+		a, b = fmt.Sprintf("%d.5", lo), fmt.Sprintf("%d.5", hi)
+	default: // date-shaped strings on the date column
+		day := rng.Intn(365)
+		col = "d"
+		a = sqltypes.NewDate(betweenBaseDay + int64(day)).String()
+		b = sqltypes.NewDate(betweenBaseDay + int64(day+rng.Intn(15))).String()
+	}
+	not := ""
+	if c.negate {
+		not = "not "
+	}
+	between := fmt.Sprintf("%s %sbetween %s and %s", col, not, a, b)
+	other := []string{
+		fmt.Sprintf("v >= %d", rng.Intn(10)),
+		fmt.Sprintf("v <> %d", rng.Intn(10)),
+		"v is not null", "k is not null", "d is not null",
+	}[rng.Intn(5)]
+	if rng.Intn(2) == 0 {
+		between, other = other, between // only the BETWEEN holds `?`s
+	}
+	c.sql = fmt.Sprintf("select k, d, v from r where %s and %s", between, other)
+	return c
+}
+
+// TestBetweenRangeSeekDifferential: over random tables with an index on k
+// (and one on d), `col [NOT] BETWEEN a AND b` plus a second conjunct returns
+// byte-identical rows, in the same order, and the same error with
+// choose_access_path on and off, and EXPLAIN shows a RangeSeek exactly for
+// the non-negated cases.
+func TestBetweenRangeSeekDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for table := 0; table < 4; table++ {
+		eng := engine.New()
+		interp.Install(eng)
+		tab, err := eng.CreateTable("r", storage.NewSchema(
+			storage.Col("k", sqltypes.Int), storage.Col("d", sqltypes.Date), storage.Col("v", sqltypes.Int)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Half the tables index before loading (maintenance), half after
+		// (the sort-once build).
+		indexFirst := table%2 == 0
+		index := func() {
+			for _, col := range []string{"k", "d"} {
+				if err := eng.CreateIndex("r", col); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if indexFirst {
+			index()
+		}
+		n := 200 + rng.Intn(800)
+		maxK := n / 2
+		for i := 0; i < n; i++ {
+			row := []sqltypes.Value{
+				sqltypes.NewInt(int64(rng.Intn(maxK))),
+				sqltypes.NewDate(betweenBaseDay + int64(rng.Intn(365))),
+				sqltypes.NewInt(int64(rng.Intn(10))),
+			}
+			if rng.Intn(15) == 0 {
+				row[rng.Intn(3)] = sqltypes.Null
+			}
+			if err := tab.Insert(nil, row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !indexFirst {
+			index()
+		}
+		on, off := accessSessions(eng)
+		for i := 0; i < 10; i++ {
+			mut := fmt.Sprintf("update r set k = %d where k = %d", rng.Intn(maxK), rng.Intn(maxK))
+			if rng.Intn(3) == 0 {
+				mut = fmt.Sprintf("delete from r where k = %d", rng.Intn(maxK))
+			}
+			if _, err := interp.RunScript(on, parser.MustParse(mut)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for q := 0; q < 60; q++ {
+			c := randomBetween(rng, maxK)
+			wantRows, wantErr := runAccess(t, off, c.sql, c.params, c.vars)
+			gotRows, gotErr := runAccess(t, on, c.sql, c.params, c.vars)
+			if gotErr != wantErr {
+				t.Fatalf("table %d: %s: error %q with choose_access_path, %q without", table, c.sql, gotErr, wantErr)
+			}
+			if strings.Join(gotRows, "\n") != strings.Join(wantRows, "\n") {
+				t.Fatalf("table %d: %s (params %v, vars %v):\nwith choose_access_path %v\nwithout %v",
+					table, c.sql, c.params, c.vars, gotRows, wantRows)
+			}
+			if plan := explainAccess(t, on, c.sql); strings.Contains(plan, "RangeSeek(") == c.negate {
+				t.Fatalf("table %d: %s: RangeSeek in plan = %v, want %v:\n%s",
+					table, c.sql, c.negate, !c.negate, plan)
+			}
+		}
 	}
 }

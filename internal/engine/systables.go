@@ -243,7 +243,6 @@ func (e *Engine) statColumns() *storage.Table {
 	t := storage.NewTable(StatColumnsTable, storage.NewSchema(
 		strCol("table_name", 128),
 		strCol("column_name", 128),
-		strCol("index_kind", 8),
 		intCol("distinct"),
 		intCol("sampled"),
 		intCol("bucket"),
@@ -254,23 +253,17 @@ func (e *Engine) statColumns() *storage.Table {
 	tables := e.Tables()
 	sort.Slice(tables, func(i, j int) bool { return tables[i].Name < tables[j].Name })
 	for _, tab := range tables {
-		defs := tab.IndexDefs()
-		if len(defs) == 0 {
+		cols := tab.IndexColumns()
+		if len(cols) == 0 {
 			continue
 		}
 		st := tab.Statistics()
-		sort.Slice(defs, func(i, j int) bool { return defs[i].Column < defs[j].Column })
-		for _, d := range defs {
-			kind := "hash"
-			if d.Ordered {
-				kind = "ordered"
-			}
-			distinct := int64(st.DistinctOf(tab.Schema, d.Column))
-			h := st.Histograms[d.Column]
+		for _, col := range cols {
+			distinct := int64(st.DistinctOf(tab.Schema, col))
+			h := st.Histograms[col]
 			base := []sqltypes.Value{
 				sqltypes.NewString(tab.Name),
-				sqltypes.NewString(d.Column),
-				sqltypes.NewString(kind),
+				sqltypes.NewString(col),
 				sqltypes.NewInt(distinct),
 				sqltypes.NewInt(int64(h.Sampled)),
 			}

@@ -343,9 +343,6 @@ func (r *Runner) exec(s ast.Stmt) error {
 	case *ast.CreateTable:
 		return r.execCreateTable(st)
 	case *ast.CreateIndex:
-		if st.Ordered {
-			return r.Sess.Eng.CreateOrderedIndex(st.Table, st.Column)
-		}
 		return r.Sess.Eng.CreateIndex(st.Table, st.Column)
 	case *ast.CreateFunction:
 		return r.Sess.Eng.RegisterFunction(st)

@@ -343,6 +343,28 @@ set (@a, @b) = (select agg(x) from t);
 	}
 }
 
+// TestCreateIndexUsingIgnored: there is one index kind, so a USING clause
+// still parses, changes nothing, and does not print back.
+func TestCreateIndexUsingIgnored(t *testing.T) {
+	want := &ast.CreateIndex{Name: "i", Table: "t", Column: "k"}
+	for _, src := range []string{
+		"create index i on t(k)",
+		"create index i on t(k) using hash",
+		"create index i on t(k) using ordered",
+	} {
+		got, ok := parseOneStmt(t, src).(*ast.CreateIndex)
+		if !ok || *got != *want {
+			t.Fatalf("%s: parsed %#v, want %#v", src, got, want)
+		}
+		if s := ast.Format(got); strings.Contains(strings.ToLower(s), "using") {
+			t.Fatalf("%s: printed %q", src, s)
+		}
+	}
+	if _, err := Parse("create index i on t(k) using btree"); err == nil {
+		t.Fatal("USING BTREE parsed")
+	}
+}
+
 func TestParamPlaceholders(t *testing.T) {
 	p, err := New("select roi from inv where id = ? and start_date >= ?")
 	if err != nil {

@@ -850,21 +850,17 @@ func (p *Parser) parseCreate() (ast.Stmt, error) {
 		if err := p.expectPunct(")"); err != nil {
 			return nil, err
 		}
-		ordered := false
 		if p.isKw("using") {
+			// Accepted and ignored: there is one index kind, and existing
+			// scripts still name one.
 			p.advance()
-			switch {
-			case p.isKw("hash"):
-				p.advance()
-			case p.isKw("ordered"):
-				p.advance()
-				ordered = true
-			default:
+			if !p.isKw("hash") && !p.isKw("ordered") {
 				return nil, p.errf("expected HASH or ORDERED after USING")
 			}
+			p.advance()
 		}
 		p.endStmt()
-		return &ast.CreateIndex{Name: name, Table: table, Column: column, Ordered: ordered}, nil
+		return &ast.CreateIndex{Name: name, Table: table, Column: column}, nil
 	case p.isKw("function"):
 		p.advance()
 		name, err := p.expectIdent()

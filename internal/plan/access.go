@@ -5,7 +5,7 @@
 // among physically different but semantically equivalent shapes:
 //
 //   - choose_access_path costs the access paths available to each base
-//     scan — full scan, index equality seek, ordered-index range seek —
+//     scan — full scan, index equality seek, index range seek —
 //     from table statistics and equi-depth histograms, and pins the
 //     cheapest on the lScan as an accessHint the physical compiler obeys.
 //     Cost formulas (N = live rows, NDV = distinct values, sel = histogram
@@ -204,17 +204,14 @@ func (rw *rewriter) decideAccess(scan *lScan, conjs []ast.Expr) {
 		}
 	}
 
-	// Best range-seek candidate over ordered-indexed columns.
+	// Best range-seek candidate over indexed columns.
 	var rangeBest *accessHint
-	for _, d := range tab.IndexDefs() {
-		if !d.Ordered {
-			continue
-		}
-		h := rangeBounds(conjs, d.Column, tab)
+	for _, col := range tab.IndexColumns() {
+		h := rangeBounds(conjs, col, tab)
 		if h == nil {
 			continue
 		}
-		sel := rangeSelectivity(st, d.Column, h)
+		sel := rangeSelectivity(st, col, h)
 		h.cost = math.Log2(n) + 1 + sel*n
 		if rangeBest == nil || h.cost < rangeBest.cost {
 			rangeBest = h
@@ -235,9 +232,21 @@ func (rw *rewriter) decideAccess(scan *lScan, conjs []ast.Expr) {
 	rw.fire(RuleChooseAccessPath)
 }
 
+// seekOperand reports whether e may key a seek or bound a range seek: a
+// literal, `?` or `@var`. A seek evaluates its operands at Open, before it
+// reads a row, while a filter evaluates them only on the rows it reaches,
+// so an operand that can raise (1/0, a cast, a call) stays in the filter
+// and both paths fail or succeed together.
+func seekOperand(e ast.Expr) bool {
+	switch e.(type) {
+	case *ast.Literal, *ast.ParamRef, *ast.VarRef:
+		return true
+	}
+	return false
+}
+
 // eqColKey matches `col = key` / `key = col` where col is a bare column of
-// tab and key contains no column references (literals, variables,
-// parameters — evaluable before the scan opens).
+// tab and key is a seekOperand.
 func eqColKey(e ast.Expr, tab *storage.Table) (string, ast.Expr, bool) {
 	b, ok := e.(*ast.BinExpr)
 	if !ok || b.Op != sqltypes.OpEq {
@@ -245,7 +254,7 @@ func eqColKey(e ast.Expr, tab *storage.Table) (string, ast.Expr, bool) {
 	}
 	for _, flip := range []struct{ col, key ast.Expr }{{b.L, b.R}, {b.R, b.L}} {
 		cr, isCol := flip.col.(*ast.ColRef)
-		if !isCol || tab.Schema.Ordinal(cr.Name) < 0 || len(ast.ColRefs(flip.key)) != 0 {
+		if !isCol || tab.Schema.Ordinal(cr.Name) < 0 || !seekOperand(flip.key) {
 			continue
 		}
 		return cr.Name, flip.key, true
@@ -254,10 +263,19 @@ func eqColKey(e ast.Expr, tab *storage.Table) (string, ast.Expr, bool) {
 }
 
 // rangeBounds combines comparison conjuncts over col into one [lo, hi]
-// range hint (first conjunct per side wins); nil when no bound applies.
+// range hint (first conjunct per side wins; a non-negated BETWEEN supplies
+// both sides at once, so only while neither is set); nil when no bound
+// applies. Every bound is a seekOperand.
 func rangeBounds(conjs []ast.Expr, col string, tab *storage.Table) *accessHint {
 	h := &accessHint{kind: accessRange, col: col}
 	for _, cj := range conjs {
+		if bt, ok := cj.(*ast.BetweenExpr); ok {
+			if !bt.Negate && h.lo == nil && h.hi == nil && isColSide(bt.E, col, tab) &&
+				seekOperand(bt.Lo) && seekOperand(bt.Hi) {
+				h.lo, h.hi, h.loConj, h.hiConj = bt.Lo, bt.Hi, cj, cj
+			}
+			continue
+		}
 		b, ok := cj.(*ast.BinExpr)
 		if !ok {
 			continue
@@ -265,9 +283,9 @@ func rangeBounds(conjs []ast.Expr, col string, tab *storage.Table) *accessHint {
 		var cmp sqltypes.BinaryOp
 		var bound ast.Expr
 		switch {
-		case isColSide(b.L, col, tab) && len(ast.ColRefs(b.R)) == 0:
+		case isColSide(b.L, col, tab) && seekOperand(b.R):
 			cmp, bound = b.Op, b.R
-		case isColSide(b.R, col, tab) && len(ast.ColRefs(b.L)) == 0:
+		case isColSide(b.R, col, tab) && seekOperand(b.L):
 			// Flip: key OP col ≡ col OP' key.
 			switch b.Op {
 			case sqltypes.OpLt:
@@ -316,7 +334,8 @@ func isColSide(e ast.Expr, col string, tab *storage.Table) bool {
 }
 
 // rangeSelectivity estimates the selected fraction from the column's
-// histogram when the bounds are literals; defaultSelectivity otherwise.
+// histogram when the bounds are literals (0 when one is NULL: no row
+// compares true with NULL); defaultSelectivity otherwise.
 func rangeSelectivity(st storage.TableStatistics, col string, h *accessHint) float64 {
 	hist, ok := st.Histograms[col]
 	if !ok {
@@ -325,22 +344,21 @@ func rangeSelectivity(st storage.TableStatistics, col string, h *accessHint) flo
 	if !ok {
 		return defaultSelectivity
 	}
-	lo, hi := sqltypes.Null, sqltypes.Null
-	if h.lo != nil {
-		lit, isLit := h.lo.(*ast.Literal)
+	var vals [2]sqltypes.Value // lo, hi; NULL = unbounded
+	for i, bound := range []ast.Expr{h.lo, h.hi} {
+		if bound == nil {
+			continue
+		}
+		lit, isLit := bound.(*ast.Literal)
 		if !isLit {
 			return defaultSelectivity
 		}
-		lo = lit.Val
-	}
-	if h.hi != nil {
-		lit, isLit := h.hi.(*ast.Literal)
-		if !isLit {
-			return defaultSelectivity
+		if lit.Val.IsNull() {
+			return 0
 		}
-		hi = lit.Val
+		vals[i] = lit.Val
 	}
-	return hist.SelectivityRange(lo, hi, h.loStrict, h.hiStrict)
+	return hist.SelectivityRange(vals[0], vals[1], h.loStrict, h.hiStrict)
 }
 
 // --- reorder_joins ---
@@ -604,27 +622,16 @@ func (rw *rewriter) leafTable(s *lScan) (*storage.Table, bool) {
 
 // predSelectivity estimates one predicate's selectivity: 1/NDV for an
 // equality on a known column, histogram range fraction for a literal
-// comparison, defaultSelectivity otherwise.
+// comparison or BETWEEN, defaultSelectivity otherwise.
 func predSelectivity(p ast.Expr, tab *storage.Table, st storage.TableStatistics) float64 {
-	b, ok := p.(*ast.BinExpr)
-	if !ok {
-		return defaultSelectivity
-	}
-	if b.Op == sqltypes.OpEq {
-		if col, _, ok := eqColKey(p, tab); ok {
-			ndv := float64(st.DistinctOf(tab.Schema, col))
-			if ndv < 1 {
-				ndv = 1
-			}
-			return clampSel(1 / ndv)
+	if col, _, ok := eqColKey(p, tab); ok {
+		ndv := float64(st.DistinctOf(tab.Schema, col))
+		if ndv < 1 {
+			ndv = 1
 		}
-		return defaultSelectivity
+		return clampSel(1 / ndv)
 	}
-	for _, side := range []struct{ col, key ast.Expr }{{b.L, b.R}, {b.R, b.L}} {
-		cr, isCol := side.col.(*ast.ColRef)
-		if !isCol || tab.Schema.Ordinal(cr.Name) < 0 {
-			continue
-		}
+	for _, cr := range ast.ColRefs(p) {
 		if h := rangeBounds([]ast.Expr{p}, cr.Name, tab); h != nil {
 			return clampSel(rangeSelectivity(st, cr.Name, h))
 		}

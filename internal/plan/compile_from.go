@@ -195,8 +195,9 @@ func (c *compiler) compileFrom(items []ast.TableExpr, where ast.Expr, parent *sc
 		}
 	}
 
-	// sargableIndexed reports whether the unit has an indexed, constant
-	// (unit-free) equality predicate and returns its column.
+	// sargableIndexed reports whether the unit has an indexed equality
+	// predicate whose key is a seekOperand or an outer column, and returns
+	// its column.
 	sargableIndexed := func(u *fromUnit) (col string, key ast.Expr, rest []ast.Expr, found bool) {
 		rest = append(rest, u.preds...)
 		if u.tab == nil {
@@ -212,7 +213,8 @@ func (c *compiler) compileFrom(items []ast.TableExpr, where ast.Expr, parent *sc
 				if !isCol || !u.hasCol(cr) {
 					continue
 				}
-				if len(unitsOf(flip.key, units)) != 0 {
+				if _, outer := flip.key.(*ast.ColRef); !outer && !seekOperand(flip.key) ||
+					len(unitsOf(flip.key, units)) != 0 {
 					continue
 				}
 				if u.tab.Index(cr.Name) == nil {

@@ -62,8 +62,8 @@ const (
 	// state it with ORDER BY.
 	RuleReorderJoins
 	// RuleChooseAccessPath costs the access paths available to each base
-	// scan — full scan, hash/ordered index equality seek, ordered-index
-	// range seek — from table statistics and equi-depth histograms, and
+	// scan — full scan, index equality seek, index range seek (comparisons
+	// or BETWEEN) — from table statistics and equi-depth histograms, and
 	// pins the cheapest on the plan. Decisions surface in EXPLAIN as
 	// [rw:choose_access_path] with a cost= annotation.
 	RuleChooseAccessPath

@@ -1,46 +1,78 @@
 package storage
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"aggify/internal/sqltypes"
 	"aggify/internal/txn"
 )
 
-// OrderedIndex is a B-tree-style ordered index: entries are kept sorted by
-// (key, rid) across a two-level page structure, so equality lookups and
-// range seeks are both binary searches, and inserts never memmove more
-// than one page. It implements the same TableIndex maintenance contract as
-// HashIndex — every MVCC mutation, rollback, vacuum, and replay path
-// maintains both kinds through the shared interface — plus rangeRids for
-// Table.SeekRange.
+// OrderedIndex is the table's one index kind, a B-tree-style ordered
+// index: entries are kept sorted by (key, rid) across a two-level page
+// structure, so equality lookups (Table.Seek) and range seeks
+// (Table.SeekRange) are both binary searches, and inserts never memmove
+// more than one page.
+//
+// Mutation methods are called with the table write lock held; lookups run
+// under the read lock and return a freshly allocated slice. NULL keys are
+// never indexed (SQL equality and range comparisons never match NULL), and
+// entries are deduplicated per (key, rid): a rid appears at most once under
+// a given key no matter how many chain versions carry it.
 type OrderedIndex struct {
 	ordinal int
 	pages   [][]entry // each page non-empty, globally sorted by (key, rid)
 }
 
-// orderedPageCap is the split threshold: a page that grows past twice this
-// splits in half, keeping per-insert memmove cost bounded regardless of
-// table size.
+type entry struct {
+	key sqltypes.Value
+	rid int
+}
+
+// orderedPageCap is the page size a bulk load cuts and the split
+// threshold: a page that grows past twice this splits in half, keeping
+// per-insert memmove cost bounded regardless of table size.
 const orderedPageCap = 256
 
 func newOrderedIndex(ordinal int) *OrderedIndex {
 	return &OrderedIndex{ordinal: ordinal}
 }
 
+// ord is the indexed column's schema ordinal.
 func (ix *OrderedIndex) ord() int { return ix.ordinal }
 
-// Ordered implements TableIndex: this index supports range seeks.
-func (ix *OrderedIndex) Ordered() bool { return true }
-
-// entryLess orders entries by key, then rid. Incomparable keys cannot
+// cmpEntry orders entries by key, then rid. Incomparable keys cannot
 // occur within one column (every value is coerced to the column type
 // before indexing), so a failed comparison falls back to rid order.
-func entryLess(aKey sqltypes.Value, aRid int, bKey sqltypes.Value, bRid int) bool {
+func cmpEntry(aKey sqltypes.Value, aRid int, bKey sqltypes.Value, bRid int) int {
 	if c, ok := sqltypes.Compare(aKey, bKey); ok && c != 0 {
-		return c < 0
+		return c
 	}
-	return aRid < bRid
+	return cmp.Compare(aRid, bRid)
+}
+
+// load replaces the index contents with es (non-NULL keys, in any order):
+// one sort, one pass dropping repeated (key, rid) pairs, and pages cut at
+// orderedPageCap. Each page gets its own capacity, so a later add into one
+// page reallocates it instead of writing into its neighbour.
+func (ix *OrderedIndex) load(es []entry) {
+	slices.SortFunc(es, func(a, b entry) int { return cmpEntry(a.key, a.rid, b.key, b.rid) })
+	w := 0
+	for _, e := range es {
+		if w > 0 && es[w-1].rid == e.rid && sqltypes.Equal(es[w-1].key, e.key) {
+			continue
+		}
+		es[w] = e
+		w++
+	}
+	es = es[:w]
+	ix.pages = nil
+	for len(es) > 0 {
+		n := min(len(es), orderedPageCap)
+		ix.pages = append(ix.pages, es[:n:n])
+		es = es[n:]
+	}
 }
 
 // pageFor returns the index of the first page whose last entry is >=
@@ -50,7 +82,7 @@ func (ix *OrderedIndex) pageFor(key sqltypes.Value, rid int) int {
 	return sort.Search(len(ix.pages), func(p int) bool {
 		pg := ix.pages[p]
 		last := pg[len(pg)-1]
-		return !entryLess(last.key, last.rid, key, rid)
+		return cmpEntry(last.key, last.rid, key, rid) >= 0
 	})
 }
 
@@ -68,7 +100,7 @@ func (ix *OrderedIndex) add(key sqltypes.Value, rid int) {
 	}
 	pg := ix.pages[p]
 	i := sort.Search(len(pg), func(i int) bool {
-		return !entryLess(pg[i].key, pg[i].rid, key, rid)
+		return cmpEntry(pg[i].key, pg[i].rid, key, rid) >= 0
 	})
 	if i < len(pg) && pg[i].rid == rid && sqltypes.Equal(pg[i].key, key) {
 		return // deduplicate per (key, rid)
@@ -104,7 +136,7 @@ func (ix *OrderedIndex) remove(key sqltypes.Value, rid int) {
 	}
 	pg := ix.pages[p]
 	i := sort.Search(len(pg), func(i int) bool {
-		return !entryLess(pg[i].key, pg[i].rid, key, rid)
+		return cmpEntry(pg[i].key, pg[i].rid, key, rid) >= 0
 	})
 	if i >= len(pg) || pg[i].rid != rid || !sqltypes.Equal(pg[i].key, key) {
 		return
@@ -120,8 +152,8 @@ func (ix *OrderedIndex) remove(key sqltypes.Value, rid int) {
 
 func (ix *OrderedIndex) clear() { ix.pages = nil }
 
-// lookup implements equality via a degenerate range, so ordered indexes
-// serve Table.Seek (and hence IndexSeek plans) exactly like hash indexes.
+// lookup returns the rids whose key equals the given value, in rid order:
+// a degenerate range.
 func (ix *OrderedIndex) lookup(key sqltypes.Value) []int {
 	if key.IsNull() {
 		return nil
@@ -131,52 +163,45 @@ func (ix *OrderedIndex) lookup(key sqltypes.Value) []int {
 
 // rangeRids returns the rids of every entry whose key falls in [lo, hi]
 // (strict flags make a bound exclusive). A NULL bound means unbounded on
-// that side. The result is freshly allocated, in (key, rid) order; callers
-// may use it after releasing the table lock.
+// that side. The low end is a binary search; the run up to the first entry
+// past hi is counted, then copied, so the result is one exact allocation,
+// in (key, rid) order. Callers may use it after releasing the table lock.
 func (ix *OrderedIndex) rangeRids(lo, hi sqltypes.Value, loStrict, hiStrict bool) []int {
-	aboveLo := func(k sqltypes.Value) bool {
-		if lo.IsNull() {
-			return true
-		}
+	clearsLo := func(k sqltypes.Value) bool {
 		c, ok := sqltypes.Compare(k, lo)
-		if !ok {
-			return false
-		}
-		if loStrict {
-			return c > 0
-		}
-		return c >= 0
+		return ok && (c > 0 || c == 0 && !loStrict)
 	}
-	belowHi := func(k sqltypes.Value) bool {
-		if hi.IsNull() {
-			return true
+	p, i := 0, 0
+	if !lo.IsNull() {
+		p = sort.Search(len(ix.pages), func(p int) bool {
+			pg := ix.pages[p]
+			return clearsLo(pg[len(pg)-1].key)
+		})
+		if p < len(ix.pages) {
+			pg := ix.pages[p]
+			i = sort.Search(len(pg), func(i int) bool { return clearsLo(pg[i].key) })
 		}
-		c, ok := sqltypes.Compare(k, hi)
-		if !ok {
-			return false
-		}
-		if hiStrict {
-			return c < 0
-		}
-		return c <= 0
 	}
-	// First page that can hold an in-range entry: its last key clears lo.
-	p := sort.Search(len(ix.pages), func(p int) bool {
-		pg := ix.pages[p]
-		return aboveLo(pg[len(pg)-1].key)
-	})
-	var out []int
-	for ; p < len(ix.pages); p++ {
-		pg := ix.pages[p]
-		i := 0
-		if !lo.IsNull() {
-			i = sort.Search(len(pg), func(i int) bool { return aboveLo(pg[i].key) })
-		}
-		for ; i < len(pg); i++ {
-			if !belowHi(pg[i].key) {
-				return out
+	n := 0
+count:
+	for q, j := p, i; q < len(ix.pages); q, j = q+1, 0 {
+		for _, e := range ix.pages[q][j:] {
+			if !hi.IsNull() {
+				if c, ok := sqltypes.Compare(e.key, hi); !ok || c > 0 || c == 0 && hiStrict {
+					break count
+				}
 			}
-			out = append(out, pg[i].rid)
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]int, 0, n)
+	for ; len(out) < n; p, i = p+1, 0 {
+		pg := ix.pages[p][i:]
+		for _, e := range pg[:min(len(pg), n-len(out))] {
+			out = append(out, e.rid)
 		}
 	}
 	return out
@@ -210,18 +235,18 @@ type RangeCursor struct {
 	hiStrict bool
 }
 
-// SeekRange opens a range cursor over the ordered index on the named
-// column, charging one index seek. It returns ok=false when the column has
-// no ordered index. NULL bounds are unbounded on their side (callers
-// resolve SQL's NULL-comparison semantics before seeking).
+// SeekRange opens a range cursor over the index on the named column,
+// charging one index seek. It returns ok=false when the column has no
+// index. NULL bounds are unbounded on their side (callers resolve SQL's
+// NULL-comparison semantics before seeking).
 func (t *Table) SeekRange(snap *txn.Snapshot, stats *Stats, column string, lo, hi sqltypes.Value, loStrict, hiStrict bool) (*RangeCursor, bool) {
 	ord := t.Schema.Ordinal(column)
 	if ord < 0 {
 		return nil, false
 	}
 	t.mu.RLock()
-	oix, ok := t.indexes[t.Schema.Columns[ord].Name].(*OrderedIndex)
-	if !ok {
+	oix := t.indexes[t.Schema.Columns[ord].Name]
+	if oix == nil {
 		t.mu.RUnlock()
 		return nil, false
 	}

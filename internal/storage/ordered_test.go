@@ -27,7 +27,7 @@ func TestOrderedIndexRangeSeek(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := tab.CreateOrderedIndex("id"); err != nil {
+	if err := tab.CreateIndex("id"); err != nil {
 		t.Fatal(err)
 	}
 	var stats Stats
@@ -77,11 +77,10 @@ func TestOrderedIndexEqualityLookup(t *testing.T) {
 	for i := int64(0); i < 50; i++ {
 		_ = tab.Insert(nil, row(i%7, "n", 0))
 	}
-	if err := tab.CreateOrderedIndex("id"); err != nil {
+	if err := tab.CreateIndex("id"); err != nil {
 		t.Fatal(err)
 	}
-	// Table.Seek must work through an ordered index exactly as through a
-	// hash index.
+	// Table.Seek is a degenerate range over the same index.
 	n := 0
 	if !tab.Seek(nil, nil, "id", intv(3), func(_ int, r []sqltypes.Value) bool {
 		if r[0].Int() != 3 {
@@ -103,10 +102,10 @@ func TestOrderedIndexPageSplitAndRemove(t *testing.T) {
 	for i := int64(0); i < n; i++ {
 		_ = tab.Insert(nil, row((i*7919)%n, "n", 0))
 	}
-	if err := tab.CreateOrderedIndex("id"); err != nil {
+	if err := tab.CreateIndex("id"); err != nil {
 		t.Fatal(err)
 	}
-	ix := tab.Index("id").(*OrderedIndex)
+	ix := tab.Index("id")
 	if ix.Len() != n {
 		t.Fatalf("index len = %d, want %d", ix.Len(), n)
 	}
@@ -148,7 +147,7 @@ func TestOrderedRangeSeekPinnedSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := tab.CreateOrderedIndex("id"); err != nil {
+	if err := tab.CreateIndex("id"); err != nil {
 		t.Fatal(err)
 	}
 	snap := mgr.Acquire()
@@ -196,18 +195,17 @@ func TestOrderedRangeSeekPinnedSnapshot(t *testing.T) {
 	}
 }
 
-// Regression: rollback must undo ordered-index entries exactly as it does
-// hash-index entries — an aborted insert/update/delete leaves no trace in
-// the ordered index or its range seeks.
+// Regression: rollback must undo index entries — an aborted
+// insert/update/delete leaves no trace in the index or its range seeks.
 func TestOrderedIndexRollback(t *testing.T) {
 	tab, mgr := managedTable(t)
 	for i := int64(0); i < 10; i++ {
 		_ = tab.Insert(nil, row(i, "base", 0))
 	}
-	if err := tab.CreateOrderedIndex("id"); err != nil {
+	if err := tab.CreateIndex("id"); err != nil {
 		t.Fatal(err)
 	}
-	ix := tab.Index("id").(*OrderedIndex)
+	ix := tab.Index("id")
 	before := ix.Len()
 
 	tx := mgr.Begin()
@@ -240,46 +238,12 @@ func TestOrderedIndexRollback(t *testing.T) {
 	}
 }
 
-func TestCreateIndexKindReplace(t *testing.T) {
-	tab := NewTable("t", testSchema())
-	for i := int64(0); i < 5; i++ {
-		_ = tab.Insert(nil, row(i, "n", 0))
-	}
-	if err := tab.CreateIndex("id"); err != nil {
-		t.Fatal(err)
-	}
-	if tab.Index("id").Ordered() {
-		t.Fatal("CreateIndex built an ordered index")
-	}
-	if _, ok := tab.SeekRange(nil, nil, "id", intv(0), intv(9), false, false); ok {
-		t.Fatal("hash index must not serve range seeks")
-	}
-	// Re-creating with the ordered kind rebuilds in place.
-	if err := tab.CreateOrderedIndex("id"); err != nil {
-		t.Fatal(err)
-	}
-	if !tab.Index("id").Ordered() {
-		t.Fatal("CreateOrderedIndex left a hash index")
-	}
-	cur, ok := tab.SeekRange(nil, nil, "id", intv(0), intv(9), false, false)
-	if !ok {
-		t.Fatal("ordered index must serve range seeks")
-	}
-	if n := len(drainRange(cur, nil)); n != 5 {
-		t.Fatalf("rebuilt index range seek saw %d rows, want 5", n)
-	}
-	defs := tab.IndexDefs()
-	if len(defs) != 1 || defs[0].Column != "id" || !defs[0].Ordered {
-		t.Fatalf("IndexDefs = %+v", defs)
-	}
-}
-
 func TestHistogramEquiDepth(t *testing.T) {
 	tab := NewTable("t", testSchema())
 	for i := int64(0); i < 970; i++ {
 		_ = tab.Insert(nil, row(i%97, "n", 0))
 	}
-	if err := tab.CreateOrderedIndex("id"); err != nil {
+	if err := tab.CreateIndex("id"); err != nil {
 		t.Fatal(err)
 	}
 	st := tab.Statistics()

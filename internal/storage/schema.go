@@ -1,5 +1,5 @@
 // Package storage provides the physical layer of the engine: heap tables,
-// hash indexes, encoded worktables (the materialization target of cursors),
+// ordered indexes, encoded worktables (the materialization target of cursors),
 // and logical I/O accounting matching what the paper's Table 2 measures.
 package storage
 

@@ -10,8 +10,8 @@ import (
 	"aggify/internal/txn"
 )
 
-// Table is a heap table of per-row version chains with optional hash and
-// ordered indexes, read under snapshot isolation.
+// Table is a heap table of per-row version chains with optional ordered
+// indexes, read under snapshot isolation.
 //
 // Every row occupies one slot; a slot's id (rid) is assigned at insert and
 // is stable forever — deletes leave a tombstone version, vacuum empties
@@ -43,7 +43,7 @@ type Table struct {
 
 	mu      sync.RWMutex
 	slots   []*slot
-	indexes map[string]TableIndex // keyed by lower-cased column name
+	indexes map[string]*OrderedIndex // keyed by lower-cased column name
 
 	liveRows atomic.Int64 // committed live rows (satellite fix: excludes deleted slots)
 
@@ -63,7 +63,7 @@ type slot struct {
 
 // NewTable creates an empty, unmanaged table.
 func NewTable(name string, schema *Schema) *Table {
-	return &Table{Name: name, Schema: schema, indexes: map[string]TableIndex{}}
+	return &Table{Name: name, Schema: schema, indexes: map[string]*OrderedIndex{}}
 }
 
 // Bind attaches the table to a transaction manager, making every
@@ -559,21 +559,14 @@ func (t *Table) truncateTx(tx *txn.Txn) error {
 	return nil
 }
 
-// CreateIndex builds a hash index on the named column, covering every
+// CreateIndex builds an ordered index on the named column, covering every
 // version any live snapshot could still see. Creating an index that
-// already exists with the same kind is a no-op; creating one with the
-// other kind rebuilds it in place.
+// already exists is a no-op.
+//
+// The build gathers each chain version's (key, rid) once and sorts them
+// (OrderedIndex.load), which costs about what a hash build does; adding
+// them one by one costs a binary search and a memmove each.
 func (t *Table) CreateIndex(column string) error {
-	return t.createIndex(column, false)
-}
-
-// CreateOrderedIndex builds an ordered (range-seekable) index on the named
-// column, with the same coverage and replacement rules as CreateIndex.
-func (t *Table) CreateOrderedIndex(column string) error {
-	return t.createIndex(column, true)
-}
-
-func (t *Table) createIndex(column string, ordered bool) error {
 	ord := t.Schema.Ordinal(column)
 	if ord < 0 {
 		return fmt.Errorf("storage: table %s has no column %q", t.Name, column)
@@ -581,42 +574,41 @@ func (t *Table) createIndex(column string, ordered bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	key := t.Schema.Columns[ord].Name
-	if existing, ok := t.indexes[key]; ok && existing.Ordered() == ordered {
-		return nil
+	if _, ok := t.indexes[key]; !ok {
+		t.indexes[key] = t.buildIndex(ord)
 	}
-	var idx TableIndex
-	if ordered {
-		idx = newOrderedIndex(ord)
-	} else {
-		idx = newHashIndex(ord)
-	}
-	for rid, s := range t.slots {
-		for v := s.head.Load(); v != nil; v = v.Prev() {
-			if v.Row != nil {
-				idx.add(v.Row[ord], rid)
-			}
-		}
-	}
-	t.indexes[key] = idx
 	return nil
 }
 
+// buildIndex bulk-loads an index over column ord from every chain
+// version. Callers hold the write lock.
+func (t *Table) buildIndex(ord int) *OrderedIndex {
+	es := make([]entry, 0, len(t.slots))
+	for rid, s := range t.slots {
+		for v := s.head.Load(); v != nil; v = v.Prev() {
+			if v.Row != nil && !v.Row[ord].IsNull() {
+				es = append(es, entry{v.Row[ord], rid})
+			}
+		}
+	}
+	idx := newOrderedIndex(ord)
+	idx.load(es)
+	return idx
+}
+
 // Index returns the index on the named column, or nil.
-func (t *Table) Index(column string) TableIndex {
+func (t *Table) Index(column string) *OrderedIndex {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	ord := t.Schema.Ordinal(column)
 	if ord < 0 {
 		return nil
 	}
-	idx, ok := t.indexes[t.Schema.Columns[ord].Name]
-	if !ok {
-		return nil
-	}
-	return idx
+	return t.indexes[t.Schema.Columns[ord].Name]
 }
 
-// IndexColumns returns the indexed column names (checkpointing).
+// IndexColumns returns the indexed column names, sorted for deterministic
+// checkpoint images and system-table output.
 func (t *Table) IndexColumns() []string {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -624,26 +616,8 @@ func (t *Table) IndexColumns() []string {
 	for name := range t.indexes {
 		cols = append(cols, name)
 	}
+	sort.Strings(cols)
 	return cols
-}
-
-// IndexDef describes one index for checkpointing and introspection.
-type IndexDef struct {
-	Column  string
-	Ordered bool
-}
-
-// IndexDefs returns every index's definition, sorted by column name for
-// deterministic checkpoint images and system-table output.
-func (t *Table) IndexDefs() []IndexDef {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	defs := make([]IndexDef, 0, len(t.indexes))
-	for name, idx := range t.indexes {
-		defs = append(defs, IndexDef{Column: name, Ordered: idx.Ordered()})
-	}
-	sort.Slice(defs, func(i, j int) bool { return defs[i].Column < defs[j].Column })
-	return defs
 }
 
 // Seek looks up rows whose indexed column equals key via the index on the
@@ -756,7 +730,8 @@ func (t *Table) CheckpointSlots(epoch uint64) [][]sqltypes.Value {
 
 // LoadCheckpointSlots installs a checkpoint image (recovery). The table
 // must be empty; rows are assumed already coerced (they were written by
-// the codec that checkpointed them).
+// the codec that checkpointed them). Existing indexes are rebuilt over the
+// loaded rows with one sort each.
 func (t *Table) LoadCheckpointSlots(rows [][]sqltypes.Value) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -767,11 +742,11 @@ func (t *Table) LoadCheckpointSlots(rows [][]sqltypes.Value) {
 		if row != nil {
 			s.head.Store(txn.NewCommittedVersion(row, nil, 0))
 			live++
-			for _, idx := range t.indexes {
-				idx.add(row[idx.ord()], rid)
-			}
 		}
 		t.slots[rid] = s
+	}
+	for col, idx := range t.indexes {
+		t.indexes[col] = t.buildIndex(idx.ord())
 	}
 	t.liveRows.Store(live)
 	t.statsVersion.Add(1)
@@ -846,87 +821,4 @@ func (t *Table) ReplayApply(m txn.Mutation, epoch uint64) error {
 	}
 	t.statsVersion.Add(1)
 	return nil
-}
-
-// TableIndex is the contract both index kinds implement. Mutation methods
-// are called with the table write lock held; lookup is called under the
-// read lock and must return a freshly allocated slice. NULL keys are never
-// indexed (SQL equality and range comparisons never match NULL), and
-// entries are deduplicated per (key, rid): a rid appears at most once under
-// a given key no matter how many chain versions carry it.
-type TableIndex interface {
-	// ord is the indexed column's schema ordinal.
-	ord() int
-	add(key sqltypes.Value, rid int)
-	remove(key sqltypes.Value, rid int)
-	clear()
-	// lookup returns the row ids whose key equals the given value.
-	lookup(key sqltypes.Value) []int
-	// Ordered reports whether the index supports range seeks.
-	Ordered() bool
-}
-
-// HashIndex is an equality index from column value to row ids.
-type HashIndex struct {
-	ordinal int
-	buckets map[uint64][]entry
-}
-
-func (ix *HashIndex) ord() int { return ix.ordinal }
-
-// Ordered implements TableIndex: hash indexes support equality only.
-func (ix *HashIndex) Ordered() bool { return false }
-
-type entry struct {
-	key sqltypes.Value
-	rid int
-}
-
-func newHashIndex(ordinal int) *HashIndex {
-	return &HashIndex{ordinal: ordinal, buckets: map[uint64][]entry{}}
-}
-
-func (ix *HashIndex) add(key sqltypes.Value, rid int) {
-	if key.IsNull() {
-		return
-	}
-	h := sqltypes.Hash(key)
-	for _, e := range ix.buckets[h] {
-		if e.rid == rid && sqltypes.Equal(e.key, key) {
-			return
-		}
-	}
-	ix.buckets[h] = append(ix.buckets[h], entry{key, rid})
-}
-
-func (ix *HashIndex) remove(key sqltypes.Value, rid int) {
-	if key.IsNull() {
-		return
-	}
-	h := sqltypes.Hash(key)
-	b := ix.buckets[h]
-	for i, e := range b {
-		if e.rid == rid && sqltypes.Equal(e.key, key) {
-			b[i] = b[len(b)-1]
-			ix.buckets[h] = b[:len(b)-1]
-			return
-		}
-	}
-}
-
-func (ix *HashIndex) clear() { ix.buckets = map[uint64][]entry{} }
-
-// lookup returns the row ids whose key equals the given value. The result
-// is freshly allocated; callers may use it after releasing the table lock.
-func (ix *HashIndex) lookup(key sqltypes.Value) []int {
-	if key.IsNull() {
-		return nil
-	}
-	var out []int
-	for _, e := range ix.buckets[sqltypes.Hash(key)] {
-		if sqltypes.Equal(e.key, key) {
-			out = append(out, e.rid)
-		}
-	}
-	return out
 }

@@ -141,12 +141,12 @@ func (t *Table) Statistics() TableStatistics {
 	}
 	// Histogram inputs: collect the non-NULL values of every indexed
 	// column during the same scan.
-	defs := t.IndexDefs()
-	histVals := make(map[string][]sqltypes.Value, len(defs))
-	histOrds := make(map[string]int, len(defs))
-	for _, d := range defs {
-		histVals[d.Column] = nil
-		histOrds[d.Column] = t.Schema.Ordinal(d.Column)
+	cols := t.IndexColumns()
+	histVals := make(map[string][]sqltypes.Value, len(cols))
+	histOrds := make(map[string]int, len(cols))
+	for _, col := range cols {
+		histVals[col] = nil
+		histOrds[col] = t.Schema.Ordinal(col)
 	}
 	rows := 0
 	t.Scan(nil, nil, func(_ int, row []sqltypes.Value) bool {
@@ -163,7 +163,7 @@ func (t *Table) Statistics() TableStatistics {
 		}
 		return true
 	})
-	st := &TableStatistics{Rows: rows, Distinct: make([]int, ncols), Histograms: make(map[string]Histogram, len(defs))}
+	st := &TableStatistics{Rows: rows, Distinct: make([]int, ncols), Histograms: make(map[string]Histogram, len(cols))}
 	for i, set := range sets {
 		st.Distinct[i] = len(set)
 	}

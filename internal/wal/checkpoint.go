@@ -18,8 +18,9 @@ import (
 // the log's mutation records address — stay stable across restarts.
 
 // checkpointMagic identifies the file and its format version. Version 2
-// added a kind byte per index entry; version-1 files still load (their
-// indexes decode as hash).
+// added a byte after each index column that once named the index kind; it
+// is written as 1 and ignored on read. Version-1 files, which lack it,
+// still load.
 var (
 	checkpointMagic   = []byte("AGCP\x02")
 	checkpointMagicV1 = []byte("AGCP\x01")
@@ -28,17 +29,11 @@ var (
 // CheckpointPath returns the checkpoint file path inside a data directory.
 func CheckpointPath(dir string) string { return filepath.Join(dir, "checkpoint.bin") }
 
-// IndexDef is the serialized definition of one index.
-type IndexDef struct {
-	Column  string
-	Ordered bool
-}
-
 // TableImage is the serialized state of one table.
 type TableImage struct {
 	Name    string
 	Cols    []ColumnDef
-	Indexes []IndexDef
+	Indexes []string           // indexed column names
 	Slots   [][]sqltypes.Value // one entry per slot; nil = dead slot
 }
 
@@ -60,13 +55,8 @@ func WriteCheckpoint(dir string, cp *Checkpoint) error {
 			payload = appendColumnType(payload, c.Type)
 		}
 		payload = binary.AppendUvarint(payload, uint64(len(t.Indexes)))
-		for _, ix := range t.Indexes {
-			payload = appendString(payload, ix.Column)
-			if ix.Ordered {
-				payload = append(payload, 1)
-			} else {
-				payload = append(payload, 0)
-			}
+		for _, col := range t.Indexes {
+			payload = append(appendString(payload, col), 1)
 		}
 		payload = binary.AppendUvarint(payload, uint64(len(t.Slots)))
 		for _, row := range t.Slots {
@@ -186,8 +176,8 @@ func ReadCheckpoint(dir string) (*Checkpoint, bool, error) {
 		}
 		payload = rest
 		for j := uint64(0); j < nidx; j++ {
-			var ix IndexDef
-			ix.Column, payload, err = decodeString(payload)
+			var col string
+			col, payload, err = decodeString(payload)
 			if err != nil {
 				return nil, false, err
 			}
@@ -195,10 +185,9 @@ func ReadCheckpoint(dir string) (*Checkpoint, bool, error) {
 				if len(payload) < 1 {
 					return nil, false, fmt.Errorf("wal: truncated checkpoint index")
 				}
-				ix.Ordered = payload[0] != 0
 				payload = payload[1:]
 			}
-			t.Indexes = append(t.Indexes, ix)
+			t.Indexes = append(t.Indexes, col)
 		}
 		nslots, rest, err := decodeUvarint(payload)
 		if err != nil {

@@ -58,14 +58,11 @@ type CreateTableRecord struct {
 	Cols  []ColumnDef
 }
 
-// CreateIndexRecord logs a CREATE INDEX. Ordered distinguishes ordered
-// (range-capable) indexes from hash indexes; logs written before the field
-// existed decode as hash.
+// CreateIndexRecord logs a CREATE INDEX.
 type CreateIndexRecord struct {
-	Epoch   uint64
-	Table   string
-	Column  string
-	Ordered bool
+	Epoch  uint64
+	Table  string
+	Column string
 }
 
 // DropTableRecord logs a DROP TABLE.
@@ -129,18 +126,16 @@ func EncodeCreateTable(epoch uint64, name string, cols []ColumnDef) []byte {
 	return buf
 }
 
-// EncodeCreateIndex serializes a CREATE INDEX payload. The index kind is a
-// trailing byte: decoders that predate it ignore trailing bytes, and
-// records without it decode as hash.
-func EncodeCreateIndex(epoch uint64, table, column string, ordered bool) []byte {
+// EncodeCreateIndex serializes a CREATE INDEX payload. The trailing byte
+// once named the index kind; there is one kind now, so it is written as 1
+// and decoders ignore it (and its absence), which keeps logs readable in
+// both directions.
+func EncodeCreateIndex(epoch uint64, table, column string) []byte {
 	buf := []byte{recCreateIndex}
 	buf = binary.AppendUvarint(buf, epoch)
 	buf = appendString(buf, table)
 	buf = appendString(buf, column)
-	if ordered {
-		return append(buf, 1)
-	}
-	return append(buf, 0)
+	return append(buf, 1)
 }
 
 // EncodeDropTable serializes a DROP TABLE payload.
@@ -251,12 +246,9 @@ func DecodeRecord(payload []byte) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		rec.Column, buf, err = decodeString(buf)
+		rec.Column, _, err = decodeString(buf)
 		if err != nil {
 			return nil, err
-		}
-		if len(buf) > 0 {
-			rec.Ordered = buf[0] != 0
 		}
 		return rec, nil
 	case recDropTable:

@@ -44,23 +44,22 @@ func TestRecordRoundTrip(t *testing.T) {
 		t.Fatalf("create table decoded %#v", ct)
 	}
 
-	ci, err := DecodeRecord(EncodeCreateIndex(8, "t", "a", true))
-	if err != nil {
-		t.Fatal(err)
+	// The trailing former kind byte is written as 1 and ignored on read:
+	// with it, set to 0 (older hash-index records) or missing (logs from
+	// before the byte existed), the record decodes the same.
+	ci := EncodeCreateIndex(8, "t", "a")
+	if ci[len(ci)-1] != 1 {
+		t.Fatalf("create index record ends in %d, want 1", ci[len(ci)-1])
 	}
-	if r := ci.(*CreateIndexRecord); r.Epoch != 8 || r.Table != "t" || r.Column != "a" || !r.Ordered {
-		t.Fatalf("create index decoded %#v", ci)
-	}
-	// A record without the trailing kind byte (pre-ordered-index logs)
-	// decodes as a hash index.
-	legacy := EncodeCreateIndex(8, "t", "a", false)
-	legacy = legacy[:len(legacy)-1]
-	ci, err = DecodeRecord(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := ci.(*CreateIndexRecord); r.Ordered {
-		t.Fatalf("legacy create index decoded %#v", ci)
+	hash := append(append([]byte(nil), ci[:len(ci)-1]...), 0)
+	for _, payload := range [][]byte{ci, hash, ci[:len(ci)-1]} {
+		dec, err := DecodeRecord(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := dec.(*CreateIndexRecord); *r != (CreateIndexRecord{Epoch: 8, Table: "t", Column: "a"}) {
+			t.Fatalf("create index decoded %#v", dec)
+		}
 	}
 
 	dt, err := DecodeRecord(EncodeDropTable(9, "t"))
@@ -285,7 +284,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 					{Name: "a", Type: sqltypes.Type{ID: sqltypes.TInt}},
 					{Name: "b", Type: sqltypes.Type{ID: sqltypes.TVarChar, Prec: 30}},
 				},
-				Indexes: []IndexDef{{Column: "a", Ordered: true}, {Column: "b"}},
+				Indexes: []string{"a", "b"},
 				Slots: [][]sqltypes.Value{
 					{sqltypes.NewInt(1), sqltypes.NewString("one")},
 					nil, // dead slot must survive the round trip (rid stability)

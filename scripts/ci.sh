@@ -70,6 +70,10 @@ go test -count=1 -run 'TestKernel|TestScanFilterDefers' ./internal/plan
 go test -race -count=1 -run TestBoundPredicateSharedPlanConcurrentSessions ./internal/engine
 go test -race -count=1 -run TestPanicContainedPerConnection ./internal/server
 
+stage "access paths (BETWEEN differential, seek operand parity, sort-once build)"
+go test -count=1 -run 'TestBetweenRangeSeekDifferential|TestSeekOperandErrorParity' ./internal/engine
+go test -count=1 -run 'TestCreateIndexBuildMatchesIncremental|TestSeekAllocs' ./internal/storage
+
 stage "benchmark harness (its own module: the root go test never builds it)"
 (cd benchmark && go vet ./... && go test ./...)
 
