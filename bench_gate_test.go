@@ -42,22 +42,9 @@ func gateEnv(b *testing.B) *engine.Engine {
 	b.Helper()
 	gateOnce.Do(func() {
 		db := aggify.Open()
-		if gateErr = db.Exec("create table gate (k int, v int)"); gateErr != nil {
-			return
-		}
-		tab, ok := db.Engine().Table("gate")
-		if !ok {
-			gateErr = fmt.Errorf("gate table missing after create")
-			return
-		}
-		for i := int64(0); i < gateRows; i++ {
-			if gateErr = tab.Insert(nil, []sqltypes.Value{sqltypes.NewInt(i % 97), sqltypes.NewInt(i % 1001)}); gateErr != nil {
-				return
-			}
-		}
-		// gatep duplicates the distribution with an ordered index on k, so
-		// the pushdown benchmark's pushed predicate can become an index seek
-		// and the range-seek benchmark can stream k's ordered range.
+		// gatep has an index on k, so the pushdown benchmark's pushed
+		// predicate can become an index seek and the range-seek benchmark
+		// can stream k's ordered range.
 		if gateErr = db.Exec("create table gatep (k int, v int); create index idx_gatep on gatep(k) using ordered"); gateErr != nil {
 			return
 		}
@@ -77,32 +64,6 @@ func gateEnv(b *testing.B) *engine.Engine {
 		b.Fatal(gateErr)
 	}
 	return gateEng
-}
-
-// BenchmarkGateBatch is the vectorized-vs-row pair behind the gate's batch
-// speedup ratio: the same grouped aggregation with the batch path on and
-// off. The gate records
-// batch_speedup = row ns/op ÷ batch ns/op and requires ≥ 1.5×.
-func BenchmarkGateBatch(b *testing.B) {
-	eng := gateEnv(b)
-	q := parser.MustParse("select k, count(*), sum(v), min(v), max(v) from gate group by k")[0].(*ast.QueryStmt).Query
-	for _, disable := range []bool{false, true} {
-		name := "batch"
-		if disable {
-			name = "row"
-		}
-		b.Run(name, func(b *testing.B) {
-			sess := eng.NewSession()
-			sess.Opts.DisableBatch = disable
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := sess.Query(q, sess.Ctx(nil, nil)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(gateRows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-		})
-	}
 }
 
 // BenchmarkGatePushdown measures the predicate-pushdown rewrite: a selective

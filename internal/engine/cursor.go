@@ -72,7 +72,9 @@ func (c *Cursor) Open(s *Session, ctx *exec.Ctx) error {
 		if row == nil {
 			return nil
 		}
-		c.wt.Append(row)
+		if err := c.wt.Append(row); err != nil {
+			return err
+		}
 	}
 }
 
@@ -84,7 +86,9 @@ func (c *Cursor) Fetch() (row []sqltypes.Value, ok bool, err error) {
 	if c.pos >= c.wt.RowCount() {
 		return nil, false, nil
 	}
-	row = c.wt.Get(c.pos)
+	if row, err = c.wt.Get(c.pos); err != nil {
+		return nil, false, err
+	}
 	c.pos++
 	return row, true, nil
 }

@@ -81,7 +81,7 @@ func TestBoundPredicateSharedPlanConcurrentSessions(t *testing.T) {
 // TestFilteredScanAllocsIndependentOfTableSize is the allocation guard: a
 // warm scan that filters must allocate the same number of objects over a
 // 1 000-row and a 50 000-row table. A rejected row may cost nothing — not a
-// buffered row, not a batch slot, not a closure per refill.
+// buffered row, not a closure per refill.
 func TestFilteredScanAllocsIndependentOfTableSize(t *testing.T) {
 	eng := engine.New()
 	interp.Install(eng)
@@ -90,8 +90,8 @@ func TestFilteredScanAllocsIndependentOfTableSize(t *testing.T) {
 	sess := eng.NewSession()
 	defer sess.Close()
 	params := []sqltypes.Value{sqltypes.NewInt(100), sqltypes.NewInt(149), sqltypes.NewInt(2)}
-	// Both the row path (plain projection) and the batch path (vectorized
-	// count) go through the scan's filter.
+	// Both a plain projection and an aggregation go through the scan's
+	// filter.
 	for _, shape := range []string{
 		"select k, v from %s where k between ? and ? and v >= ?",
 		"select count(*), sum(v) from %s where k between ? and ? and v >= ?",

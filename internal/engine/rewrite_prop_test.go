@@ -13,9 +13,9 @@ import (
 )
 
 // Property test for the logical rewrite pass: every generated query must
-// return byte-identical rows with the pass enabled and with every rule
-// disabled, and with the vectorized batch path forced off (same trial
-// structure as the Merge property test in internal/exec). Unlike
+// return byte-identical rows with the pass enabled, with every rule
+// disabled, and with each cost-based rule off (same trial structure as the
+// Merge property test in internal/exec). Unlike
 // TestPlannerRewritesPreserveResults this comparison is order-sensitive —
 // each query orders by all its output columns, so a wrongly dropped or
 // misplaced sort shows up as a diff.
@@ -132,21 +132,19 @@ create index o1 on t1(d) using ordered;
 		name string
 		sess *engine.Session
 	}
-	mk := func(rules plan.RuleSet, noBatch bool) *engine.Session {
+	mk := func(rules plan.RuleSet) *engine.Session {
 		s := eng.NewSession()
 		s.Opts.DisableRules = rules
-		s.Opts.DisableBatch = noBatch
 		return s
 	}
 	configs := []cfg{
-		{"rewrite", mk(0, false)},
-		{"norewrite", mk(plan.RuleAll, false)},
-		{"rewrite-rowpath", mk(0, true)},
+		{"rewrite", mk(0)},
+		{"norewrite", mk(plan.RuleAll)},
 		// The cost-based rules off, one at a time and together: each must
 		// reproduce the same rows the full pass produces.
-		{"no-accesspath", mk(plan.RuleChooseAccessPath, false)},
-		{"no-reorder", mk(plan.RuleReorderJoins, false)},
-		{"no-costbased", mk(plan.RuleChooseAccessPath|plan.RuleReorderJoins, false)},
+		{"no-accesspath", mk(plan.RuleChooseAccessPath)},
+		{"no-reorder", mk(plan.RuleReorderJoins)},
+		{"no-costbased", mk(plan.RuleChooseAccessPath | plan.RuleReorderJoins)},
 	}
 
 	for trial := 0; trial < 80; trial++ {

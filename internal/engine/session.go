@@ -51,7 +51,6 @@ type Session struct {
 
 	conflicts      atomic.Int64 // write conflicts hit by this session's DML
 	queryExecs     atomic.Int64 // query executions
-	batchExecs     atomic.Int64 // ... with batch-mode plans
 	rewrittenExecs atomic.Int64 // ... whose plans had rewrite rules fire
 
 	planCacheHits   atomic.Int64 // plan compilations avoided by the plan cache
@@ -174,9 +173,6 @@ func (s *Session) Query(q *ast.Select, ctx *exec.Ctx) ([]string, []exec.Row, err
 // statement recorder diffs into aggify_stat_statements.
 func (s *Session) notePlanExec(p *plan.Plan) {
 	s.queryExecs.Add(1)
-	if p.Batched {
-		s.batchExecs.Add(1)
-	}
 	if len(p.Rewrites) > 0 {
 		s.rewrittenExecs.Add(1)
 	}

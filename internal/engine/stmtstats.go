@@ -40,7 +40,6 @@ type StmtStat struct {
 	WALBytes     atomic.Int64 // bytes framed into the WAL (approximate under concurrency)
 	Conflicts    atomic.Int64 // write conflicts hit (including retried ones)
 	QueryExecs   atomic.Int64 // query executions inside the statement
-	BatchExecs   atomic.Int64 // ... of which ran batch-mode plans
 	Rewritten    atomic.Int64 // ... of which had logical rewrite rules fire
 	PlanHits     atomic.Int64 // plan compilations the plan cache served
 	PlanMisses   atomic.Int64 // plan compilations the cache could not serve
@@ -61,8 +60,6 @@ type StmtStatRow struct {
 	WALBytes     int64
 	Conflicts    int64
 	QueryExecs   int64
-	BatchExecs   int64
-	RowExecs     int64 // QueryExecs - BatchExecs
 	Rewritten    int64
 	PlanHits     int64
 	PlanMisses   int64
@@ -164,8 +161,6 @@ func (ss *StmtStats) Snapshot() []StmtStatRow {
 		if min == math.MaxInt64 {
 			min = 0
 		}
-		q := e.QueryExecs.Load()
-		b := e.BatchExecs.Load()
 		out[i] = StmtStatRow{
 			Fingerprint:  e.Fingerprint,
 			Query:        e.Query,
@@ -178,9 +173,7 @@ func (ss *StmtStats) Snapshot() []StmtStatRow {
 			LogicalReads: e.LogicalReads.Load(),
 			WALBytes:     e.WALBytes.Load(),
 			Conflicts:    e.Conflicts.Load(),
-			QueryExecs:   q,
-			BatchExecs:   b,
-			RowExecs:     q - b,
+			QueryExecs:   e.QueryExecs.Load(),
 			Rewritten:    e.Rewritten.Load(),
 			PlanHits:     e.PlanHits.Load(),
 			PlanMisses:   e.PlanMisses.Load(),
@@ -216,7 +209,6 @@ func (ss *StmtStats) record(fp uint64, raw string, micros int64, failed bool, d 
 	e.WALBytes.Add(d.wal)
 	e.Conflicts.Add(d.conflicts)
 	e.QueryExecs.Add(d.queries)
-	e.BatchExecs.Add(d.batch)
 	e.Rewritten.Add(d.rewritten)
 	e.PlanHits.Add(d.planHits)
 	e.PlanMisses.Add(d.planMisses)
@@ -226,7 +218,7 @@ func (ss *StmtStats) record(fp uint64, raw string, micros int64, failed bool, d 
 // snapshot to EndStmt.
 type stmtDelta struct {
 	rows, reads, wal, conflicts int64
-	queries, batch, rewritten   int64
+	queries, rewritten          int64
 	planHits, planMisses        int64
 }
 
@@ -263,7 +255,6 @@ func (s *Session) BeginStmt(raw string) StmtRecord {
 			wal:        s.Eng.walAppended(),
 			conflicts:  s.conflicts.Load(),
 			queries:    s.queryExecs.Load(),
-			batch:      s.batchExecs.Load(),
 			rewritten:  s.rewrittenExecs.Load(),
 			planHits:   s.planCacheHits.Load(),
 			planMisses: s.planCacheMisses.Load(),
@@ -288,7 +279,6 @@ func (s *Session) EndStmt(rec StmtRecord, err error) {
 		wal:        s.Eng.walAppended() - rec.base.wal,
 		conflicts:  s.conflicts.Load() - rec.base.conflicts,
 		queries:    s.queryExecs.Load() - rec.base.queries,
-		batch:      s.batchExecs.Load() - rec.base.batch,
 		rewritten:  s.rewrittenExecs.Load() - rec.base.rewritten,
 		planHits:   s.planCacheHits.Load() - rec.base.planHits,
 		planMisses: s.planCacheMisses.Load() - rec.base.planMisses,

@@ -84,8 +84,6 @@ func (e *Engine) statStatements() *storage.Table {
 		intCol("wal_bytes"),
 		intCol("conflicts"),
 		intCol("query_execs"),
-		intCol("batch_execs"),
-		intCol("row_execs"),
 		intCol("rewritten"),
 		intCol("plan_cache_hits"),
 		intCol("plan_cache_misses"),
@@ -104,8 +102,6 @@ func (e *Engine) statStatements() *storage.Table {
 			sqltypes.NewInt(r.WALBytes),
 			sqltypes.NewInt(r.Conflicts),
 			sqltypes.NewInt(r.QueryExecs),
-			sqltypes.NewInt(r.BatchExecs),
-			sqltypes.NewInt(r.RowExecs),
 			sqltypes.NewInt(r.Rewritten),
 			sqltypes.NewInt(r.PlanHits),
 			sqltypes.NewInt(r.PlanMisses),

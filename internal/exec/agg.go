@@ -25,18 +25,6 @@ type Aggregator interface {
 	Merge(other Aggregator) error
 }
 
-// BatchStepper is the optional vectorized extension of Aggregator: StepBatch
-// folds the selected rows of one column batch into the state, equivalent to
-// calling Step once per selected row in sel order (so NULL handling, type
-// coercion, and overflow detection behave identically on both paths). A nil
-// column is the argument-less COUNT(*) form. Aggregates that do not
-// implement it — notably interpreted and compiled custom aggregates, whose
-// Accumulate bodies are procedural — are stepped row-at-a-time even inside
-// a batched plan.
-type BatchStepper interface {
-	StepBatch(col *Column, sel []int) error
-}
-
 // AggSpec describes an aggregate function available to the planner.
 type AggSpec struct {
 	Name string
@@ -90,20 +78,6 @@ func (a *countAgg) Step(_ *Ctx, args []sqltypes.Value) error {
 	return nil
 }
 
-// StepBatch implements BatchStepper. A nil column is the COUNT(*) form.
-func (a *countAgg) StepBatch(col *Column, sel []int) error {
-	if col == nil || !col.HasNulls() {
-		a.n += int64(len(sel))
-		return nil
-	}
-	for _, i := range sel {
-		if !col.Null(i) {
-			a.n++
-		}
-	}
-	return nil
-}
-
 func (a *countAgg) Result(*Ctx) (sqltypes.Value, error) { return sqltypes.NewInt(a.n), nil }
 
 func (a *countAgg) Merge(other Aggregator) error {
@@ -132,8 +106,6 @@ func (a *sumAgg) Step(_ *Ctx, args []sqltypes.Value) error {
 	return a.add(args[0])
 }
 
-// add folds one value; shared by Step and StepBatch so both execution paths
-// have identical NULL, overflow, and type semantics.
 func (a *sumAgg) add(v sqltypes.Value) error {
 	if v.IsNull() {
 		return nil
@@ -153,19 +125,6 @@ func (a *sumAgg) add(v sqltypes.Value) error {
 		return fmt.Errorf("exec: sum of non-numeric %s", v.Kind())
 	}
 	a.seen = true
-	return nil
-}
-
-// StepBatch implements BatchStepper.
-func (a *sumAgg) StepBatch(col *Column, sel []int) error {
-	if col == nil {
-		return fmt.Errorf("exec: sum expects 1 argument")
-	}
-	for _, i := range sel {
-		if err := a.add(col.Vals[i]); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -223,19 +182,6 @@ func (a *avgAgg) add(v sqltypes.Value) error {
 	return nil
 }
 
-// StepBatch implements BatchStepper.
-func (a *avgAgg) StepBatch(col *Column, sel []int) error {
-	if col == nil {
-		return fmt.Errorf("exec: avg expects 1 argument")
-	}
-	for _, i := range sel {
-		if err := a.add(col.Vals[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func (a *avgAgg) Result(*Ctx) (sqltypes.Value, error) {
 	if a.n == 0 {
 		return sqltypes.Null, nil
@@ -284,19 +230,6 @@ func (a *minMaxAgg) add(v sqltypes.Value) error {
 	}
 	if (a.want < 0 && c < 0) || (a.want > 0 && c > 0) {
 		a.best = v
-	}
-	return nil
-}
-
-// StepBatch implements BatchStepper.
-func (a *minMaxAgg) StepBatch(col *Column, sel []int) error {
-	if col == nil {
-		return fmt.Errorf("exec: min/max expects 1 argument")
-	}
-	for _, i := range sel {
-		if err := a.add(col.Vals[i]); err != nil {
-			return err
-		}
 	}
 	return nil
 }

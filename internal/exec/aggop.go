@@ -11,12 +11,6 @@ type AggInstance struct {
 	Spec *AggSpec
 	Args []Scalar
 	Star bool // COUNT(*): no arguments are evaluated
-	// ArgOrds, when non-nil (same length as Args), gives the input column
-	// ordinal of every argument: the planner sets it when each argument is a
-	// plain column reference, unlocking the vectorized StepBatch path that
-	// reads arguments straight out of batch columns instead of evaluating
-	// Args row by row.
-	ArgOrds []int
 }
 
 // step folds one row, reusing buf for argument evaluation (Step
@@ -48,20 +42,10 @@ func argBuffers(aggs []AggInstance) [][]sqltypes.Value {
 // aggregates. With no group keys it is a scalar aggregate: exactly one
 // output row, produced even for empty input (Init + Terminate only — the
 // semantics Aggify's empty-cursor case relies on).
-//
-// When the child produces batches natively (and NoBatch is unset) the input
-// is consumed through the vectorized fold in aggbatch.go; groups and rows
-// are visited in the same order on both paths, so results are byte-identical.
 type HashAggOp struct {
 	Child     Operator
 	GroupKeys []Scalar
 	Aggs      []AggInstance
-	// GroupOrds, when non-nil (same length as GroupKeys), gives the input
-	// column ordinal of every group key for the vectorized fold.
-	GroupOrds []int
-	// NoBatch forces the row-at-a-time path (the planner sets it under
-	// Options.DisableBatch, keeping the row path benchmarkable/testable).
-	NoBatch bool
 
 	groups []Row
 	pos    int
@@ -74,10 +58,10 @@ func (o *HashAggOp) BufferedRows() int { return len(o.groups) }
 type aggGroup struct {
 	keys []sqltypes.Value
 	aggs []Aggregator
-	sel  []int // transient per-batch selection vector (batchAggFold only)
 }
 
-// Open implements Operator: it consumes the child entirely.
+// Open implements Operator: it consumes the child entirely, one row per
+// Step, checking for cancellation every refillRows rows.
 func (o *HashAggOp) Open(ctx *Ctx) error {
 	o.groups = nil
 	o.pos = 0
@@ -86,36 +70,6 @@ func (o *HashAggOp) Open(ctx *Ctx) error {
 	}
 	defer o.Child.Close()
 
-	var order []*aggGroup
-	if !o.NoBatch && CanBatch(o.Child) && BatchWorthwhile(len(o.GroupKeys), o.GroupOrds, o.Aggs) {
-		f := newBatchAggFold(o.GroupKeys, o.GroupOrds, o.Aggs)
-		if err := f.run(ctx, o.Child.(BatchOperator)); err != nil {
-			return err
-		}
-		order = f.order
-	} else {
-		var err error
-		if order, err = o.rowFold(ctx); err != nil {
-			return err
-		}
-	}
-	for _, g := range order {
-		out := make(Row, len(g.keys)+len(g.aggs))
-		copy(out, g.keys)
-		for i, a := range g.aggs {
-			v, err := a.Result(ctx)
-			if err != nil {
-				return err
-			}
-			out[len(g.keys)+i] = v
-		}
-		o.groups = append(o.groups, out)
-	}
-	return nil
-}
-
-// rowFold is the row-at-a-time accumulation loop.
-func (o *HashAggOp) rowFold(ctx *Ctx) ([]*aggGroup, error) {
 	newGroup := func(keys []sqltypes.Value) *aggGroup {
 		g := &aggGroup{keys: keys, aggs: make([]Aggregator, len(o.Aggs))}
 		for i, ai := range o.Aggs {
@@ -132,25 +86,23 @@ func (o *HashAggOp) rowFold(ctx *Ctx) ([]*aggGroup, error) {
 		scalarGroup = newGroup(nil)
 		order = append(order, scalarGroup)
 	}
-	n := 0
-	for {
+	for n := 1; ; n++ {
 		row, err := o.Child.Next(ctx)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if row == nil {
-			return order, nil
+			break
 		}
-		n++
-		if n%1024 == 0 && ctx.Interrupted() {
-			return nil, ErrInterrupted
+		if n%refillRows == 0 && ctx.Interrupted() {
+			return ErrInterrupted
 		}
 		g := scalarGroup
 		if g == nil {
 			keys := make([]sqltypes.Value, len(o.GroupKeys))
 			for i, k := range o.GroupKeys {
 				if keys[i], err = k(ctx, row); err != nil {
-					return nil, err
+					return err
 				}
 			}
 			h := sqltypes.HashRow(keys)
@@ -168,10 +120,23 @@ func (o *HashAggOp) rowFold(ctx *Ctx) ([]*aggGroup, error) {
 		}
 		for i := range o.Aggs {
 			if err := o.Aggs[i].step(ctx, g.aggs[i], row, bufs[i]); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
+	for _, g := range order {
+		out := make(Row, len(g.keys)+len(g.aggs))
+		copy(out, g.keys)
+		for i, a := range g.aggs {
+			v, err := a.Result(ctx)
+			if err != nil {
+				return err
+			}
+			out[len(g.keys)+i] = v
+		}
+		o.groups = append(o.groups, out)
+	}
+	return nil
 }
 
 // Next implements Operator.

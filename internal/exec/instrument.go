@@ -115,27 +115,6 @@ func (o *InstrumentedOp) Next(ctx *Ctx) (Row, error) {
 	return r, err
 }
 
-// NextBatch implements BatchOperator: the whole batch counts as one call
-// and Len rows, so per-op read/time attribution works identically on the
-// vectorized path.
-func (o *InstrumentedOp) NextBatch(ctx *Ctx) (*Batch, error) {
-	o.Stats.nextCalls.Add(1)
-	start := time.Now()
-	before := snapshotOf(ctx)
-	b, err := o.Child.(BatchOperator).NextBatch(ctx)
-	o.Stats.addReads(snapshotOf(ctx).Sub(before))
-	o.Stats.timeNanos.Add(int64(time.Since(start)))
-	if b != nil {
-		o.Stats.rows.Add(int64(b.Len()))
-	}
-	o.probe()
-	return b, err
-}
-
-// BatchCapable implements batchCapable: instrumentation is a pass-through
-// transformer, so the wrapper is exactly as batch-capable as its child.
-func (o *InstrumentedOp) BatchCapable() bool { return CanBatch(o.Child) }
-
 // Close implements Operator.
 func (o *InstrumentedOp) Close() {
 	start := time.Now()

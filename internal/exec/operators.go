@@ -63,33 +63,32 @@ func (o *OneRowOp) Next(*Ctx) (Row, error) {
 // Close implements Operator.
 func (o *OneRowOp) Close() {}
 
+// refillRows is how many rows a scan visits per storage-cursor refill, and
+// so how often it checks Ctx.Interrupt; HashAggOp checks at the same stride.
+const refillRows = 1024
+
 // cursorFeed is the pull loop every cursor-backed scan shares (ScanOp,
-// RangeSeekOp embed it): it refills from a storage cursor
-// DefaultBatchSize visited rows at a time and applies the scan's bound
-// predicate inside the cursor callback. A rejected row is charged its
-// logical read like any other, but is never buffered, never crosses an
-// operator boundary and never gets transposed into a Batch. The interrupt
-// check runs once per refill, i.e. per DefaultBatchSize visited rows,
-// however few of them qualify.
+// RangeSeekOp embed it): it refills from a storage cursor refillRows
+// visited rows at a time and applies the scan's bound predicate inside the
+// cursor callback. A rejected row is charged its logical read like any
+// other, but is never buffered and never crosses an operator boundary. The
+// interrupt check runs once per refill, however few of the visited rows
+// qualify.
 type cursorFeed struct {
-	cur   rowCursor
-	width int
-	bp    BoundPredicate
+	cur rowCursor
+	bp  BoundPredicate
 
 	// sink is the cursor callback, allocated once per operator so a refill
-	// allocates nothing; ctx and fill are its arguments for the refill in
-	// flight (fill nil = buffer rows, else append to that batch).
+	// allocates nothing; ctx is its argument for the refill in flight.
 	sink func(row []sqltypes.Value)
 	ctx  *Ctx
-	fill *Batch
-	// err is a predicate error met mid-refill. The row path returns it only
-	// after the rows that preceded it, as evaluating row by row would have.
+	// err is a predicate error met mid-refill. Next returns it only after
+	// the rows that preceded it, as evaluating row by row would have.
 	err error
 
-	buf   []Row
-	pos   int
-	eof   bool
-	batch *Batch
+	buf []Row
+	pos int
+	eof bool
 }
 
 // rowCursor is what storage.Cursor and storage.RangeCursor have in common.
@@ -97,9 +96,9 @@ type rowCursor interface {
 	Next(stats *storage.Stats, max int, fn func(row []sqltypes.Value)) int
 }
 
-// open points the feed at a cursor (nil = no rows) over width-column rows.
-func (f *cursorFeed) open(cur rowCursor, width int, pred *Predicate) {
-	f.cur, f.width = cur, width
+// open points the feed at a cursor (nil = no rows).
+func (f *cursorFeed) open(cur rowCursor, pred *Predicate) {
+	f.cur = cur
 	f.bp.Reset(pred)
 	if f.sink == nil {
 		f.sink = f.take
@@ -125,11 +124,7 @@ func (f *cursorFeed) take(row []sqltypes.Value) {
 			return
 		}
 	}
-	if f.fill != nil {
-		f.fill.AppendRow(row)
-	} else {
-		f.buf = append(f.buf, row)
-	}
+	f.buf = append(f.buf, row)
 }
 
 // Next implements Operator.
@@ -147,7 +142,7 @@ func (f *cursorFeed) Next(ctx *Ctx) (Row, error) {
 		f.buf = f.buf[:0]
 		f.pos = 0
 		f.ctx = ctx
-		if f.cur.Next(ctx.Stats, DefaultBatchSize, f.sink) == 0 {
+		if f.cur.Next(ctx.Stats, refillRows, f.sink) == 0 {
 			f.eof = true
 		}
 	}
@@ -156,45 +151,11 @@ func (f *cursorFeed) Next(ctx *Ctx) (Row, error) {
 	return r, nil
 }
 
-// NextBatch implements BatchOperator, filling a columnar batch straight
-// from the cursor with the rows that pass.
-func (f *cursorFeed) NextBatch(ctx *Ctx) (*Batch, error) {
-	if f.batch == nil {
-		f.batch = NewBatch(f.width)
-	}
-	b := f.batch
-	for {
-		if f.eof {
-			return nil, nil
-		}
-		if ctx.Interrupted() {
-			return nil, ErrInterrupted
-		}
-		b.Reset(f.width)
-		f.ctx, f.fill = ctx, b
-		n := f.cur.Next(ctx.Stats, DefaultBatchSize, f.sink)
-		f.fill = nil
-		if f.err != nil {
-			return nil, f.err
-		}
-		if n == 0 {
-			f.eof = true
-			return nil, nil
-		}
-		if b.Len() > 0 {
-			return b, nil
-		}
-	}
-}
-
-// BatchCapable implements the batch contract: scans produce batches natively.
-func (f *cursorFeed) BatchCapable() bool { return true }
-
 // Close implements Operator.
 func (f *cursorFeed) Close() { f.cur = nil; f.buf = nil }
 
 // ScanOp scans a base table (or table variable / temp table). It streams
-// from a storage cursor one batch at a time: the cursor freezes the slot
+// from a storage cursor one refill at a time: the cursor freezes the slot
 // slice at Open (so concurrent inserts during iteration — e.g. INSERT ...
 // SELECT on the same table — do not loop forever) but rows are only walked,
 // charged, and buffered as the consumer pulls, so a TOP or an early close
@@ -209,11 +170,11 @@ type ScanOp struct {
 
 // Open implements Operator.
 func (o *ScanOp) Open(ctx *Ctx) error {
-	o.open(o.Table.NewCursor(ctx.Snap), o.Table.Schema.Len(), o.Pred)
+	o.open(o.Table.NewCursor(ctx.Snap), o.Pred)
 	return nil
 }
 
-// BufferedRows reports the rows currently buffered (at most one batch) —
+// BufferedRows reports the rows currently buffered (at most one refill) —
 // the regression guard for the old materialize-everything-at-Open behavior.
 func (o *ScanOp) BufferedRows() int { return len(o.buf) }
 
@@ -224,9 +185,8 @@ type IndexSeekOp struct {
 	Column string
 	Key    Scalar
 
-	rows  [][]sqltypes.Value
-	pos   int
-	batch *Batch
+	rows [][]sqltypes.Value
+	pos  int
 }
 
 // Open implements Operator.
@@ -259,40 +219,14 @@ func (o *IndexSeekOp) Next(*Ctx) (Row, error) {
 	return r, nil
 }
 
-// NextBatch implements BatchOperator over the matched rows (index matches
-// are bounded by key selectivity, so they stay materialized at Open).
-func (o *IndexSeekOp) NextBatch(ctx *Ctx) (*Batch, error) {
-	if o.pos >= len(o.rows) {
-		return nil, nil
-	}
-	if ctx.Interrupted() {
-		return nil, ErrInterrupted
-	}
-	w := o.Table.Schema.Len()
-	if o.batch == nil {
-		o.batch = NewBatch(w)
-	}
-	b := o.batch
-	b.Reset(w)
-	for o.pos < len(o.rows) && b.Len() < DefaultBatchSize {
-		b.AppendRow(o.rows[o.pos])
-		o.pos++
-	}
-	return b, nil
-}
-
-// BatchCapable implements the batch contract.
-func (o *IndexSeekOp) BatchCapable() bool { return true }
-
 // Close implements Operator.
 func (o *IndexSeekOp) Close() { o.rows = nil }
 
 // RangeSeekOp streams the rows of Table whose Column falls in [Lo, Hi]
 // through an ordered index. A nil bound scalar is unbounded on that side; a
 // bound that evaluates to NULL matches nothing (SQL comparisons with NULL
-// are never true). Like ScanOp it streams from a storage cursor one batch
-// at a time, so the PR 7 batch path consumes range seeks exactly as it
-// consumes scans.
+// are never true). Like ScanOp it streams from a storage cursor one refill
+// at a time.
 type RangeSeekOp struct {
 	Table    *storage.Table
 	Column   string
@@ -309,7 +243,7 @@ type RangeSeekOp struct {
 // Open implements Operator, evaluating the bound scalars (they may
 // reference variables or outer rows) and opening the range cursor.
 func (o *RangeSeekOp) Open(ctx *Ctx) error {
-	o.open(nil, 0, nil) // no rows unless the seek below succeeds
+	o.open(nil, nil) // no rows unless the seek below succeeds
 	lo, hi := sqltypes.Null, sqltypes.Null
 	if o.Lo != nil {
 		v, err := o.Lo(ctx, nil)
@@ -335,11 +269,11 @@ func (o *RangeSeekOp) Open(ctx *Ctx) error {
 	if !ok {
 		return fmt.Errorf("exec: no ordered index on %s(%s)", o.Table.Name, o.Column)
 	}
-	o.open(cur, o.Table.Schema.Len(), o.Pred)
+	o.open(cur, o.Pred)
 	return nil
 }
 
-// BufferedRows reports the rows currently buffered (at most one batch).
+// BufferedRows reports the rows currently buffered (at most one refill).
 func (o *RangeSeekOp) BufferedRows() int { return len(o.buf) }
 
 // LateScanOp scans a table variable or temp table resolved from the
@@ -368,12 +302,6 @@ func (o *LateScanOp) Open(ctx *Ctx) error {
 
 // Next implements Operator.
 func (o *LateScanOp) Next(ctx *Ctx) (Row, error) { return o.scan.Next(ctx) }
-
-// NextBatch implements BatchOperator via the inner scan.
-func (o *LateScanOp) NextBatch(ctx *Ctx) (*Batch, error) { return o.scan.NextBatch(ctx) }
-
-// BatchCapable implements the batch contract.
-func (o *LateScanOp) BatchCapable() bool { return true }
 
 // Close implements Operator.
 func (o *LateScanOp) Close() { o.scan.Close() }
@@ -434,8 +362,7 @@ type FilterOp struct {
 	Child Operator
 	Pred  *Predicate
 
-	bp  BoundPredicate
-	out *Batch
+	bp BoundPredicate
 }
 
 // Open implements Operator.
@@ -461,46 +388,6 @@ func (o *FilterOp) Next(ctx *Ctx) (Row, error) {
 	}
 }
 
-// NextBatch implements BatchOperator: kernels read the child batch's
-// columns in place (only a generic conjunct materializes the row it is
-// handed), and qualifying rows are gathered column by column into the
-// output batch. Qualifier-free stretches still advance a whole batch per
-// child pull, so the per-row interrupt stride is preserved by the producers
-// beneath.
-func (o *FilterOp) NextBatch(ctx *Ctx) (*Batch, error) {
-	src := o.Child.(BatchOperator)
-	for {
-		in, err := src.NextBatch(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if in == nil {
-			return nil, nil
-		}
-		if o.out == nil {
-			o.out = NewBatch(in.Width())
-		}
-		out := o.out
-		out.Reset(in.Width())
-		for i := 0; i < in.Len(); i++ {
-			ok, err := o.bp.MatchAt(ctx, in, i)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				out.appendFrom(in, i)
-			}
-		}
-		if out.Len() > 0 {
-			return out, nil
-		}
-	}
-}
-
-// BatchCapable reports the child's capability: a filter is a pass-through
-// transformer on the batch path.
-func (o *FilterOp) BatchCapable() bool { return CanBatch(o.Child) }
-
 // Close implements Operator.
 func (o *FilterOp) Close() { o.Child.Close() }
 
@@ -508,9 +395,6 @@ func (o *FilterOp) Close() { o.Child.Close() }
 type ProjectOp struct {
 	Child Operator
 	Exprs []Scalar
-
-	out     *Batch
-	scratch Row
 }
 
 // Open implements Operator.
@@ -530,37 +414,6 @@ func (o *ProjectOp) Next(ctx *Ctx) (Row, error) {
 	}
 	return out, nil
 }
-
-// NextBatch implements BatchOperator, evaluating the projection over a
-// scratch view of each input row into the output batch.
-func (o *ProjectOp) NextBatch(ctx *Ctx) (*Batch, error) {
-	src := o.Child.(BatchOperator)
-	in, err := src.NextBatch(ctx)
-	if err != nil || in == nil {
-		return nil, err
-	}
-	if o.out == nil {
-		o.out = NewBatch(len(o.Exprs))
-	}
-	out := o.out
-	out.Reset(len(o.Exprs))
-	for i := 0; i < in.Len(); i++ {
-		o.scratch = in.Row(i, o.scratch)
-		for j, s := range o.Exprs {
-			v, err := s(ctx, o.scratch)
-			if err != nil {
-				return nil, err
-			}
-			out.Cols[j].Append(v)
-		}
-		out.n++
-	}
-	return out, nil
-}
-
-// BatchCapable reports the child's capability: a projection is a
-// pass-through transformer on the batch path.
-func (o *ProjectOp) BatchCapable() bool { return CanBatch(o.Child) }
 
 // Close implements Operator.
 func (o *ProjectOp) Close() { o.Child.Close() }

@@ -84,9 +84,8 @@ type boundArg struct {
 // BoundPredicate is a Predicate plus the invariants bound so far. Operators
 // embed one and Reset it at Open; the zero value matches every row.
 type BoundPredicate struct {
-	p       *Predicate
-	args    []boundArg
-	scratch Row // MatchAt's materialized row, for generic conjuncts
+	p    *Predicate
+	args []boundArg
 }
 
 // Reset points b at p (nil = match everything) and forgets every bound
@@ -117,20 +116,8 @@ func (b *BoundPredicate) arg(ctx *Ctx, c *Conjunct, i int) (*sqltypes.Value, err
 }
 
 // Match reports whether row satisfies the predicate: every conjunct TRUE.
+// The conjuncts are evaluated in order.
 func (b *BoundPredicate) Match(ctx *Ctx, row Row) (bool, error) {
-	return b.match(ctx, row, nil, 0)
-}
-
-// MatchAt is Match on row i of a batch. Kernels read their column in place;
-// the row is materialized (into a reused buffer) only if a generic conjunct
-// is reached.
-func (b *BoundPredicate) MatchAt(ctx *Ctx, in *Batch, i int) (bool, error) {
-	return b.match(ctx, nil, in, i)
-}
-
-// match evaluates the conjuncts in order against row, or, when row is nil,
-// against row i of in.
-func (b *BoundPredicate) match(ctx *Ctx, row Row, in *Batch, i int) (bool, error) {
 	if b.p == nil {
 		return true, nil
 	}
@@ -140,24 +127,14 @@ func (b *BoundPredicate) match(ctx *Ctx, row Row, in *Batch, i int) (bool, error
 		c := &conj[k]
 		var r tri
 		if c.Shape == ShapeGeneric {
-			if row == nil {
-				b.scratch = in.Row(i, b.scratch)
-				row = b.scratch
-			}
 			v, err := c.Generic(ctx, row)
 			if err != nil {
 				return false, err
 			}
 			r = triOf(v)
 		} else {
-			var v *sqltypes.Value
-			if row != nil {
-				v = &row[c.Ord]
-			} else {
-				v = &in.Cols[c.Ord].Vals[i]
-			}
 			var err error
-			if r, err = b.kernel(ctx, c, v); err != nil {
+			if r, err = b.kernel(ctx, c, &row[c.Ord]); err != nil {
 				return false, err
 			}
 		}

@@ -32,27 +32,7 @@ func Compile(cat Catalog, opts Options, q *ast.Select) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Plan{Columns: cols, Explain: n, build: builder, Rewrites: rewrites, Stamps: sc.stamps()}
-	p.Batched = planBatched(n)
-	return p, nil
-}
-
-// planBatched derives the Batched plan summary flag from the explain tree's
-// operator labels (the same ones EXPLAIN prints, so the flag can never
-// disagree with what the user sees).
-func planBatched(n *Node) bool {
-	if n == nil {
-		return false
-	}
-	if strings.HasSuffix(n.Op, " [batch]") {
-		return true
-	}
-	for _, c := range n.Children {
-		if planBatched(c) {
-			return true
-		}
-	}
-	return false
+	return &Plan{Columns: cols, Explain: n, build: builder, Rewrites: rewrites, Stamps: sc.stamps()}, nil
 }
 
 // compileSelect compiles a query (with CTEs and UNION ALL) against an
@@ -782,10 +762,6 @@ func (c *compiler) compileAggregation(q *ast.Select, input opBuilder, inScope *s
 		}
 		groupKeys[i] = s
 	}
-	// Resolve group keys (and below, aggregate arguments) to input ordinals
-	// where they are plain column references: the vectorized fold then reads
-	// them straight out of batch columns instead of evaluating scalars per row.
-	groupOrds := ordsOf(q.GroupBy, inScope)
 	instances := make([]exec.AggInstance, len(aggs))
 	orderSensitive := q.OrderEnforced
 	for i, a := range aggs {
@@ -798,7 +774,6 @@ func (c *compiler) compileAggregation(q *ast.Select, input opBuilder, inScope *s
 				}
 				inst.Args = append(inst.Args, s)
 			}
-			inst.ArgOrds = ordsOf(a.call.Args, inScope)
 		}
 		if a.spec.OrderSensitive {
 			orderSensitive = true
@@ -828,70 +803,10 @@ func (c *compiler) compileAggregation(q *ast.Select, input opBuilder, inScope *s
 		label = fmt.Sprintf("StreamAgg(keys=%d, aggs=[%s])", len(q.GroupBy), argList)
 	} else {
 		builder = func(bc *buildCtx) exec.Operator {
-			return &exec.HashAggOp{Child: input(bc), GroupKeys: groupKeys, GroupOrds: groupOrds, Aggs: instances, NoBatch: c.opts.DisableBatch}
+			return &exec.HashAggOp{Child: input(bc), GroupKeys: groupKeys, Aggs: instances}
 		}
 		label = fmt.Sprintf("HashAgg(keys=%d, aggs=[%s])", len(q.GroupBy), argList)
-		label += c.batchSuffix(n, len(q.GroupBy), groupOrds, instances)
 	}
 	an := node(label, n)
 	return annotate(builder, an), outScope, an, nil
-}
-
-// ordsOf resolves each expression to a current-scope input ordinal, returning
-// nil unless every expression is a plain column reference binding in the
-// current scope (levelsUp 0) — the contract that lets the vectorized fold
-// read group keys and aggregate arguments straight out of batch columns.
-func ordsOf(exprs []ast.Expr, sc *scope) []int {
-	if len(exprs) == 0 {
-		return nil
-	}
-	out := make([]int, len(exprs))
-	for i, e := range exprs {
-		cr, ok := e.(*ast.ColRef)
-		if !ok {
-			return nil
-		}
-		res, err := sc.resolve(cr)
-		if err != nil || res.levelsUp != 0 {
-			return nil
-		}
-		out[i] = res.ordinal
-	}
-	return out
-}
-
-// batchSuffix reports how an aggregation will consume its input, as an
-// EXPLAIN label suffix: ` [batch]` when the input chain produces batches
-// natively end to end and the aggregates vectorize, or a ` [row: ...]`
-// reason otherwise.
-func (c *compiler) batchSuffix(n *Node, nKeys int, groupOrds []int, aggs []exec.AggInstance) string {
-	switch {
-	case c.opts.DisableBatch:
-		return " [row: batch disabled]"
-	case !exec.BatchWorthwhile(nKeys, groupOrds, aggs):
-		return " [row: aggregate not vectorizable]"
-	case !batchChain(n):
-		return " [row: input not batch-capable]"
-	}
-	return " [batch]"
-}
-
-// batchChain statically mirrors exec.CanBatch over the explain tree:
-// pass-through transformers (filters, projections, trivial derived tables)
-// descend; recognized scan leaves produce batches natively. Operators the
-// walk does not recognize keep the row path, exactly like an operator
-// without a native NextBatch does at runtime.
-func batchChain(n *Node) bool {
-	for strings.HasPrefix(n.Op, "Filter") || n.Op == "Project" ||
-		strings.HasPrefix(n.Op, "CommonSubquery(") || strings.HasPrefix(n.Op, "Derived(") {
-		if len(n.Children) != 1 {
-			return false
-		}
-		n = n.Children[0]
-	}
-	if len(n.Children) != 0 {
-		return false
-	}
-	return strings.HasPrefix(n.Op, "Scan(") || strings.HasPrefix(n.Op, "IndexSeek(") ||
-		strings.HasPrefix(n.Op, "RangeSeek(") || strings.HasPrefix(n.Op, "LateScan(")
 }

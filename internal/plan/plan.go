@@ -44,10 +44,6 @@ type Options struct {
 	// RuleAll disables the whole pass. A bitmask rather than a slice so
 	// Options stays usable as a plan-cache key.
 	DisableRules RuleSet
-	// DisableBatch forces row-at-a-time execution even where the vectorized
-	// batch path would apply (benchmarks and property tests run both paths
-	// and compare byte for byte).
-	DisableBatch bool
 	// MaxRecursion caps recursive CTE iterations (0 = engine default).
 	MaxRecursion int
 }
@@ -63,11 +59,6 @@ type Plan struct {
 	// this query, as "rule(count)" in rule order; empty when the pass left
 	// the query untouched. Surfaced as the EXPLAIN `rewrites:` header.
 	Rewrites []string
-
-	// Batched summarizes the physical plan shape (derived from the explain
-	// tree at compile time): whether any aggregation consumes columnar
-	// batches. The engine's statement stats aggregate it per fingerprint.
-	Batched bool
 
 	// Stamps records the stats version of every base table this plan was
 	// costed against at compile time. The engine plan cache compares them

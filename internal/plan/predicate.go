@@ -258,7 +258,7 @@ func (f scanFilter) suffix() string {
 // fuseScanFilter compiles the leading kernel conjuncts of preds into the
 // predicate the unit's scan runs inside its cursor callback, and returns the
 // conjuncts left for FilterOps above it. Only a kernel-only prefix moves: a
-// scan tests up to a batch of rows ahead of its consumer, which is
+// scan tests up to a refill of rows ahead of its consumer, which is
 // unobservable for kernels (no reads charged, and an invariant's error is
 // held back behind the rows that precede it) but not for conjuncts that
 // call user code or run subqueries, and conjuncts keep their order.

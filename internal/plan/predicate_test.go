@@ -18,7 +18,7 @@ import (
 // (the reference: what every filter ran before kernels existed), once
 // through compilePredicate — and evaluated over the same rows. Selection and
 // error must be identical, through the bare BoundPredicate, through FilterOp
-// on both the row and the batch path, and through a scan that filters.
+// and through a scan that filters.
 
 // predValues is every kind a column or an operand can hold, with the pairs
 // that exercise coercion: int against float, a date against a date-shaped
@@ -131,13 +131,6 @@ func sameOutcome(a, b outcome) bool {
 	return fmt.Sprint(a.sel) == fmt.Sprint(b.sel) && a.err == b.err
 }
 
-// sameBatchOutcome is the batch path's contract: it raises an error at once,
-// ahead of the rows that preceded it in the batch (DESIGN.md §3.8), so only
-// the error is compared when there is one.
-func sameBatchOutcome(got, want outcome) bool {
-	return got.err == want.err && (want.err != "" || sameOutcome(got, want))
-}
-
 // reference evaluates e the old way: one closure, called per row.
 func (env *predEnv) reference(t *testing.T, e ast.Expr, rows []exec.Row) outcome {
 	t.Helper()
@@ -175,27 +168,14 @@ func (env *predEnv) bound(p *exec.Predicate, rows []exec.Row) outcome {
 	return out
 }
 
-// drain pulls op to its end or first error, row by row or batch by batch.
-func (env *predEnv) drain(op exec.Operator, batch bool) outcome {
+// drain pulls op to its end or first error.
+func (env *predEnv) drain(op exec.Operator) outcome {
 	var out outcome
 	defer op.Close()
 	if err := op.Open(env.ctx); err != nil {
 		return out.fail(err)
 	}
 	for {
-		if batch {
-			b, err := op.(exec.BatchOperator).NextBatch(env.ctx)
-			if err != nil {
-				return out.fail(err)
-			}
-			if b == nil {
-				return out
-			}
-			for i := 0; i < b.Len(); i++ {
-				out.take(b.Row(i, nil))
-			}
-			continue
-		}
 		r, err := op.Next(env.ctx)
 		if err != nil {
 			return out.fail(err)
@@ -226,24 +206,16 @@ func (env *predEnv) check(t *testing.T, e ast.Expr, wantTag string) {
 		if got := env.bound(p, rows); !sameOutcome(got, want) {
 			t.Errorf("%s: bound predicate %v, generic closure %v", e, got, want)
 		}
-		got := env.drain(&exec.FilterOp{Child: &exec.BufferScanOp{Rows: rows}, Pred: p}, false)
-		if !sameOutcome(got, want) {
+		if got := env.drain(&exec.FilterOp{Child: &exec.BufferScanOp{Rows: rows}, Pred: p}); !sameOutcome(got, want) {
 			t.Errorf("%s: FilterOp.Next %v, generic closure %v", e, got, want)
-		}
-		got = env.drain(&exec.FilterOp{Child: &exec.AdaptBatch{Child: &exec.BufferScanOp{Rows: rows}}, Pred: p}, true)
-		if !sameBatchOutcome(got, want) {
-			t.Errorf("%s: FilterOp.NextBatch %v, generic closure %v", e, got, want)
 		}
 	}
 	if env.tab == nil || tag != " [bound]" {
 		return // a scan takes kernel-only predicates
 	}
 	want := env.reference(t, e, env.rows)
-	if got := env.drain(&exec.ScanOp{Table: env.tab, Pred: p}, false); !sameOutcome(got, want) {
+	if got := env.drain(&exec.ScanOp{Table: env.tab, Pred: p}); !sameOutcome(got, want) {
 		t.Errorf("%s: filtering ScanOp.Next %v, generic closure %v", e, got, want)
-	}
-	if got := env.drain(&exec.ScanOp{Table: env.tab, Pred: p}, true); !sameBatchOutcome(got, want) {
-		t.Errorf("%s: filtering ScanOp.NextBatch %v, generic closure %v", e, got, want)
 	}
 }
 

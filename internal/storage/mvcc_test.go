@@ -354,7 +354,10 @@ func TestTruncateMVCC(t *testing.T) {
 // stale cached values.
 func TestTableStatisticsRefreshOnMutation(t *testing.T) {
 	tab, _ := managedTable(t)
-	idOrd := tab.Schema.MustOrdinal("id")
+	idOrd := tab.Schema.Ordinal("id")
+	if idOrd < 0 {
+		t.Fatal("managed table has no id column")
+	}
 
 	for i := int64(0); i < 8; i++ {
 		_ = tab.Insert(nil, row(i%4, "n", 0))

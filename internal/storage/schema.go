@@ -41,16 +41,6 @@ func (s *Schema) Ordinal(name string) int {
 	return -1
 }
 
-// MustOrdinal is Ordinal but panics when the column is missing; used by
-// generators and tests where the schema is statically known.
-func (s *Schema) MustOrdinal(name string) int {
-	i := s.Ordinal(name)
-	if i < 0 {
-		panic(fmt.Sprintf("storage: no column %q in schema %v", name, s.Names()))
-	}
-	return i
-}
-
 // Names returns the column names in order.
 func (s *Schema) Names() []string {
 	out := make([]string, len(s.Columns))

@@ -29,12 +29,6 @@ func TestSchemaOrdinal(t *testing.T) {
 	if got := s.String(); got != "(id INT, name VARCHAR(32), cost FLOAT)" {
 		t.Fatalf("String() = %q", got)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustOrdinal should panic on missing column")
-		}
-	}()
-	s.MustOrdinal("nope")
 }
 
 func row(id int64, name string, cost float64) []sqltypes.Value {
@@ -270,7 +264,9 @@ func TestWorktable(t *testing.T) {
 	var stats Stats
 	w := NewWorktable(&stats)
 	for i := int64(0); i < 1000; i++ {
-		w.Append(row(i, "some-name-payload", float64(i)*1.5))
+		if err := w.Append(row(i, "some-name-payload", float64(i)*1.5)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if w.RowCount() != 1000 {
 		t.Fatalf("RowCount = %d", w.RowCount())
@@ -285,7 +281,10 @@ func TestWorktable(t *testing.T) {
 		t.Fatalf("expected multiple pages, got %d", w.PageCount())
 	}
 	for i := 0; i < 1000; i++ {
-		r := w.Get(i)
+		r, err := w.Get(i)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if r[0].Int() != int64(i) {
 			t.Fatalf("row %d decoded id %d", i, r[0].Int())
 		}
@@ -293,12 +292,47 @@ func TestWorktable(t *testing.T) {
 	if stats.WorktableReads.Load() != 1000 {
 		t.Fatalf("reads = %d", stats.WorktableReads.Load())
 	}
-	if w.Get(-1) != nil || w.Get(1000) != nil {
-		t.Fatal("out-of-range Get must return nil")
+	for _, i := range []int{-1, 1000} {
+		if r, err := w.Get(i); r != nil || err != nil {
+			t.Fatalf("out-of-range Get(%d) = %v, %v; want nil, nil", i, r, err)
+		}
 	}
 	w.Reset()
-	if w.RowCount() != 0 || w.Get(0) != nil {
+	if r, err := w.Get(0); w.RowCount() != 0 || r != nil || err != nil {
 		t.Fatal("reset broken")
+	}
+}
+
+// TestWorktableIOErrors closes a disk worktable's file underneath it: reading
+// back a spilled row and spilling another page must both return errors, not
+// panic.
+func TestWorktableIOErrors(t *testing.T) {
+	w := NewWorktable(nil)
+	defer w.Close()
+	if w.InMemory() {
+		t.Skip("no temporary file could be created")
+	}
+	appendPage := func() error {
+		for pages := w.PageCount(); w.PageCount() == pages; {
+			if err := w.Append(row(int64(w.RowCount()), "some-name-payload", 1.5)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for w.PageCount() < 2 { // page 0 spilled to the file
+		if err := appendPage(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.file.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := w.Get(0); err == nil {
+		t.Fatalf("Get of a spilled row after the file closed = %v, want an error", r)
+	}
+	if err := appendPage(); err == nil {
+		t.Fatal("spilling a page after the file closed succeeded, want an error")
 	}
 }
 

@@ -86,8 +86,9 @@ func NewMemoryWorktable(stats *Stats) *Worktable {
 // InMemory reports whether the worktable holds its pages in memory.
 func (w *Worktable) InMemory() bool { return w.file == nil }
 
-// Append encodes a row into the worktable, charging one worktable write.
-func (w *Worktable) Append(row []sqltypes.Value) {
+// Append encodes a row into the worktable, charging one worktable write. It
+// fails, leaving the worktable as it was, when spilling a full page does.
+func (w *Worktable) Append(row []sqltypes.Value) error {
 	w.scratch = AppendRow(w.scratch[:0], row)
 	enc := w.scratch
 	if w.file == nil {
@@ -103,7 +104,9 @@ func (w *Worktable) Append(row []sqltypes.Value) {
 			w.writeBuf = make([]byte, 0, w.pageSize)
 		}
 		if len(w.writeBuf)+len(enc) > w.pageSize && len(w.writeBuf) > 0 {
-			w.flushPage()
+			if err := w.flushPage(); err != nil {
+				return err
+			}
 		}
 		start := len(w.writeBuf)
 		w.writeBuf = append(w.writeBuf, enc...)
@@ -114,31 +117,31 @@ func (w *Worktable) Append(row []sqltypes.Value) {
 		w.stats.WorktableWrites.Add(1)
 		w.stats.WorktableBytes.Add(int64(len(enc)))
 	}
+	return nil
 }
 
 // flushPage writes the current page to disk at its page-aligned offset.
-func (w *Worktable) flushPage() {
+func (w *Worktable) flushPage() error {
 	if w.file == nil || len(w.writeBuf) == 0 {
-		return
+		return nil
 	}
 	if _, err := w.file.WriteAt(w.writeBuf[:cap(w.writeBuf)][:w.pageSize], int64(w.curPage)*int64(w.pageSize)); err != nil {
-		// Degrade to memory on I/O failure: move everything written so far
-		// is unrecoverable, so fail loudly — worktable I/O errors mean the
-		// environment is out of disk.
-		panic(fmt.Sprintf("storage: worktable write failed: %v", err))
+		return fmt.Errorf("storage: worktable write of page %d: %w", w.curPage, err)
 	}
 	w.curPage++
 	w.writeBuf = w.writeBuf[:0]
+	return nil
 }
 
 // RowCount returns the number of rows materialized.
 func (w *Worktable) RowCount() int { return w.rows }
 
-// Get decodes the i-th row, charging one worktable read. Returns nil when
-// out of range.
-func (w *Worktable) Get(i int) []sqltypes.Value {
+// Get decodes the i-th row, charging one worktable read. It returns a nil
+// row when i is out of range, and an error when the row's page cannot be
+// read back or the row does not decode.
+func (w *Worktable) Get(i int) ([]sqltypes.Value, error) {
 	if i < 0 || i >= w.rows {
-		return nil
+		return nil, nil
 	}
 	off := w.offsets[i]
 	var page []byte
@@ -154,9 +157,11 @@ func (w *Worktable) Get(i int) []sqltypes.Value {
 			if w.readBuf == nil {
 				w.readBuf = make([]byte, w.pageSize)
 			}
+			// A failed read may have overwritten part of the cached page.
+			w.readPage = -1
 			n, err := w.file.ReadAt(w.readBuf, int64(off.page)*int64(w.pageSize))
 			if err != nil && n < off.end {
-				panic(fmt.Sprintf("storage: worktable read failed: %v", err))
+				return nil, fmt.Errorf("storage: worktable read of page %d: %w", off.page, err)
 			}
 			w.readPage = off.page
 		}
@@ -164,12 +169,12 @@ func (w *Worktable) Get(i int) []sqltypes.Value {
 	}
 	row, _, err := DecodeRow(page[off.start:off.end])
 	if err != nil {
-		panic("storage: worktable row corrupted: " + err.Error())
+		return nil, fmt.Errorf("storage: worktable row %d corrupted: %w", i, err)
 	}
 	if w.stats != nil {
 		w.stats.WorktableReads.Add(1)
 	}
-	return row
+	return row, nil
 }
 
 // PageCount returns the number of pages used.

@@ -5,9 +5,6 @@
 //
 //   - any benchmark more than -threshold (default 25%) slower than its
 //     snapshot entry fails the gate;
-//   - the row ÷ batch ns/op ratio of BenchmarkGateBatch is recorded as
-//     batch_speedup and must be ≥ 1.5 — the vectorized path has to pay
-//     for itself;
 //   - the norewrite ÷ rewrite ns/op ratio of BenchmarkGatePushdown is
 //     recorded as pushdown_speedup and must be ≥ 1.5 — the predicate-
 //     pushdown rewrite has to actually pay for itself;
@@ -63,7 +60,6 @@ type snapshot struct {
 	Note             string        `json:"note"`
 	NumCPU           int           `json:"num_cpu"`
 	Benchmarks       []benchResult `json:"benchmarks"`
-	BatchSpeedup     float64       `json:"batch_speedup"`
 	PushdownSpeedup  float64       `json:"pushdown_speedup"`
 	RangeSeekSpeedup float64       `json:"rangeseek_speedup"`
 	// ProcCompileSpeedup is interpreted ÷ compiled ns/op for the same
@@ -74,8 +70,6 @@ type snapshot struct {
 }
 
 const (
-	batchBench     = "BenchmarkGateBatch/batch"
-	rowBench       = "BenchmarkGateBatch/row"
 	rewriteBench   = "BenchmarkGatePushdown/rewrite"
 	norewriteBench = "BenchmarkGatePushdown/norewrite"
 	rangeBench     = "BenchmarkGateRangeSeek/rangeseek"
@@ -113,11 +107,6 @@ func main() {
 	for _, r := range results {
 		byName[r.Name] = r
 	}
-	if row, ok := byName[rowBench]; ok {
-		if bat, ok := byName[batchBench]; ok && bat.NsPerOp > 0 {
-			cur.BatchSpeedup = round3(row.NsPerOp / bat.NsPerOp)
-		}
-	}
 	if n, ok := byName[norewriteBench]; ok {
 		if r, ok := byName[rewriteBench]; ok && r.NsPerOp > 0 {
 			cur.PushdownSpeedup = round3(n.NsPerOp / r.NsPerOp)
@@ -147,7 +136,6 @@ func main() {
 		}
 		fmt.Println(line)
 	}
-	fmt.Printf("batch speedup (row/batch): %.2fx\n", cur.BatchSpeedup)
 	fmt.Printf("pushdown speedup (norewrite/rewrite): %.2fx\n", cur.PushdownSpeedup)
 	fmt.Printf("rangeseek speedup (fullscan/rangeseek): %.2fx\n", cur.RangeSeekSpeedup)
 	fmt.Printf("proc compile speedup (interpreted/compiled): %.2fx\n", cur.ProcCompileSpeedup)
@@ -194,12 +182,7 @@ func main() {
 			failures = append(failures, fmt.Sprintf("%s: not in snapshot (run scripts/bench_regress.sh -update)", r.Name))
 		}
 	}
-	// The ratios bind wherever their pair ran.
-	if cur.BatchSpeedup > 0 && cur.BatchSpeedup < 1.5 {
-		failures = append(failures, fmt.Sprintf("batch speedup %.2fx < 1.5x (vectorized path not paying for itself)",
-			cur.BatchSpeedup))
-	}
-	// So is the pushdown ratio.
+	// The ratios bind wherever their pair ran: the pushdown ratio first.
 	if cur.PushdownSpeedup > 0 && cur.PushdownSpeedup < 1.5 {
 		failures = append(failures, fmt.Sprintf("pushdown speedup %.2fx < 1.5x (rewrite pass not paying for itself)",
 			cur.PushdownSpeedup))
