@@ -13,11 +13,12 @@ const (
 	// PlanCacheCap bounds the plan store, in entries of every kind; beyond
 	// it the least recently used entry is evicted.
 	PlanCacheCap = 1024
-	// PlanStaleThreshold is how far a table's stats version may drift past
-	// the version a cached plan was costed against before the cache
-	// recompiles the plan. Small enough that access-path choices track the
-	// data, large enough that steady single-row DML does not replan per
-	// statement.
+	// PlanStaleThreshold is the floor on how far a table's stats version
+	// may drift past the version a cached plan was costed against before
+	// the cache recompiles the plan; above 640 rows the table's own drift
+	// rule (storage.Table.Drifted, a tenth of its rows) is the larger bar.
+	// Large enough that steady single-row DML on a small table does not
+	// replan per statement.
 	PlanStaleThreshold = 64
 )
 
@@ -187,11 +188,12 @@ func (s *Session) PlanQuery(q *ast.Select, temp func(string) (*storage.Table, bo
 	return p, err
 }
 
-// planFresh reports whether no table the plan was costed against has
-// drifted PlanStaleThreshold or more stats versions since compile.
+// planFresh reports whether no table the plan was costed against has,
+// since compile, both drifted PlanStaleThreshold or more stats versions and
+// Drifted by its own rule — the one that rebuilds its statistics.
 func planFresh(v any) bool {
 	for _, st := range v.(*plan.Plan).Stamps {
-		if st.Table.StatsVersion()-st.StatsVersion >= PlanStaleThreshold {
+		if st.Table.StatsVersion()-st.StatsVersion >= PlanStaleThreshold && st.Table.Drifted(st.StatsVersion) {
 			return false
 		}
 	}

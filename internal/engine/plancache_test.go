@@ -11,6 +11,7 @@ import (
 	"aggify/internal/interp"
 	"aggify/internal/parser"
 	"aggify/internal/plan"
+	"aggify/internal/sqltypes"
 )
 
 // parseSelect returns the SELECT of a single-statement query script.
@@ -148,6 +149,31 @@ func TestPlanCacheStatsDriftReplan(t *testing.T) {
 	if p3 != p2 {
 		t.Fatal("plan not reused immediately after replan")
 	}
+
+	// On 2 000 rows the table's own drift rule is the larger bar: the plan
+	// lives until a tenth of the rows could have changed.
+	seedRange(t, sess.Eng, "pcd", 2000)
+	if err := sess.Eng.CreateIndex("pcd", "k"); err != nil {
+		t.Fatal(err)
+	}
+	tab, _ := sess.Eng.Table("pcd")
+	bq := parseSelect(t, "select count(*) from pcd where k >= 1990")
+	b1, err := sess.PlanQuery(bq, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if err := tab.Insert(nil, []sqltypes.Value{sqltypes.NewInt(int64(3000 + i)), sqltypes.NewInt(0)}); err != nil {
+			t.Fatal(err)
+		}
+		b2, err := sess.PlanQuery(bq, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if replanned := b2 != b1; replanned != (i == 199) {
+			t.Fatalf("after %d commits on 2 000 rows: replanned=%v, want %v", i+1, replanned, i == 199)
+		}
+	}
 }
 
 // TestPlanCacheOptionsIsolation: the same query text under different
@@ -267,5 +293,51 @@ func TestStatColumnsView(t *testing.T) {
 	// Every committed row lands in exactly one bucket per column.
 	if perCol["k"] != 5 || perCol["v"] != 5 {
 		t.Fatalf("bucket_rows sums = %v, want 5 per column", perCol)
+	}
+}
+
+// TestCreateIndexRefreshesStatistics: CREATE INDEX on a table whose
+// statistics are cached gives the new column its histogram at once — in
+// aggify_stat_columns and in the range-seek cost EXPLAIN prints — exactly
+// as on a table whose statistics were never read.
+func TestCreateIndexRefreshesStatistics(t *testing.T) {
+	type view struct {
+		sess    *engine.Session
+		explain string
+		sampled int64
+	}
+	look := func(warm bool) view {
+		sess := newDB(t, "")
+		seedRange(t, sess.Eng, "sc", 2000)
+		if err := sess.Eng.CreateIndex("sc", "v"); err != nil {
+			t.Fatal(err)
+		}
+		if warm {
+			query(t, sess, "select count(*) from sc where v = 3") // caches the statistics
+		}
+		if _, err := interp.RunScript(sess, parser.MustParse("create index sc_k on sc(k)")); err != nil {
+			t.Fatal(err)
+		}
+		return view{sess,
+			explainAccess(t, sess, "select v from sc where k >= 1000"),
+			query(t, sess, "select sampled from aggify_stat_columns where table_name = 'sc' and column_name = 'k'")[0][0].Int()}
+	}
+	cold, warm := look(false), look(true)
+	if !strings.Contains(cold.explain, "RangeSeek(sc.k)") || cold.sampled != 2000 {
+		t.Fatalf("cold table: sampled=%d, plan:\n%s", cold.sampled, cold.explain)
+	}
+	if warm.explain != cold.explain || warm.sampled != cold.sampled {
+		t.Fatalf("statistics cached before CREATE INDEX: sampled=%d, plan:\n%s\nwant sampled=%d, plan:\n%s",
+			warm.sampled, warm.explain, cold.sampled, cold.explain)
+	}
+	// The warm table's statistics were built once before the index and
+	// once after it, the cold table's once.
+	for _, tc := range []struct {
+		v    view
+		want int64
+	}{{cold, 1}, {warm, 2}} {
+		if got := query(t, tc.v.sess, "select stats_builds from aggify_stat_tables where name = 'sc'")[0][0].Int(); got != tc.want {
+			t.Fatalf("stats_builds = %d, want %d", got, tc.want)
+		}
 	}
 }

@@ -397,3 +397,184 @@ func TestBetweenRangeSeekDifferential(t *testing.T) {
 		}
 	}
 }
+
+// dmlDB makes table d(k int, v int, w int) with an index on k (none on w):
+// n rows, k in [0, 100) with a NULL now and then, and one row with k = 17.
+func dmlDB(t *testing.T, n int) *engine.Engine {
+	t.Helper()
+	eng := engine.New()
+	interp.Install(eng)
+	tab, err := eng.CreateTable("d", storage.NewSchema(
+		storage.Col("k", sqltypes.Int), storage.Col("v", sqltypes.Int), storage.Col("w", sqltypes.Int)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.CreateIndex("d", "k"); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(29))
+	for i := 0; i < n; i++ {
+		k := sqltypes.NewInt(int64(rng.Intn(100)))
+		if i == n/2 {
+			k = sqltypes.NewInt(17)
+		} else if rng.Intn(20) == 0 {
+			k = sqltypes.Null
+		}
+		if err := tab.Insert(nil, []sqltypes.Value{k, sqltypes.NewInt(int64(rng.Intn(10))), sqltypes.NewInt(int64(rng.Intn(10)))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return eng
+}
+
+// runDML runs one INSERT, UPDATE or DELETE and returns the affected-row
+// count, the error ("" when there is none) and the index seeks it made.
+func runDML(t *testing.T, sess *engine.Session, sql string, params []sqltypes.Value, vars map[string]sqltypes.Value) (int, string, int64) {
+	t.Helper()
+	ctx := sess.Ctx(nil, nil)
+	ctx.Params = params
+	ctx.Vars = func(name string) (sqltypes.Value, bool) {
+		v, ok := vars[name]
+		return v, ok
+	}
+	seeks := sess.Stats.IndexSeeks.Load()
+	var n int
+	var err error
+	switch st := parser.MustParse(sql)[0].(type) {
+	case *ast.UpdateStmt:
+		n, err = sess.Update(st, ctx)
+	case *ast.DeleteStmt:
+		n, err = sess.Delete(st, ctx)
+	case *ast.InsertStmt:
+		n, err = sess.Insert(st, ctx)
+	default:
+		t.Fatalf("not DML: %s", sql)
+	}
+	msg := ""
+	if err != nil {
+		msg = err.Error()
+	}
+	return n, msg, sess.Stats.IndexSeeks.Load() - seeks
+}
+
+// TestDMLRowSourceDifferential: UPDATE and DELETE take their rows from the
+// access path a SELECT with the same WHERE would choose, and still run the
+// whole WHERE on each. Every shape runs on two identical databases, once as
+// chosen and once with choose_access_path off (the scan), and must leave
+// the same table, report the same affected-row count and fail the same way.
+func TestDMLRowSourceDifferential(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		set    string // an UPDATE's SET list; the case runs as a DELETE too
+		where  string
+		params []sqltypes.Value
+		vars   map[string]sqltypes.Value
+		seek   bool   // choose_access_path seeks
+		empty  bool   // the table has no rows
+		setup  string // run first in the statement's session
+		other  string // run first in a second session, rolled back after
+		fails  bool   // the statement fails
+		n      int    // if not 0, the affected-row count
+	}{
+		{name: "equality", where: "k = 17", seek: true},
+		{name: "range", where: "k >= 40 and k < 45", seek: true},
+		{name: "open range", where: "k > 95", seek: true},
+		{name: "float bounds", where: "k >= 10.5 and k <= 12.5", seek: true},
+		{name: "between", where: "k between 10 and 14", seek: true},
+		{name: "equality plus residual", where: "v > 3 and k = 17", seek: true},
+		{name: "between plus residual", where: "k between 10 and 30 and w <> v", seek: true},
+		{name: "no index", where: "w = 5"},
+		{name: "is null", where: "k is null"},
+		{name: "null key", where: "k = null"},
+		{name: "null bound", where: "k between null and 50"},
+		{name: "param key", where: "k = ?", params: []sqltypes.Value{sqltypes.NewInt(17)}, seek: true},
+		{name: "null param key", where: "k = ?", params: []sqltypes.Value{sqltypes.Null}},
+		{name: "var key", where: "k = @x", vars: map[string]sqltypes.Value{"@x": sqltypes.NewInt(17)}, seek: true},
+		{name: "var bounds", where: "k between @lo and @hi",
+			vars: map[string]sqltypes.Value{"@lo": sqltypes.NewInt(60), "@hi": sqltypes.NewInt(63)}, seek: true},
+		{name: "raising operand, empty table", where: "k = 1/0", empty: true},
+		{name: "raising operand, full table", where: "k = 1/0", fails: true},
+		{name: "raising residual", where: "v = -7 and k >= 1/0"},
+		{name: "update moves the seek column", set: "k = k + 1", where: "k between 10 and 20", seek: true},
+		{name: "update moves rows into its own range", set: "k = k + 3", where: "k >= 20 and k <= 30", seek: true},
+		{name: "own uncommitted insert", where: "k = 500", seek: true,
+			setup: "begin transaction; insert into d values (500, 1, 1), (500, 2, 2)", n: 2},
+		{name: "concurrent write conflicts", where: "k = 17", seek: true,
+			other: "begin transaction; update d set w = -1 where k = 17", fails: true},
+	} {
+		set := tc.set
+		if set == "" {
+			set = "v = v * 10 + 1, w = k"
+		}
+		for _, sql := range []string{"update d set " + set + " where " + tc.where, "delete from d where " + tc.where} {
+			rows := 300
+			if tc.empty {
+				rows = 0
+			}
+			type outcome struct {
+				n        int
+				err      string
+				contents string
+				seeks    int64
+			}
+			var got [2]outcome
+			for i, disable := range []plan.RuleSet{0, plan.RuleChooseAccessPath} {
+				eng := dmlDB(t, rows)
+				sess, other := eng.NewSession(), eng.NewSession()
+				sess.Opts.DisableRules = disable
+				for s, script := range map[*engine.Session]string{sess: tc.setup, other: tc.other} {
+					if script != "" {
+						if _, err := interp.RunScript(s, parser.MustParse(script)); err != nil {
+							t.Fatalf("%s: %s: %v", tc.name, script, err)
+						}
+					}
+				}
+				o := &got[i]
+				o.n, o.err, o.seeks = runDML(t, sess, sql, tc.params, tc.vars)
+				if sess.InTxn() {
+					if err := sess.CommitTxn(); err != nil {
+						t.Fatalf("%s: commit: %v", tc.name, err)
+					}
+				}
+				if other.InTxn() {
+					other.RollbackTxn()
+				}
+				contents, _ := runAccess(t, sess, "select k, v, w from d", nil, nil)
+				o.contents = strings.Join(contents, ";")
+			}
+			on, off := got[0], got[1]
+			if on.n != off.n || on.err != off.err || on.contents != off.contents {
+				t.Errorf("%s: %s: chosen %d rows, error %q; scan %d rows, error %q; same table: %v",
+					tc.name, sql, on.n, on.err, off.n, off.err, on.contents == off.contents)
+			}
+			if off.seeks != 0 || (on.seeks > 0) != tc.seek {
+				t.Errorf("%s: %s: %d seeks chosen, %d with the rule off; want a seek: %v", tc.name, sql, on.seeks, off.seeks, tc.seek)
+			}
+			if (on.err != "") != tc.fails || (tc.n != 0 && on.n != tc.n) {
+				t.Errorf("%s: %s: %d rows, error %q; want %d rows, an error: %v", tc.name, sql, on.n, on.err, tc.n, tc.fails)
+			}
+		}
+	}
+}
+
+// TestUpdateSeeksOneRow: an UPDATE by an indexed key reads the one row it
+// changes, not the table.
+func TestUpdateSeeksOneRow(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("create table items (i_id int, i_nbids int);\ncreate index items_pk on items(i_id);\n")
+	for i := 1; i <= 1000; i++ {
+		fmt.Fprintf(&b, "insert into items values (%d, 0);\n", i)
+	}
+	sess := newDB(t, b.String())
+	runRecorded(t, sess, "update items set i_nbids = i_nbids + 1 where i_id = 7")
+	rows := query(t, sess, "select query, logical_reads from aggify_stat_statements")
+	for _, r := range rows {
+		if strings.HasPrefix(r[0].Str(), "update items") {
+			if reads := r[1].Int(); reads != 1 {
+				t.Fatalf("%s: logical_reads = %d, want 1", r[0].Str(), reads)
+			}
+			return
+		}
+	}
+	t.Fatalf("no aggify_stat_statements row for the update: %v", rows)
+}

@@ -353,7 +353,7 @@ func (s *Session) Update(st *ast.UpdateStmt, ctx *exec.Ctx) (int, error) {
 		return 0, err
 	}
 	cat := s.Catalog(tempOf(ctx))
-	where, err := plan.CompileRowPredicate(cat, s.Opts, st.Where, tab)
+	src, where, err := s.compileWhere(cat, st.Where, tab)
 	if err != nil {
 		return 0, err
 	}
@@ -383,7 +383,7 @@ func (s *Session) Update(st *ast.UpdateStmt, ctx *exec.Ctx) (int, error) {
 			row []sqltypes.Value
 		}
 		var changes []change
-		err := s.scanMatching(ctx, tab, where, func(rid int, row []sqltypes.Value) error {
+		err := s.scanMatching(ctx, tab, src, where, func(rid int, row []sqltypes.Value) error {
 			newRow := append([]sqltypes.Value(nil), row...)
 			for _, st := range setters {
 				v, err := st.sc(ctx, row)
@@ -407,22 +407,61 @@ func (s *Session) Update(st *ast.UpdateStmt, ctx *exec.Ctx) (int, error) {
 	})
 }
 
-// scanMatching scans tab at ctx's snapshot, charging one logical read per
-// visible row, and calls fn for each row satisfying where (nil = all) —
-// through the same bound predicate scans and filters evaluate. It is bound
-// afresh per call, so a retried statement re-reads its variables.
-func (s *Session) scanMatching(ctx *exec.Ctx, tab *storage.Table, where *exec.Predicate, fn func(rid int, row []sqltypes.Value) error) error {
+// compileWhere compiles a DML WHERE over tab into its row source and the
+// predicate every row from that source must still satisfy.
+func (s *Session) compileWhere(cat plan.Catalog, e ast.Expr, tab *storage.Table) (plan.RowSource, *exec.Predicate, error) {
+	where, err := plan.CompileRowPredicate(cat, s.Opts, e, tab)
+	if err != nil {
+		return plan.RowSource{}, nil, err
+	}
+	src, err := plan.CompileRowSource(cat, s.Opts, e, tab)
+	return src, where, err
+}
+
+// scanMatching reads tab's rows at ctx's snapshot from src — an index
+// seek, a range seek or a scan, each charging one logical read per visible
+// row it yields — and calls fn, in rid order, for each row satisfying where
+// (nil = all), through the same bound predicate scans and filters evaluate.
+// It is bound afresh per call, so a retried statement re-reads its
+// variables. A seek key or bound that is NULL matches nothing.
+func (s *Session) scanMatching(ctx *exec.Ctx, tab *storage.Table, src plan.RowSource, where *exec.Predicate, fn func(rid int, row []sqltypes.Value) error) error {
 	var bp exec.BoundPredicate
 	bp.Reset(where)
 	var scanErr error
-	tab.Scan(ctx.Snap, s.Stats, func(rid int, row []sqltypes.Value) bool {
+	visit := func(rid int, row []sqltypes.Value) bool {
 		ok, err := bp.Match(ctx, row)
 		if err == nil && ok {
 			err = fn(rid, row)
 		}
 		scanErr = err
 		return err == nil
-	})
+	}
+	if src.Column == "" {
+		tab.Scan(ctx.Snap, s.Stats, visit)
+		return scanErr
+	}
+	// The seek's key, lo and hi; an absent bound stays NULL (unbounded).
+	var ops [3]sqltypes.Value
+	for i, sc := range [3]exec.Scalar{src.Key, src.Lo, src.Hi} {
+		if sc == nil {
+			continue
+		}
+		v, err := sc(ctx, nil)
+		if err != nil || v.IsNull() {
+			return err
+		}
+		ops[i] = v
+	}
+	found := false
+	if src.Key != nil {
+		found = tab.Seek(ctx.Snap, s.Stats, src.Column, ops[0], visit)
+	} else if cur, ok := tab.SeekRange(ctx.Snap, s.Stats, src.Column, ops[1], ops[2], src.LoStrict, src.HiStrict); ok {
+		found = true
+		cur.Each(s.Stats, visit)
+	}
+	if !found {
+		return fmt.Errorf("engine: no index on %s(%s)", tab.Name, src.Column)
+	}
 	return scanErr
 }
 
@@ -435,13 +474,13 @@ func (s *Session) Delete(st *ast.DeleteStmt, ctx *exec.Ctx) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	where, err := plan.CompileRowPredicate(s.Catalog(tempOf(ctx)), s.Opts, st.Where, tab)
+	src, where, err := s.compileWhere(s.Catalog(tempOf(ctx)), st.Where, tab)
 	if err != nil {
 		return 0, err
 	}
 	return s.dmlApply(ctx, tab, func(tx *txn.Txn) (int, error) {
 		var rids []int
-		err := s.scanMatching(ctx, tab, where, func(rid int, _ []sqltypes.Value) error {
+		err := s.scanMatching(ctx, tab, src, where, func(rid int, _ []sqltypes.Value) error {
 			rids = append(rids, rid)
 			return nil
 		})

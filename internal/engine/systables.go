@@ -160,7 +160,7 @@ func (e *Engine) statActivity() *storage.Table {
 }
 
 // statTables renders per-table storage shape: live rows, slots, version-
-// chain length, and reclaimable garbage.
+// chain length, reclaimable garbage, and how often statistics were built.
 func (e *Engine) statTables() *storage.Table {
 	t := storage.NewTable(StatTablesTable, storage.NewSchema(
 		strCol("name", 128),
@@ -169,6 +169,7 @@ func (e *Engine) statTables() *storage.Table {
 		intCol("versions"),
 		intCol("garbage"),
 		intCol("indexes"),
+		intCol("stats_builds"),
 	))
 	tables := e.Tables()
 	sort.Slice(tables, func(i, j int) bool { return tables[i].Name < tables[j].Name })
@@ -181,6 +182,7 @@ func (e *Engine) statTables() *storage.Table {
 			sqltypes.NewInt(cs.Versions),
 			sqltypes.NewInt(cs.Garbage),
 			sqltypes.NewInt(int64(len(tab.IndexColumns()))),
+			sqltypes.NewInt(tab.StatsBuilds()),
 		})
 	}
 	return t

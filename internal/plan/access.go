@@ -33,6 +33,7 @@ import (
 	"strings"
 
 	"aggify/internal/ast"
+	"aggify/internal/exec"
 	"aggify/internal/sqltypes"
 	"aggify/internal/storage"
 )
@@ -181,6 +182,20 @@ func (rw *rewriter) decideAccess(scan *lScan, conjs []ast.Expr) {
 	if err != nil {
 		return
 	}
+	if h := chooseAccess(tab, conjs); h != nil {
+		scan.hint = h
+		rw.fire(RuleChooseAccessPath)
+	}
+}
+
+// chooseAccess costs the access paths of one scan of tab filtered by conjs
+// and returns the cheapest, or nil when no seek is a candidate. A table
+// without indexes has none, and its statistics are not read.
+func chooseAccess(tab *storage.Table, conjs []ast.Expr) *accessHint {
+	cols := tab.IndexColumns()
+	if len(cols) == 0 {
+		return nil
+	}
 	st := tab.Statistics()
 	n := float64(st.Rows)
 	if n < 1 {
@@ -206,7 +221,7 @@ func (rw *rewriter) decideAccess(scan *lScan, conjs []ast.Expr) {
 
 	// Best range-seek candidate over indexed columns.
 	var rangeBest *accessHint
-	for _, col := range tab.IndexColumns() {
+	for _, col := range cols {
 		h := rangeBounds(conjs, col, tab)
 		if h == nil {
 			continue
@@ -219,7 +234,7 @@ func (rw *rewriter) decideAccess(scan *lScan, conjs []ast.Expr) {
 	}
 
 	if eqBest == nil && rangeBest == nil {
-		return
+		return nil
 	}
 	chosen := &accessHint{kind: accessScan, cost: n}
 	if rangeBest != nil && rangeBest.cost < chosen.cost {
@@ -228,8 +243,51 @@ func (rw *rewriter) decideAccess(scan *lScan, conjs []ast.Expr) {
 	if eqBest != nil && eqBest.cost <= chosen.cost {
 		chosen = eqBest
 	}
-	scan.hint = chosen
-	rw.fire(RuleChooseAccessPath)
+	return chosen
+}
+
+// RowSource is where a DML statement takes its candidate rows from: the
+// access path choose_access_path would pin on a SELECT with the same WHERE
+// over the same table. The zero value is a full scan. A seek's key and
+// bounds are seekOperands, evaluated before it reads a row.
+type RowSource struct {
+	// Column is the seeked index column; "" for a scan.
+	Column string
+	// Key is an equality seek's key; nil for a range seek or a scan.
+	Key exec.Scalar
+	// Lo and Hi bound a range seek; nil is unbounded on that side.
+	Lo, Hi             exec.Scalar
+	LoStrict, HiStrict bool
+}
+
+// CompileRowSource decides the row source of a DML statement whose WHERE
+// (nil: every row) filters tab. With RuleChooseAccessPath disabled it is
+// always the scan. Whatever it picks, the caller still runs the whole
+// compiled WHERE on every row it yields.
+func CompileRowSource(cat Catalog, opts Options, where ast.Expr, tab *storage.Table) (RowSource, error) {
+	if where == nil || opts.DisableRules.Has(RuleChooseAccessPath) {
+		return RowSource{}, nil
+	}
+	h := chooseAccess(tab, splitConjuncts(where))
+	if h == nil || h.kind == accessScan {
+		return RowSource{}, nil
+	}
+	c := &compiler{cat: cat, opts: opts}
+	src := RowSource{Column: h.col, LoStrict: h.loStrict, HiStrict: h.hiStrict}
+	for _, op := range []struct {
+		e  ast.Expr
+		to *exec.Scalar
+	}{{h.key, &src.Key}, {h.lo, &src.Lo}, {h.hi, &src.Hi}} {
+		if op.e == nil {
+			continue
+		}
+		sc, err := c.compileExpr(op.e, &scope{}, nil)
+		if err != nil {
+			return RowSource{}, err
+		}
+		*op.to = sc
+	}
+	return src, nil
 }
 
 // seekOperand reports whether e may key a seek or bound a range seek: a

@@ -417,3 +417,112 @@ func TestStatisticsCachedUntilInvalidated(t *testing.T) {
 		t.Fatalf("statistics not refreshed after mutation: %+v", s3)
 	}
 }
+
+// TestStatisticsReuseWithinDrift: a snapshot built from N rows is served,
+// with an exact row count, until N/10 mutations commit; the next read
+// rebuilds it once, however many readers are waiting for it.
+func TestStatisticsReuseWithinDrift(t *testing.T) {
+	tab, _ := managedTable(t)
+	rows := make([][]sqltypes.Value, 1000)
+	for i := range rows {
+		rows[i] = row(int64(i), "n", 0)
+	}
+	if err := tab.InsertMany(nil, rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.CreateIndex("id"); err != nil {
+		t.Fatal(err)
+	}
+	s1 := tab.Statistics()
+	if tab.StatsBuilds() != 1 || s1.Rows != 1000 {
+		t.Fatalf("first read: builds=%d rows=%d, want 1/1000", tab.StatsBuilds(), s1.Rows)
+	}
+	// 99 mutations are within a tenth of 1 000 rows: the snapshot stays,
+	// while the row count follows every one of them.
+	for i := 0; i < 99; i++ {
+		if err := tab.Insert(nil, row(int64(1000+i), "n", 0)); err != nil {
+			t.Fatal(err)
+		}
+		s := tab.Statistics()
+		if &s.Distinct[0] != &s1.Distinct[0] || s.Rows != 1001+i {
+			t.Fatalf("after %d inserts: rebuilt=%v rows=%d, want the cached snapshot and %d rows",
+				i+1, &s.Distinct[0] != &s1.Distinct[0], s.Rows, 1001+i)
+		}
+	}
+	if !tab.Drifted(0) || tab.Drifted(tab.StatsVersion()-99) {
+		t.Fatal("Drifted disagrees with the rule at 99 of a 100-mutation drift")
+	}
+	// The 100th mutation is a tenth.
+	if err := tab.Update(nil, 0, row(-1, "n", 0)); err != nil {
+		t.Fatal(err)
+	}
+	s2 := tab.Statistics()
+	if tab.StatsBuilds() != 2 || s2.Distinct[0] != 1099 || s2.Histograms["id"].Sampled != 1099 {
+		t.Fatalf("after 100 mutations: builds=%d distinct=%d sampled=%d, want 2/1099/1099",
+			tab.StatsBuilds(), s2.Distinct[0], s2.Histograms["id"].Sampled)
+	}
+
+	// One drift (a tenth of 1 099 rows is 109), then 8 readers at once:
+	// one rebuilds, the others take its snapshot.
+	for i := 0; i < 109; i++ {
+		if err := tab.Update(nil, i, row(int64(5000+i), "n", 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tab.Statistics()
+		}()
+	}
+	wg.Wait()
+	if got := tab.StatsBuilds(); got != 3 {
+		t.Fatalf("8 concurrent reads after one drift: builds=%d, want 3", got)
+	}
+
+	// A truncate changes every row, so it is a drift on its own.
+	if err := tab.Truncate(nil); err != nil {
+		t.Fatal(err)
+	}
+	if st := tab.Statistics(); tab.StatsBuilds() != 4 || st.Rows != 0 || st.Distinct[0] != 0 {
+		t.Fatalf("after truncate: builds=%d rows=%d distinct=%d, want 4/0/0", tab.StatsBuilds(), st.Rows, st.Distinct[0])
+	}
+}
+
+// TestCreateIndexDropsCachedStatistics: an index added after the statistics
+// were cached must get its histogram on the next read, not once the table
+// drifts.
+func TestCreateIndexDropsCachedStatistics(t *testing.T) {
+	tab, _ := managedTable(t)
+	rows := make([][]sqltypes.Value, 2000)
+	for i := range rows {
+		rows[i] = row(int64(i+1), "n", float64(i%7))
+	}
+	if err := tab.InsertMany(nil, rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.CreateIndex("cost"); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := tab.Statistics().Histograms["id"]; ok {
+		t.Fatal("histogram for a column with no index")
+	}
+	if err := tab.CreateIndex("id"); err != nil {
+		t.Fatal(err)
+	}
+	h, ok := tab.Statistics().Histograms["id"]
+	if !ok || h.Sampled != 2000 {
+		t.Fatalf("after CREATE INDEX: histogram present=%v sampled=%d, want 2000", ok, h.Sampled)
+	}
+	// Creating an index that exists changes nothing and keeps the snapshot.
+	builds := tab.StatsBuilds()
+	if err := tab.CreateIndex("id"); err != nil {
+		t.Fatal(err)
+	}
+	tab.Statistics()
+	if tab.StatsBuilds() != builds {
+		t.Fatal("re-creating an existing index dropped the statistics")
+	}
+}

@@ -303,7 +303,32 @@ func (c *RangeCursor) inRange(k sqltypes.Value) bool {
 // version payloads and must be treated as immutable.
 func (c *RangeCursor) Next(stats *Stats, max int, fn func(row []sqltypes.Value)) int {
 	n := 0
-	for c.pos < len(c.rids) && n < max {
+	for n < max {
+		_, row := c.next(stats)
+		if row == nil {
+			break
+		}
+		fn(row)
+		n++
+	}
+	return n
+}
+
+// Each calls fn with the rid and row of every remaining visible in-range
+// row, charging stats one logical read per row, until fn returns false.
+func (c *RangeCursor) Each(stats *Stats, fn func(rid int, row []sqltypes.Value) bool) {
+	for {
+		rid, row := c.next(stats)
+		if row == nil || !fn(rid, row) {
+			return
+		}
+	}
+}
+
+// next advances to the next visible in-range row and charges its read; a
+// nil row means the cursor is exhausted.
+func (c *RangeCursor) next(stats *Stats) (int, []sqltypes.Value) {
+	for c.pos < len(c.rids) {
 		rid := c.rids[c.pos]
 		c.pos++
 		if rid < 0 || rid >= len(c.slots) {
@@ -316,8 +341,7 @@ func (c *RangeCursor) Next(stats *Stats, max int, fn func(row []sqltypes.Value))
 		if stats != nil {
 			stats.LogicalReads.Add(1)
 		}
-		fn(v.Row)
-		n++
+		return rid, v.Row
 	}
-	return n
+	return 0, nil
 }

@@ -277,10 +277,16 @@ func TestHistogramEquiDepth(t *testing.T) {
 	if sel := h.SelectivityRange(sqltypes.Null, sqltypes.Null, false, false); sel < 0.99 {
 		t.Fatalf("unbounded selectivity = %f, want 1", sel)
 	}
-	// Mutations invalidate via statsVersion.
+	// The histogram is rebuilt once a tenth of its 970 rows could have
+	// changed: 96 inserts keep it, the 97th rebuilds it.
+	for i := 0; i < 96; i++ {
+		_ = tab.Insert(nil, row(1000, "n", 0))
+	}
+	if got := tab.Statistics().Histograms["id"].Sampled; got != 970 {
+		t.Fatalf("histogram sampled = %d after 96 inserts, want 970", got)
+	}
 	_ = tab.Insert(nil, row(1000, "n", 0))
-	st2 := tab.Statistics()
-	if st2.Histograms["id"].Sampled != 971 {
-		t.Fatalf("post-insert histogram sampled = %d, want 971", st2.Histograms["id"].Sampled)
+	if got := tab.Statistics().Histograms["id"].Sampled; got != 1067 {
+		t.Fatalf("histogram sampled = %d after 97 inserts, want 1067", got)
 	}
 }

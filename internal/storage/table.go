@@ -48,8 +48,12 @@ type Table struct {
 	liveRows atomic.Int64 // committed live rows (satellite fix: excludes deleted slots)
 
 	// Table statistics cache (see tablestats.go): statsVersion bumps on
-	// every committed mutation, invalidating the cached distinct counts.
+	// every committed mutation; the cached snapshot is rebuilt once the
+	// table has Drifted from statsCachedAt. statsRows is the row count the
+	// snapshot was built from, statsBuilds the number of builds.
 	statsVersion  atomic.Uint64
+	statsRows     atomic.Int64
+	statsBuilds   atomic.Int64
 	statsMu       sync.Mutex
 	statsCache    *TableStatistics
 	statsCachedAt uint64
@@ -75,8 +79,9 @@ func (t *Table) Bind(mgr *txn.Manager) { t.mgr = mgr }
 func (t *Table) Managed() bool { return t.mgr != nil }
 
 // StatsVersion returns the table's mutation counter: it bumps on every
-// committed mutation, so cached artifacts derived from table contents
-// (statistics, compiled plans) can detect drift cheaply.
+// committed mutation, by one per row changed, so cached artifacts derived
+// from table contents (statistics, compiled plans) can detect drift
+// cheaply (see Drifted).
 func (t *Table) StatsVersion() uint64 { return t.statsVersion.Load() }
 
 // RowCount returns the number of committed live rows, not the slot count:
@@ -490,8 +495,7 @@ func (t *Table) Truncate(tx *txn.Txn) error {
 		for _, idx := range t.indexes {
 			idx.clear()
 		}
-		t.liveRows.Store(0)
-		t.statsVersion.Add(1)
+		t.statsVersion.Add(max(1, uint64(t.liveRows.Swap(0))))
 		return nil
 	}
 	return t.truncateTx(tx)
@@ -553,7 +557,7 @@ func (t *Table) truncateTx(tx *txn.Txn) error {
 	garbage := len(t.slots)
 	tx.OnCommit(func(uint64) {
 		t.liveRows.Add(-n)
-		t.statsVersion.Add(1)
+		t.statsVersion.Add(max(1, uint64(n)))
 		t.mgr.NoteGarbage(garbage)
 	})
 	return nil
@@ -561,7 +565,8 @@ func (t *Table) truncateTx(tx *txn.Txn) error {
 
 // CreateIndex builds an ordered index on the named column, covering every
 // version any live snapshot could still see. Creating an index that
-// already exists is a no-op.
+// already exists is a no-op. A new index drops the cached statistics,
+// which have no histogram for its column.
 //
 // The build gathers each chain version's (key, rid) once and sorts them
 // (OrderedIndex.load), which costs about what a hash build does; adding
@@ -572,10 +577,15 @@ func (t *Table) CreateIndex(column string) error {
 		return fmt.Errorf("storage: table %s has no column %q", t.Name, column)
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	key := t.Schema.Columns[ord].Name
-	if _, ok := t.indexes[key]; !ok {
+	_, exists := t.indexes[key]
+	if !exists {
 		t.indexes[key] = t.buildIndex(ord)
+	}
+	t.mu.Unlock()
+	// After the unlock: Statistics takes statsMu before mu.
+	if !exists {
+		t.dropStatistics()
 	}
 	return nil
 }
@@ -815,7 +825,7 @@ func (t *Table) ReplayApply(m txn.Mutation, epoch uint64) error {
 			}
 			s.head.Store(nil)
 		}
-		t.liveRows.Store(0)
+		t.statsVersion.Add(uint64(t.liveRows.Swap(0)))
 	default:
 		return fmt.Errorf("storage: replay of unknown mutation op %d", m.Op)
 	}

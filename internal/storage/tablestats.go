@@ -7,14 +7,16 @@ import (
 )
 
 // Table statistics: the committed live row count plus per-column distinct
-// estimates, kept honest across every mutation path.
+// estimates and histograms, kept honest across every mutation path.
 //
-// The pre-MVCC implementation effectively sampled at insert only:
-// RowCount was the slot count, so deletes and truncates never shrank it,
-// and nothing invalidated distinct estimates after an update. Now every
-// committed Insert/Update/Delete/Truncate — including replayed WAL
-// mutations — bumps the table's statsVersion; cached statistics are
-// recomputed on the next read whenever the version moved.
+// Every committed Insert/Update/Delete/Truncate — including replayed WAL
+// mutations — bumps the table's statsVersion, by one per row it changed.
+// The cached distinct counts and histograms are rebuilt on the next read
+// once the table has Drifted from the version they were built at: once a
+// tenth of the rows they describe could have changed (at least one
+// mutation). The live row count is read afresh on every call, so it never
+// lags. Adding an index drops the cached snapshot outright, since it has
+// no histogram for the new column.
 //
 // Distinct counts are exact over value hashes (a 64-bit collision is
 // indistinguishable from a duplicate, which is far below the estimate's
@@ -103,7 +105,8 @@ func rangeOverlap(bLo, bHi, lo, hi sqltypes.Value, loStrict, hiStrict bool) floa
 
 // TableStatistics is a point-in-time statistics snapshot.
 type TableStatistics struct {
-	// Rows is the committed live row count (equal to RowCount()).
+	// Rows is the committed live row count (RowCount() when the snapshot
+	// was returned, even when the rest of it was built earlier).
 	Rows int
 	// Distinct holds the distinct-value estimate per column ordinal.
 	// NULLs do not contribute (matching index behavior).
@@ -124,16 +127,43 @@ func (ts TableStatistics) DistinctOf(s *Schema, column string) int {
 	return ts.Distinct[ord]
 }
 
-// Statistics returns current table statistics, recomputing the cached
-// distinct estimates and histograms if any mutation committed since the
-// last call.
+// Drifted reports whether the table has changed enough since stats version
+// since for statistics or plans derived at that version to be re-derived:
+// by at least a tenth of the rows the cached statistics were built from,
+// and by at least one mutation.
+func (t *Table) Drifted(since uint64) bool {
+	return t.statsVersion.Load()-since >= max(1, uint64(t.statsRows.Load())/10)
+}
+
+// StatsBuilds returns how many times the table's statistics were built.
+func (t *Table) StatsBuilds() int64 { return t.statsBuilds.Load() }
+
+// Statistics returns the table statistics, rebuilding the cached distinct
+// estimates and histograms when the table has Drifted since they were
+// built. The drift check runs under statsMu, so callers that waited through
+// another caller's rebuild take its snapshot.
 func (t *Table) Statistics() TableStatistics {
-	v := t.statsVersion.Load()
 	t.statsMu.Lock()
 	defer t.statsMu.Unlock()
-	if t.statsCache != nil && t.statsCachedAt == v {
-		return *t.statsCache
+	if t.statsCache == nil || t.Drifted(t.statsCachedAt) {
+		t.buildStatistics()
 	}
+	st := *t.statsCache
+	st.Rows = t.RowCount()
+	return st
+}
+
+// dropStatistics discards the cached snapshot, so the next read rebuilds.
+func (t *Table) dropStatistics() {
+	t.statsMu.Lock()
+	t.statsCache = nil
+	t.statsMu.Unlock()
+}
+
+// buildStatistics scans the latest committed state into a new cached
+// snapshot. Callers hold statsMu.
+func (t *Table) buildStatistics() {
+	v := t.statsVersion.Load()
 	ncols := t.Schema.Len()
 	sets := make([]map[uint64]struct{}, ncols)
 	for i := range sets {
@@ -172,7 +202,8 @@ func (t *Table) Statistics() TableStatistics {
 	}
 	t.statsCache = st
 	t.statsCachedAt = v
-	return *st
+	t.statsRows.Store(int64(rows))
+	t.statsBuilds.Add(1)
 }
 
 // buildHistogram makes an equi-depth histogram from one column's collected

@@ -70,9 +70,9 @@ go test -count=1 -run 'TestKernel|TestScanFilterDefers' ./internal/plan
 go test -race -count=1 -run TestBoundPredicateSharedPlanConcurrentSessions ./internal/engine
 go test -race -count=1 -run TestPanicContainedPerConnection ./internal/server
 
-stage "access paths (BETWEEN differential, seek operand parity, sort-once build)"
-go test -count=1 -run 'TestBetweenRangeSeekDifferential|TestSeekOperandErrorParity' ./internal/engine
-go test -count=1 -run 'TestCreateIndexBuildMatchesIncremental|TestSeekAllocs' ./internal/storage
+stage "access paths (BETWEEN differential, seek operand parity, sort-once build, DML seeks, statistics drift)"
+go test -count=1 -run 'TestBetweenRangeSeekDifferential|TestSeekOperandErrorParity|TestDMLRowSourceDifferential|TestUpdateSeeksOneRow|TestPlanCacheStatsDriftReplan|TestCreateIndexRefreshesStatistics' ./internal/engine
+go test -count=1 -run 'TestCreateIndexBuildMatchesIncremental|TestSeekAllocs|TestStatisticsReuseWithinDrift|TestCreateIndexDropsCachedStatistics|TestHistogramEquiDepth' ./internal/storage
 
 stage "benchmark harness (its own module: the root go test never builds it)"
 (cd benchmark && go vet ./... && go test ./...)
