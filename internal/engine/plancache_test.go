@@ -2,7 +2,7 @@ package engine_test
 
 import (
 	"fmt"
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -50,6 +50,14 @@ func seedBig(t *testing.T, sess *engine.Session, name string, orderedIndex bool)
 	}
 }
 
+// sameRows compares result rows value by value; reflect.DeepEqual would
+// compare a string Value's data pointer.
+func sameRows(a, b [][]sqltypes.Value) bool {
+	return slices.EqualFunc(a, b, func(x, y []sqltypes.Value) bool {
+		return slices.EqualFunc(x, y, sqltypes.Identical)
+	})
+}
+
 // TestPlanCacheWarmHitSharedText: re-parsing the same query text must hit
 // the text-keyed cache (fresh AST pointers every time) and return results
 // identical to the cold run.
@@ -64,7 +72,7 @@ func TestPlanCacheWarmHitSharedText(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		warm := query(t, sess, sql) // query() re-parses: new AST each time
-		if !reflect.DeepEqual(cold, warm) {
+		if !sameRows(cold, warm) {
 			t.Fatalf("warm run %d diverged:\ncold: %v\nwarm: %v", i, cold, warm)
 		}
 	}
@@ -98,7 +106,7 @@ func TestPlanCacheDDLEviction(t *testing.T) {
 	if sess.PlanCacheMisses() != misses+1 {
 		t.Fatal("post-DDL query did not recompile")
 	}
-	if !reflect.DeepEqual(before, after) {
+	if !sameRows(before, after) {
 		t.Fatalf("results changed across DDL:\nbefore: %v\nafter: %v", before, after)
 	}
 	// The recompiled plan must actually use the new index.

@@ -5,6 +5,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"runtime/metrics"
 	"sort"
 	"strconv"
 
@@ -57,7 +58,7 @@ type metricDef struct {
 
 // metricDefs snapshots every scalar metric: the wire-level request
 // registry, the tracer, the transaction manager, the WAL, the
-// fingerprint stats store, and the plan store.
+// fingerprint stats store, the plan store, and the Go heap.
 func (s *Server) metricDefs() []metricDef {
 	st := s.Stats()
 	tc := s.Tracer.Counters()
@@ -105,6 +106,13 @@ func (s *Server) metricDefs() []metricDef {
 		metricDef{"aggifyd_wal_synced_bytes_total", "WAL bytes durably synced.", "counter", walSynced},
 		metricDef{"aggifyd_wal_records_total", "WAL records appended.", "counter", walRecords},
 		metricDef{"aggifyd_wal_fsyncs_total", "WAL fsync calls.", "counter", walFsyncs},
+	)
+	// runtime/metrics reads these without stopping the world.
+	mem := []metrics.Sample{{Name: "/gc/heap/live:bytes"}, {Name: "/gc/cycles/total:gc-cycles"}}
+	metrics.Read(mem)
+	defs = append(defs,
+		metricDef{"aggifyd_heap_live_bytes", "Heap bytes the last GC cycle marked live.", "gauge", int64(mem[0].Value.Uint64())},
+		metricDef{"aggifyd_gc_cycles_total", "GC cycles completed.", "counter", int64(mem[1].Value.Uint64())},
 	)
 	// One counter per stable Aggify rejection code: how often the rewrite
 	// analysis rejected (or, for unmatched_pattern, never attempted) a

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -48,6 +49,7 @@ func TestMetricsExposesEveryRegisteredMetric(t *testing.T) {
 		"aggifyd_checkpoints_total", "aggifyd_stmt_evictions_total",
 		"aggifyd_plan_cache_entries", "aggifyd_plan_cache_hits_total",
 		"aggifyd_plan_cache_misses_total", "aggifyd_plan_cache_evictions_total",
+		"aggifyd_heap_live_bytes", "aggifyd_gc_cycles_total",
 	} {
 		found := false
 		for _, d := range defs {
@@ -59,6 +61,20 @@ func TestMetricsExposesEveryRegisteredMetric(t *testing.T) {
 		if !found {
 			t.Errorf("metric %s not registered in metricDefs", want)
 		}
+	}
+}
+
+// TestMetricsHeap: after a collection the heap gauges read the runtime's
+// live heap and GC count, not zero.
+func TestMetricsHeap(t *testing.T) {
+	runtime.GC()
+	vals := map[string]int64{}
+	for _, d := range New(engine.New()).metricDefs() {
+		vals[d.name] = d.value
+	}
+	if vals["aggifyd_heap_live_bytes"] <= 0 || vals["aggifyd_gc_cycles_total"] <= 0 {
+		t.Fatalf("heap live %d B, GC cycles %d: want both > 0",
+			vals["aggifyd_heap_live_bytes"], vals["aggifyd_gc_cycles_total"])
 	}
 }
 

@@ -7,18 +7,28 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unsafe"
 )
 
 // Value is a runtime SQL value. The zero Value is NULL.
 //
-// Values are small (one word of kind/ints/floats plus a string header and a
-// slice header) and are passed by value everywhere; rows are []Value.
+// Values are 24 bytes (a kind, one 8-byte payload and one pointer) and are
+// passed by value everywhere; rows are []Value. By kind:
+//
+//	KindNull            n = 0, p = nil
+//	KindBool            n = 0 or 1, p = nil
+//	KindInt, KindDate   n = the int64 payload, p = nil
+//	KindFloat           n = math.Float64bits of the payload, p = nil
+//	KindString          n = length, p = the first byte (nil when empty)
+//	KindTuple           n = length, p = the first element (nil for a nil slice)
+//
+// Only the accessors below read p and n. The leading zero-size func array
+// keeps Value out of == and map keys (== would compare string addresses).
 type Value struct {
+	_    [0]func()
+	p    unsafe.Pointer
+	n    uint64
 	kind Kind
-	i    int64   // KindBool (0/1), KindInt, KindDate
-	f    float64 // KindFloat
-	s    string  // KindString
-	t    []Value // KindTuple
 }
 
 // Null is the SQL NULL value.
@@ -26,27 +36,42 @@ var Null = Value{}
 
 // NewBool returns a BOOL value.
 func NewBool(b bool) Value {
-	var i int64
+	var n uint64
 	if b {
-		i = 1
+		n = 1
 	}
-	return Value{kind: KindBool, i: i}
+	return Value{kind: KindBool, n: n}
 }
 
 // NewInt returns an INT value.
-func NewInt(i int64) Value { return Value{kind: KindInt, i: i} }
+func NewInt(i int64) Value { return Value{kind: KindInt, n: uint64(i)} }
 
 // NewFloat returns a FLOAT value.
-func NewFloat(f float64) Value { return Value{kind: KindFloat, f: f} }
+func NewFloat(f float64) Value { return Value{kind: KindFloat, n: math.Float64bits(f)} }
 
-// NewString returns a STRING value.
-func NewString(s string) Value { return Value{kind: KindString, s: s} }
+// NewString returns a STRING value. The bytes are not copied.
+func NewString(s string) Value {
+	if len(s) == 0 {
+		return Value{kind: KindString}
+	}
+	return Value{kind: KindString, p: unsafe.Pointer(unsafe.StringData(s)), n: uint64(len(s))}
+}
 
 // NewDate returns a DATE value from days since the Unix epoch.
-func NewDate(days int64) Value { return Value{kind: KindDate, i: days} }
+func NewDate(days int64) Value { return Value{kind: KindDate, n: uint64(days)} }
 
-// NewTuple returns a TUPLE value wrapping vs. The slice is not copied.
-func NewTuple(vs []Value) Value { return Value{kind: KindTuple, t: vs} }
+// NewTuple returns a TUPLE value wrapping vs. The slice is not copied, and
+// Tuple returns it with its capacity cut to its length.
+func NewTuple(vs []Value) Value {
+	return Value{kind: KindTuple, p: unsafe.Pointer(unsafe.SliceData(vs)), n: uint64(len(vs))}
+}
+
+// vi, vf, vs and vt read the payload of a Value whose kind the caller has
+// checked: bool/int/date, float, string and tuple respectively.
+func (v Value) vi() int64   { return int64(v.n) }
+func (v Value) vf() float64 { return math.Float64frombits(v.n) }
+func (v Value) vs() string  { return unsafe.String((*byte)(v.p), int(v.n)) }
+func (v Value) vt() []Value { return unsafe.Slice((*Value)(v.p), int(v.n)) }
 
 // ParseDate parses 'YYYY-MM-DD' into a DATE value.
 func ParseDate(s string) (Value, error) {
@@ -72,31 +97,52 @@ func (v Value) Kind() Kind { return v.kind }
 // IsNull reports whether v is SQL NULL.
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
-// Bool returns the boolean payload; valid only when Kind()==KindBool.
-func (v Value) Bool() bool { return v.i != 0 }
+// Bool returns the boolean payload; false for a kind without one.
+func (v Value) Bool() bool { return v.Int() != 0 }
 
-// Int returns the integer payload; valid for KindInt and KindDate.
-func (v Value) Int() int64 { return v.i }
+// Int returns the payload of a BOOL (0/1), INT or DATE; 0 for other kinds.
+func (v Value) Int() int64 {
+	switch v.kind {
+	case KindBool, KindInt, KindDate:
+		return v.vi()
+	}
+	return 0
+}
 
-// Float returns the float payload; valid only when Kind()==KindFloat.
-func (v Value) Float() float64 { return v.f }
+// Float returns the float payload; 0 for other kinds.
+func (v Value) Float() float64 {
+	if v.kind != KindFloat {
+		return 0
+	}
+	return v.vf()
+}
 
-// Str returns the string payload; valid only when Kind()==KindString.
-func (v Value) Str() string { return v.s }
+// Str returns the string payload; "" for other kinds.
+func (v Value) Str() string {
+	if v.kind != KindString {
+		return ""
+	}
+	return v.vs()
+}
 
-// Tuple returns the tuple payload; valid only when Kind()==KindTuple.
-func (v Value) Tuple() []Value { return v.t }
+// Tuple returns the tuple payload (len == cap); nil for other kinds.
+func (v Value) Tuple() []Value {
+	if v.kind != KindTuple {
+		return nil
+	}
+	return v.vt()
+}
 
 // AsFloat coerces numeric values to float64. NULL and non-numerics yield 0
 // with ok=false.
 func (v Value) AsFloat() (float64, bool) {
 	switch v.kind {
 	case KindInt:
-		return float64(v.i), true
+		return float64(v.vi()), true
 	case KindFloat:
-		return v.f, true
+		return v.vf(), true
 	case KindBool:
-		return float64(v.i), true
+		return float64(v.vi()), true
 	default:
 		return 0, false
 	}
@@ -106,9 +152,9 @@ func (v Value) AsFloat() (float64, bool) {
 func (v Value) AsInt() (int64, bool) {
 	switch v.kind {
 	case KindInt, KindBool, KindDate:
-		return v.i, true
+		return v.vi(), true
 	case KindFloat:
-		return int64(v.f), true
+		return int64(v.vf()), true
 	default:
 		return 0, false
 	}
@@ -116,7 +162,7 @@ func (v Value) AsInt() (int64, bool) {
 
 // Truthy reports whether v is a non-NULL true boolean. SQL WHERE semantics:
 // NULL and false both reject.
-func (v Value) Truthy() bool { return v.kind == KindBool && v.i != 0 }
+func (v Value) Truthy() bool { return v.kind == KindBool && v.vi() != 0 }
 
 // String renders the value in SQL literal syntax.
 func (v Value) String() string {
@@ -124,21 +170,22 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindBool:
-		if v.i != 0 {
+		if v.vi() != 0 {
 			return "TRUE"
 		}
 		return "FALSE"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.vi(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.vf(), 'g', -1, 64)
 	case KindString:
-		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
+		return "'" + strings.ReplaceAll(v.vs(), "'", "''") + "'"
 	case KindDate:
 		return "'" + v.DateString() + "'"
 	case KindTuple:
-		parts := make([]string, len(v.t))
-		for i, e := range v.t {
+		t := v.vt()
+		parts := make([]string, len(t))
+		for i, e := range t {
 			parts[i] = e.String()
 		}
 		return "(" + strings.Join(parts, ", ") + ")"
@@ -148,18 +195,18 @@ func (v Value) String() string {
 
 // DateString renders a DATE value as YYYY-MM-DD.
 func (v Value) DateString() string {
-	return time.Unix(v.i*86400, 0).UTC().Format("2006-01-02")
+	return time.Unix(v.vi()*86400, 0).UTC().Format("2006-01-02")
 }
 
 // Display renders the value for result output (strings unquoted).
 func (v Value) Display() string {
 	switch v.kind {
 	case KindString:
-		return v.s
+		return v.vs()
 	case KindDate:
 		return v.DateString()
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'f', -1, 64)
+		return strconv.FormatFloat(v.vf(), 'f', -1, 64)
 	default:
 		return v.String()
 	}
@@ -178,16 +225,16 @@ func (v Value) CoerceTo(t Type) (Value, error) {
 		case KindBool:
 			return v, nil
 		case KindInt:
-			return NewBool(v.i != 0), nil
+			return NewBool(v.vi() != 0), nil
 		case KindFloat:
-			return NewBool(v.f != 0), nil
+			return NewBool(v.vf() != 0), nil
 		}
 	case KindInt:
 		if i, ok := v.AsInt(); ok {
 			return NewInt(i), nil
 		}
 		if v.kind == KindString {
-			i, err := strconv.ParseInt(strings.TrimSpace(v.s), 10, 64)
+			i, err := strconv.ParseInt(strings.TrimSpace(v.vs()), 10, 64)
 			if err == nil {
 				return NewInt(i), nil
 			}
@@ -197,7 +244,7 @@ func (v Value) CoerceTo(t Type) (Value, error) {
 			return NewFloat(f), nil
 		}
 		if v.kind == KindString {
-			f, err := strconv.ParseFloat(strings.TrimSpace(v.s), 64)
+			f, err := strconv.ParseFloat(strings.TrimSpace(v.vs()), 64)
 			if err == nil {
 				return NewFloat(f), nil
 			}
@@ -213,9 +260,9 @@ func (v Value) CoerceTo(t Type) (Value, error) {
 		case KindDate:
 			return v, nil
 		case KindString:
-			return ParseDate(v.s)
+			return ParseDate(v.vs())
 		case KindInt:
-			return NewDate(v.i), nil
+			return NewDate(v.vi()), nil
 		}
 	case KindTuple:
 		if v.kind == KindTuple {
@@ -235,37 +282,35 @@ func Compare(a, b Value) (int, bool) {
 	}
 	switch {
 	case a.kind == KindString && b.kind == KindString:
-		return strings.Compare(a.s, b.s), true
+		return strings.Compare(a.vs(), b.vs()), true
 	case a.kind == KindDate && b.kind == KindDate:
-		return cmpInt(a.i, b.i), true
+		return cmpInt(a.vi(), b.vi()), true
 	case a.kind == KindDate && b.kind == KindString:
 		// SQL-style implicit coercion of date-shaped strings.
-		if bv, err := ParseDate(b.s); err == nil {
-			return cmpInt(a.i, bv.i), true
+		if bv, err := ParseDate(b.vs()); err == nil {
+			return cmpInt(a.vi(), bv.vi()), true
 		}
 		return 0, false
 	case a.kind == KindString && b.kind == KindDate:
-		if av, err := ParseDate(a.s); err == nil {
-			return cmpInt(av.i, b.i), true
+		if av, err := ParseDate(a.vs()); err == nil {
+			return cmpInt(av.vi(), b.vi()), true
 		}
 		return 0, false
 	case a.kind == KindBool && b.kind == KindBool:
-		return cmpInt(a.i, b.i), true
+		return cmpInt(a.vi(), b.vi()), true
 	case a.kind == KindInt && b.kind == KindInt:
-		return cmpInt(a.i, b.i), true
+		return cmpInt(a.vi(), b.vi()), true
 	case a.kind == KindTuple && b.kind == KindTuple:
-		n := len(a.t)
-		if len(b.t) < n {
-			n = len(b.t)
-		}
+		at, bt := a.vt(), b.vt()
+		n := min(len(at), len(bt))
 		for i := 0; i < n; i++ {
-			if c, ok := Compare(a.t[i], b.t[i]); !ok {
+			if c, ok := Compare(at[i], bt[i]); !ok {
 				return 0, false
 			} else if c != 0 {
 				return c, true
 			}
 		}
-		return cmpInt(int64(len(a.t)), int64(len(b.t))), true
+		return cmpInt(int64(len(at)), int64(len(bt))), true
 	default:
 		af, aok := a.AsFloat()
 		bf, bok := b.AsFloat()
@@ -310,9 +355,35 @@ func GroupEqual(a, b Value) bool {
 		return true
 	}
 	if a.kind == KindTuple && b.kind == KindTuple {
-		return RowsGroupEqual(a.t, b.t)
+		return RowsGroupEqual(a.vt(), b.vt())
 	}
 	return Equal(a, b)
+}
+
+// Identical reports whether a and b are the same value: the same kind and
+// payload bits, strings by content and tuples element by element, with no
+// coercion between kinds. Compare Values with it, not reflect.DeepEqual,
+// which compares a string's data pointer rather than its bytes.
+func Identical(a, b Value) bool {
+	if a.kind != b.kind {
+		return false
+	}
+	switch a.kind {
+	case KindString:
+		return a.vs() == b.vs()
+	case KindTuple:
+		at, bt := a.vt(), b.vt()
+		if len(at) != len(bt) {
+			return false
+		}
+		for i := range at {
+			if !Identical(at[i], bt[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	return a.n == b.n
 }
 
 var hashSeed = maphash.MakeSeed()
@@ -328,17 +399,17 @@ func Hash(v Value) uint64 {
 		h.WriteByte(0)
 	case KindBool:
 		h.WriteByte(1)
-		h.WriteByte(byte(v.i))
+		h.WriteByte(byte(v.vi()))
 	case KindInt, KindDate:
-		writeFloatHash(&h, float64(v.i))
+		writeFloatHash(&h, float64(v.vi()))
 	case KindFloat:
-		writeFloatHash(&h, v.f)
+		writeFloatHash(&h, v.vf())
 	case KindString:
 		h.WriteByte(3)
-		h.WriteString(v.s)
+		h.WriteString(v.vs())
 	case KindTuple:
 		h.WriteByte(4)
-		for _, e := range v.t {
+		for _, e := range v.vt() {
 			sub := Hash(e)
 			var buf [8]byte
 			for i := 0; i < 8; i++ {

@@ -74,6 +74,12 @@ stage "access paths (BETWEEN differential, seek operand parity, sort-once build,
 go test -count=1 -run 'TestBetweenRangeSeekDifferential|TestSeekOperandErrorParity|TestDMLRowSourceDifferential|TestUpdateSeeksOneRow|TestPlanCacheStatsDriftReplan|TestCreateIndexRefreshesStatistics' ./internal/engine
 go test -count=1 -run 'TestCreateIndexBuildMatchesIncremental|TestSeekAllocs|TestStatisticsReuseWithinDrift|TestCreateIndexDropsCachedStatistics|TestHistogramEquiDepth' ./internal/storage
 
+stage "value layout (24-byte Value, zero-alloc accessors, GC survival, checkptr)"
+# -race turns on checkptr, which checks every unsafe conversion in value.go.
+layout='TestValueIs24Bytes|TestValueRoundTripEdges|TestCompareGroupEqualHashTable|TestIdentical|TestValuesSurviveGC|TestAccessorsDoNotAllocate'
+go test -count=1 -run "$layout" ./internal/sqltypes
+go test -race -count=1 -run "$layout" ./internal/sqltypes
+
 stage "benchmark harness (its own module: the root go test never builds it)"
 (cd benchmark && go vet ./... && go test ./...)
 
@@ -113,6 +119,7 @@ go run ./scripts/httpget "http://$addr/healthz" | grep -q '"status":"ok"'
 go run ./scripts/httpget "http://$addr/metrics" | grep -q '^aggifyd_requests_total'
 go run ./scripts/httpget "http://$addr/metrics" | grep -q '^aggifyd_txn_begins_total'
 go run ./scripts/httpget "http://$addr/metrics" | grep -q '^aggifyd_stmt_fingerprints'
+go run ./scripts/httpget "http://$addr/metrics" | grep -q '^aggifyd_heap_live_bytes'
 echo "debug endpoints OK on $addr"
 
 stage "system catalog over TCP smoke"
