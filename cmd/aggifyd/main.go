@@ -9,8 +9,7 @@
 // Usage:
 //
 //	aggifyd [-addr host:port] [-data-dir DIR] [-wal-sync always|group|off]
-//	        [-tpch SF] [-slow-query D]
-//	        [-http host:port] [-trace-sample F] [-trace-out FILE]
+//	        [-tpch SF] [-slow-query D] [-http host:port]
 //	        [-log-format text|json] [script.sql ...]
 //
 // Any script files are executed against the engine before the server
@@ -24,11 +23,8 @@
 // connections close.
 //
 // Observability (see docs/OBSERVABILITY.md): -http starts a debug listener
-// serving /healthz, /metrics (Prometheus text), /traces (recent traces),
-// and /debug/pprof/*. -trace-sample controls what fraction of untraced
-// requests root server-local traces; requests carrying a client trace
-// context always join. -trace-out appends every completed span as one JSON
-// line. -log-format=json renders the daemon's own log lines as JSON.
+// serving /healthz, /metrics (Prometheus text) and /debug/pprof/*.
+// -log-format=json renders the daemon's own log lines as JSON.
 package main
 
 import (
@@ -47,7 +43,6 @@ import (
 
 	"aggify"
 	"aggify/internal/tpch"
-	"aggify/internal/trace"
 	"aggify/internal/wal"
 )
 
@@ -58,9 +53,7 @@ func main() {
 	tpchSF := flag.Float64("tpch", 0, "load TPC-H tables at this scale factor (0 = off)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown timeout")
 	slow := flag.Duration("slow-query", 0, "log requests at least this slow into the server metrics (0 = off)")
-	httpAddr := flag.String("http", "", "debug HTTP listen address serving /healthz /metrics /traces /debug/pprof (empty = off)")
-	traceSample := flag.Float64("trace-sample", 0, "fraction of untraced requests that root server-local traces, in [0,1]")
-	traceOut := flag.String("trace-out", "", "append completed trace spans as JSON lines to this file")
+	httpAddr := flag.String("http", "", "debug HTTP listen address serving /healthz /metrics /debug/pprof (empty = off)")
 	logFormat := flag.String("log-format", "text", "log line format: text or json")
 	flag.Parse()
 
@@ -108,21 +101,9 @@ func main() {
 		logger.Printf("aggifyd: executed %s", path)
 	}
 
-	cfg := trace.Config{Sample: *traceSample}
-	if *traceOut != "" {
-		f, err := os.OpenFile(*traceOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			logger.Fatalf("aggifyd: -trace-out: %v", err)
-		}
-		defer f.Close()
-		cfg.Out = f
-	}
-	tracer := trace.New(cfg)
-
 	srv := db.NewServer()
 	srv.ErrorLog = logger
 	srv.SlowThreshold = *slow
-	srv.Tracer = tracer
 	if *dataDir != "" {
 		// Between "no new statements admitted" and "connections closed",
 		// flush the WAL and write a final checkpoint while quiescent.

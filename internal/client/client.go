@@ -16,7 +16,6 @@ import (
 	"aggify/internal/engine"
 	"aggify/internal/sqltypes"
 	"aggify/internal/storage"
-	"aggify/internal/trace"
 	"aggify/internal/wire"
 )
 
@@ -27,19 +26,10 @@ const DefaultFetchSize = 128
 type Conn struct {
 	tr      Transport
 	profile wire.Profile
-	tracer  *trace.Tracer
 	// FetchSize is the maximum rows pulled per fetch round trip.
 	FetchSize int
 
 	prints []string // PRINT output of the last Exec
-}
-
-// traceCarrier is implemented by transports that can attach a trace context
-// to the requests they send (the socket transport flags the frame; the
-// in-process transport parents the backend's spans directly).
-type traceCarrier interface {
-	setTracer(tr *trace.Tracer)
-	setTraceContext(tc wire.TraceContext)
 }
 
 // Connect opens an in-process connection (its own server session) with the
@@ -62,29 +52,6 @@ func Dial(addr string, profile wire.Profile) (*Conn, error) {
 // NewConn wraps a transport in the driver API.
 func NewConn(tr Transport, profile wire.Profile) *Conn {
 	return &Conn{tr: tr, profile: profile, FetchSize: DefaultFetchSize}
-}
-
-// SetTracer installs a tracer: each driver call (Exec, Prepare, Query,
-// Fetch, CloseCursor) roots a client span subject to the tracer's sampling
-// rate, and sampled calls carry their trace context to the server so its
-// spans join the same trace. A nil tracer (the default) costs nothing.
-func (c *Conn) SetTracer(tr *trace.Tracer) {
-	c.tracer = tr
-	if car, ok := c.tr.(traceCarrier); ok {
-		car.setTracer(tr)
-	}
-}
-
-// startCall roots the span for one driver call and points the transport's
-// trace context at it. An unsampled call yields a disabled span with a zero
-// context, which resets the transport to untraced framing.
-func (c *Conn) startCall(name string) trace.Span {
-	sp := c.tracer.StartTrace(name)
-	if car, ok := c.tr.(traceCarrier); ok {
-		ctx := sp.Context()
-		car.setTraceContext(wire.TraceContext{TraceID: uint64(ctx.Trace), SpanID: uint64(ctx.Span)})
-	}
-	return sp
 }
 
 // Close releases the connection (and, over a socket, announces the
@@ -118,17 +85,11 @@ func (c *Conn) Exec(src string) error {
 // ExecResults is Exec returning the full reply: PRINT output plus the
 // result sets of any top-level SELECTs in the script.
 func (c *Conn) ExecResults(src string) (*wire.ExecResult, error) {
-	sp := c.startCall("client.exec")
-	sp.SetAttrInt("sql_bytes", int64(len(src)))
 	res, err := c.tr.Exec(src)
 	if err != nil {
-		sp.SetAttr("error", err.Error())
-		sp.End()
 		c.prints = nil
 		return nil, err
 	}
-	sp.SetAttrInt("rows", res.RowCount())
-	sp.End()
 	c.prints = res.Prints
 	return res, nil
 }
@@ -146,9 +107,7 @@ type Stmt struct {
 // preparation. One round trip: the statement text travels once; executions
 // then send only parameters.
 func (c *Conn) Prepare(src string) (*Stmt, error) {
-	sp := c.startCall("client.prepare")
 	id, err := c.tr.Prepare(src)
-	sp.End()
 	if err != nil {
 		return nil, err
 	}
@@ -160,9 +119,7 @@ func (c *Conn) Prepare(src string) (*Stmt, error) {
 // completion; the client then fetches rows in FetchSize batches, one round
 // trip per batch.
 func (s *Stmt) Query(args ...sqltypes.Value) (*Rows, error) {
-	sp := s.conn.startCall("client.query")
 	cursorID, cols, err := s.conn.tr.Query(s.id, args)
-	sp.End()
 	if err != nil {
 		return nil, err
 	}
@@ -213,10 +170,7 @@ func (r *Rows) Next() bool {
 	if batch <= 0 {
 		batch = DefaultFetchSize
 	}
-	sp := r.conn.startCall("client.fetch")
 	rows, done, err := r.conn.tr.Fetch(r.cursor, batch)
-	sp.SetAttrInt("rows", int64(len(rows)))
-	sp.End()
 	if err != nil {
 		r.err = err
 		r.done = true
@@ -293,10 +247,7 @@ func (r *Rows) Close() error {
 	if r.done {
 		return nil
 	}
-	sp := r.conn.startCall("client.close_cursor")
-	err := r.conn.tr.CloseCursor(r.cursor)
-	sp.End()
-	return err
+	return r.conn.tr.CloseCursor(r.cursor)
 }
 
 // ServerStats exposes the server session's I/O statistics snapshot (zero

@@ -7,7 +7,6 @@ import (
 
 	"aggify/internal/engine"
 	"aggify/internal/sqltypes"
-	"aggify/internal/trace"
 	"aggify/internal/wire"
 )
 
@@ -19,13 +18,7 @@ type socket struct {
 	br    *bufio.Reader
 	bw    *bufio.Writer
 	meter wire.Meter
-
-	tracer *trace.Tracer
-	tc     wire.TraceContext // trace context for the next request (zero = untraced)
 }
-
-func (t *socket) setTracer(tr *trace.Tracer)           { t.tracer = tr }
-func (t *socket) setTraceContext(tc wire.TraceContext) { t.tc = tc }
 
 // dialSocket connects to an aggifyd server.
 func dialSocket(addr string) (*socket, error) {
@@ -46,27 +39,16 @@ func newSocket(c net.Conn) *socket {
 // real bytes in both directions. MsgError responses become errors carrying
 // the server's text.
 func (t *socket) roundTrip(typ wire.MsgType, body []byte) (wire.MsgType, []byte, error) {
-	parent := trace.SpanContext{Trace: trace.ID(t.tc.TraceID), Span: trace.ID(t.tc.SpanID)}
-	if t.tc.Valid() {
-		typ |= wire.TraceFlag
-		body = wire.EncodeTraced(t.tc, body)
-	}
-	wsp := t.tracer.StartSpan(parent, "wire.write")
 	n, err := wire.WriteFrame(t.bw, typ, body)
 	if err == nil {
 		err = t.bw.Flush()
 	}
-	wsp.SetAttrInt("bytes", int64(n))
-	wsp.End()
 	if err != nil {
 		return 0, nil, err
 	}
 	t.meter.RoundTrips++
 	t.meter.BytesToServer += int64(n)
-	rsp := t.tracer.StartSpan(parent, "wire.read")
 	respT, respB, rn, err := wire.ReadFrame(t.br)
-	rsp.SetAttrInt("bytes", int64(rn))
-	rsp.End()
 	t.meter.BytesToClient += int64(rn)
 	if err != nil {
 		return 0, nil, err

@@ -6,7 +6,6 @@ import (
 	"aggify/internal/engine"
 	"aggify/internal/server"
 	"aggify/internal/sqltypes"
-	"aggify/internal/trace"
 	"aggify/internal/wire"
 )
 
@@ -55,15 +54,6 @@ type inproc struct {
 // newInproc wraps a fresh backend session on the engine.
 func newInproc(eng *engine.Engine) *inproc {
 	return &inproc{b: server.NewBackend(eng)}
-}
-
-// setTracer / setTraceContext give the in-process transport trace parity
-// with the socket path: the backend's parse/plan/execute spans parent
-// directly under the client call span — no frames, so no wire spans.
-func (t *inproc) setTracer(tr *trace.Tracer) { t.b.Tracer = tr }
-
-func (t *inproc) setTraceContext(tc wire.TraceContext) {
-	t.b.SetTraceParent(trace.SpanContext{Trace: trace.ID(tc.TraceID), Span: trace.ID(tc.SpanID)})
 }
 
 // charge accounts one request/response exchange, pricing both directions as

@@ -10,7 +10,6 @@ import (
 	"aggify/internal/plan"
 	"aggify/internal/sqltypes"
 	"aggify/internal/storage"
-	"aggify/internal/trace"
 	"aggify/internal/txn"
 )
 
@@ -26,11 +25,6 @@ type Session struct {
 	// InMemoryWorktables disables disk-backed cursor worktables (the
 	// materialization-cost ablation; see storage.Worktable).
 	InMemoryWorktables bool
-	// Tracer, when set, emits server.plan / server.execute spans under
-	// TraceParent (installed per request by the server's backend). Both are
-	// nil/zero outside traced server requests, which costs nothing.
-	Tracer      *trace.Tracer
-	TraceParent trace.SpanContext
 
 	prints     []string
 	tempTables map[string]*storage.Table // session temp tables (#name)
@@ -150,21 +144,15 @@ func (s *Session) Query(q *ast.Select, ctx *exec.Ctx) ([]string, []exec.Row, err
 		ctx = s.Ctx(nil, nil)
 	}
 	defer s.PinRead(ctx)()
-	psp := s.Tracer.StartSpan(s.TraceParent, "server.plan")
 	p, err := s.PlanQuery(q, temp)
-	psp.End()
 	if err != nil {
 		return nil, nil, err
 	}
 	s.notePlanExec(p)
-	esp := s.Tracer.StartSpan(s.TraceParent, "server.execute")
 	rows, err := p.Run(ctx)
 	if err != nil {
-		esp.End()
 		return nil, nil, err
 	}
-	esp.SetAttrInt("rows", int64(len(rows)))
-	esp.End()
 	s.Stats.RowsEmitted.Add(int64(len(rows)))
 	return p.Columns, rows, nil
 }

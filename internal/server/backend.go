@@ -15,7 +15,6 @@ import (
 	"aggify/internal/interp"
 	"aggify/internal/parser"
 	"aggify/internal/sqltypes"
-	"aggify/internal/trace"
 	"aggify/internal/wire"
 )
 
@@ -34,11 +33,6 @@ type Backend struct {
 	// cursorGauge, when set, is called with +1/-1 as cursors open and close
 	// (the server's open-cursor gauge).
 	cursorGauge func(delta int64)
-
-	// Tracer, when set, records parse/plan/execute/fetch spans under the
-	// parent installed by SetTraceParent for the current request.
-	Tracer *trace.Tracer
-	parent trace.SpanContext
 }
 
 // preparedStmt keeps the parsed query together with its source text, so
@@ -69,20 +63,6 @@ func NewBackend(eng *engine.Engine) *Backend {
 // Session exposes the backend's engine session (statistics, options).
 func (b *Backend) Session() *engine.Session { return b.sess }
 
-// SetTraceParent scopes the backend's spans (and the session's plan/execute
-// spans) to one request. A zero context disables them. The caller drives
-// the backend from a single goroutine, so a plain field write suffices.
-func (b *Backend) SetTraceParent(ctx trace.SpanContext) {
-	b.parent = ctx
-	b.sess.Tracer = b.Tracer
-	b.sess.TraceParent = ctx
-}
-
-// span opens a child span of the current request (disabled when untraced).
-func (b *Backend) span(name string) trace.Span {
-	return b.Tracer.StartSpan(b.parent, name)
-}
-
 // requestFingerprint fingerprints the statement text a request carries or,
 // for a Query, names; 0 for requests without one.
 func (b *Backend) requestFingerprint(typ wire.MsgType, body []byte) uint64 {
@@ -103,17 +83,11 @@ func (b *Backend) OpenCursors() int { return len(b.cursors) }
 // Exec parses and runs a script batch, returning PRINT output and any
 // top-level result sets.
 func (b *Backend) Exec(src string) (*wire.ExecResult, error) {
-	psp := b.span("server.parse")
 	stmts, spans, err := parser.ParseSpans(src)
-	psp.SetAttrInt("statements", int64(len(stmts)))
-	psp.End()
 	if err != nil {
 		return nil, err
 	}
-	ssp := b.span("server.script")
 	sets, err := interp.RunScriptSpans(b.sess, src, stmts, spans)
-	ssp.SetAttrInt("result_sets", int64(len(sets)))
-	ssp.End()
 	res := &wire.ExecResult{Prints: b.sess.Prints()}
 	if err != nil {
 		return nil, err
@@ -185,7 +159,6 @@ func (b *Backend) Fetch(cursorID uint32, maxRows int) ([][]sqltypes.Value, bool,
 	if maxRows < 1 {
 		maxRows = 1
 	}
-	sp := b.span("server.fetch")
 	hi := c.pos + maxRows
 	if hi > len(c.rows) {
 		hi = len(c.rows)
@@ -196,12 +169,6 @@ func (b *Backend) Fetch(cursorID uint32, maxRows int) ([][]sqltypes.Value, bool,
 	if done {
 		b.releaseCursor(cursorID)
 	}
-	sp.SetAttrInt("cursor", int64(cursorID))
-	sp.SetAttrInt("rows", int64(len(batch)))
-	if done {
-		sp.SetAttrInt("done", 1)
-	}
-	sp.End()
 	return batch, done, nil
 }
 

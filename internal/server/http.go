@@ -11,15 +11,12 @@ import (
 
 	"aggify/internal/core"
 	"aggify/internal/engine"
-	"aggify/internal/trace"
 )
 
 // DebugHandler builds the aggifyd debug mux (the -http listener):
 //
 //	/healthz        liveness probe ({"status":"ok"})
-//	/metrics        Prometheus text exposition of the query-metrics
-//	                registry plus the tracer's counters
-//	/traces         recent traces from the tracer's span ring, as JSON
+//	/metrics        Prometheus text exposition of the query-metrics registry
 //	/debug/pprof/*  the standard Go profiler endpoints
 //
 // The handler reads the same registries the wire-level MsgStats reply does,
@@ -28,7 +25,6 @@ func (s *Server) DebugHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/traces", s.handleTraces)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -57,11 +53,10 @@ type metricDef struct {
 }
 
 // metricDefs snapshots every scalar metric: the wire-level request
-// registry, the tracer, the transaction manager, the WAL, the
-// fingerprint stats store, the plan store, and the Go heap.
+// registry, the transaction manager, the WAL, the fingerprint stats
+// store, the plan store, and the Go heap.
 func (s *Server) metricDefs() []metricDef {
 	st := s.Stats()
-	tc := s.Tracer.Counters()
 	eng := s.eng
 	txc := eng.TxnMgr.CounterSnapshot()
 	stmts := eng.StmtStatsStore()
@@ -80,10 +75,6 @@ func (s *Server) metricDefs() []metricDef {
 		{"aggifyd_request_latency_p99_micros", "P99 request latency upper bound (us).", "gauge", st.P99Micros},
 		{"aggifyd_slow_requests_total", "Requests over the slow-query threshold.", "counter", st.SlowCount},
 		{"aggifyd_panics_total", "Requests that panicked and were contained at the connection boundary.", "counter", s.metrics.panics.Load()},
-		{"aggifyd_traces_started_total", "Locally-rooted traces sampled.", "counter", tc.TracesStarted},
-		{"aggifyd_traces_joined_total", "Client trace contexts joined.", "counter", tc.TracesJoined},
-		{"aggifyd_spans_recorded_total", "Completed spans recorded.", "counter", tc.SpansRecorded},
-		{"aggifyd_spans_dropped_total", "Spans evicted from the ring unread.", "counter", tc.SpansDropped},
 		{"aggifyd_txn_begins_total", "Transactions begun (explicit and implicit).", "counter", txc.Begins},
 		{"aggifyd_txn_commits_total", "Transactions committed.", "counter", txc.Commits},
 		{"aggifyd_txn_rollbacks_total", "Transactions rolled back.", "counter", txc.Rollbacks},
@@ -171,34 +162,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.Write(buf)
-}
-
-// handleTraces renders the tracer's recent traces as a JSON array, most
-// recent trace first, each span in the schema of trace.AppendSpanJSON.
-// ?limit=N bounds the number of traces returned.
-func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	views := s.Tracer.Traces()
-	if lim, err := strconv.Atoi(r.URL.Query().Get("limit")); err == nil && lim >= 0 && lim < len(views) {
-		views = views[:lim]
-	}
-	buf := []byte{'['}
-	for i, v := range views {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = append(buf, `{"trace":"`...)
-		buf = append(buf, trace.FormatID(v.Trace)...)
-		buf = append(buf, `","spans":[`...)
-		for j, sp := range v.Spans {
-			if j > 0 {
-				buf = append(buf, ',')
-			}
-			buf = trace.AppendSpanJSON(buf, sp)
-		}
-		buf = append(buf, `]}`...)
-	}
-	buf = append(buf, ']', '\n')
-	w.Header().Set("Content-Type", "application/json")
 	w.Write(buf)
 }

@@ -41,26 +41,39 @@ func TestMetricsExposesEveryRegisteredMetric(t *testing.T) {
 			t.Errorf("/metrics missing HELP line for %s", d.name)
 		}
 	}
-	// The new observability counters must be registered at all.
-	for _, want := range []string{
+	// The scalar registry is exactly this list plus one counter per Aggify
+	// rejection code: a series added or dropped must show up here.
+	want := map[string]bool{}
+	for _, name := range []string{
+		"aggifyd_connections_total", "aggifyd_requests_total",
+		"aggifyd_execs_total", "aggifyd_queries_total", "aggifyd_fetches_total",
+		"aggifyd_cursors_opened_total", "aggifyd_open_cursors",
+		"aggifyd_bytes_in_total", "aggifyd_bytes_out_total",
+		"aggifyd_request_latency_p50_micros", "aggifyd_request_latency_p99_micros",
+		"aggifyd_slow_requests_total", "aggifyd_panics_total",
 		"aggifyd_txn_begins_total", "aggifyd_txn_commits_total",
 		"aggifyd_txn_rollbacks_total", "aggifyd_txn_conflicts_total",
-		"aggifyd_wal_bytes_total", "aggifyd_wal_fsyncs_total",
-		"aggifyd_checkpoints_total", "aggifyd_stmt_evictions_total",
+		"aggifyd_checkpoints_total", "aggifyd_stmt_fingerprints",
+		"aggifyd_stmt_evictions_total",
 		"aggifyd_plan_cache_entries", "aggifyd_plan_cache_hits_total",
 		"aggifyd_plan_cache_misses_total", "aggifyd_plan_cache_evictions_total",
+		"aggifyd_wal_bytes_total", "aggifyd_wal_synced_bytes_total",
+		"aggifyd_wal_records_total", "aggifyd_wal_fsyncs_total",
 		"aggifyd_heap_live_bytes", "aggifyd_gc_cycles_total",
 	} {
-		found := false
-		for _, d := range defs {
-			if d.name == want {
-				found = true
-				break
-			}
+		want[name] = true
+	}
+	for _, code := range core.AllReasonCodes() {
+		want["aggifyd_aggify_reject_"+string(code)+"_total"] = true
+	}
+	for _, d := range defs {
+		if !want[d.name] {
+			t.Errorf("metric %s registered in metricDefs but not expected", d.name)
 		}
-		if !found {
-			t.Errorf("metric %s not registered in metricDefs", want)
-		}
+		delete(want, d.name)
+	}
+	for name := range want {
+		t.Errorf("metric %s not registered in metricDefs", name)
 	}
 }
 

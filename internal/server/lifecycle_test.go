@@ -124,6 +124,35 @@ func TestFetchOnReleasedCursorFailsClearly(t *testing.T) {
 	mustOK(t, typ, body, wire.MsgCursor)
 }
 
+// TestTraceFlaggedFrameRejected: bit 0x40 once flagged a request carrying a
+// 16-byte trace-context prefix (docs/PROTOCOL.md). The bit is reserved now,
+// so such a frame is an unknown message type: the server answers MsgError
+// and keeps the connection serving.
+func TestTraceFlaggedFrameRejected(t *testing.T) {
+	_, _, addr := startServer(t)
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	prefix := []byte{0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2} // trace id 1, span id 2
+	typ, body := rawRoundTrip(t, c, wire.MsgExec|0x40, append(prefix, "select 1"...))
+	if typ != wire.MsgError {
+		t.Fatalf("flagged frame: response type 0x%02x, want MsgError", byte(typ))
+	}
+	if !strings.Contains(string(body), "unknown message type 0x41") {
+		t.Fatalf("flagged frame error %q should name the unknown type 0x41", body)
+	}
+	typ, body = rawRoundTrip(t, c, wire.MsgExec, []byte("select 1"))
+	res, err := wire.DecodeExecResult(mustOK(t, typ, body, wire.MsgResults))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Sets) != 1 || len(res.Sets[0].Rows) != 1 || res.Sets[0].Rows[0][0].Display() != "1" {
+		t.Fatalf("select 1 after the rejected frame = %+v", res.Sets)
+	}
+}
+
 func TestServerMetricsOverSocket(t *testing.T) {
 	eng := engine.New()
 	interp.Install(eng)

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"aggify/internal/engine"
-	"aggify/internal/trace"
 	"aggify/internal/wire"
 )
 
@@ -31,11 +30,6 @@ type Server struct {
 	// SlowThreshold, when positive, logs requests at least this slow into the
 	// metrics slow-query ring (see Metrics). Set before Serve.
 	SlowThreshold time.Duration
-	// Tracer, when set, records request spans: traced client requests
-	// (wire.TraceFlag) join the client's trace, and untraced requests may
-	// root server-local traces subject to the tracer's sampling rate. Set
-	// before Serve. A nil tracer costs nothing on the request path.
-	Tracer *trace.Tracer
 
 	// OnDrain, when set, runs during Shutdown after in-flight requests have
 	// finished and new work is being rejected, but before any connection
@@ -209,7 +203,6 @@ func (s *Server) Close() error {
 func (s *Server) handle(c net.Conn) {
 	s.metrics.connections.Add(1)
 	b := NewBackend(s.eng)
-	b.Tracer = s.Tracer
 	b.cursorGauge = func(d int64) {
 		s.openCursors.Add(d)
 		if d > 0 {
@@ -234,24 +227,12 @@ func (s *Server) handle(c net.Conn) {
 			s.logf("aggifyd: %v: %v", c.RemoteAddr(), err)
 			return
 		}
-		// Strip the optional trace context; untraced frames pass through
-		// untouched (no allocation).
-		typ, tc, body, err := wire.SplitTraceContext(typ, body)
-		if err != nil {
-			s.logf("aggifyd: %v: %v", c.RemoteAddr(), err)
-			return
-		}
-		sp := s.dispatchSpan(tc, typ)
-		b.SetTraceParent(sp.Context())
 		start := time.Now()
 		s.reqWG.Add(1)
 		respT, respB := s.dispatchContained(b, typ, body)
 		s.reqWG.Done()
 		wn, err := wire.WriteFrame(bw, respT, respB)
 		s.metrics.record(typ, time.Since(start), rn, wn, body, s.SlowThreshold)
-		sp.SetAttrInt("bytes_in", int64(rn))
-		sp.SetAttrInt("bytes_out", int64(wn))
-		sp.End()
 		if err != nil {
 			s.logf("aggifyd: %v: write: %v", c.RemoteAddr(), err)
 			return
@@ -266,21 +247,7 @@ func (s *Server) handle(c net.Conn) {
 	}
 }
 
-// dispatchSpan opens the per-request server span: traced requests join the
-// client's trace, untraced ones may root a sampled server-local trace. With
-// a nil tracer both paths return a disabled span at zero cost.
-func (s *Server) dispatchSpan(tc wire.TraceContext, typ wire.MsgType) trace.Span {
-	var sp trace.Span
-	if tc.Valid() {
-		sp = s.Tracer.JoinTrace(trace.SpanContext{Trace: trace.ID(tc.TraceID), Span: trace.ID(tc.SpanID)}, "server.dispatch")
-	} else {
-		sp = s.Tracer.StartTrace("server.dispatch")
-	}
-	sp.SetAttr("msg", msgName(typ))
-	return sp
-}
-
-// msgName names a request type for span attributes (no allocation).
+// msgName names a request type for the panic log (no allocation).
 func msgName(typ wire.MsgType) string {
 	switch typ {
 	case wire.MsgExec:

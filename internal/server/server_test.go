@@ -3,7 +3,9 @@ package server_test
 import (
 	"context"
 	"fmt"
+	"io"
 	"net"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -19,8 +21,8 @@ import (
 )
 
 // startServer serves a fresh engine on loopback and returns it with a
-// dialable address. opts run before the listener opens (install a tracer,
-// set thresholds); Cleanup drains the server.
+// dialable address. opts run before the listener opens (set thresholds,
+// install hooks); Cleanup drains the server.
 func startServer(t *testing.T, opts ...func(*server.Server)) (*engine.Engine, *server.Server, string) {
 	t.Helper()
 	// Registered before the shutdown cleanup below, so it runs after it
@@ -354,5 +356,121 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	// New connections are refused.
 	if _, err := client.Dial(lis.Addr().String(), wire.LAN); err == nil {
 		t.Fatal("dial after shutdown must fail")
+	}
+}
+
+// TestTraceProcedureOverWire drives the `\profile` / TRACE PROCEDURE path
+// end to end: the profile report for a cursor-loop procedure arrives as a
+// result set over TCP and carries the aggify_candidate verdict.
+func TestTraceProcedureOverWire(t *testing.T) {
+	_, _, addr := startServer(t)
+	conn, err := client.Dial(addr, wire.LAN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.Exec(`
+create table nums (n int);
+insert into nums values (1), (2), (3), (4);
+GO
+create procedure sumNums() as
+begin
+  declare @n int;
+  declare @s int = 0;
+  declare c cursor for select n from nums order by n;
+  open c;
+  fetch next from c into @n;
+  while @@fetch_status = 0
+  begin
+    set @s = @s + @n;
+    fetch next from c into @n;
+  end
+  close c;
+  deallocate c;
+  print @s;
+end
+`); err != nil {
+		t.Fatal(err)
+	}
+	res, err := conn.ExecResults("trace procedure sumNums;")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Sets) != 1 || len(res.Sets[0].Columns) != 1 || res.Sets[0].Columns[0] != "profile" {
+		t.Fatalf("profile result shape = %+v", res.Sets)
+	}
+	var lines []string
+	for _, row := range res.Sets[0].Rows {
+		lines = append(lines, row[0].Str())
+	}
+	report := strings.Join(lines, "\n")
+	for _, want := range []string{"cursor loop c:", "iterations=4", "rows_fetched=4", "aggify_candidate=true", "time_share="} {
+		if !strings.Contains(report, want) {
+			t.Fatalf("profile over the wire missing %q:\n%s", want, report)
+		}
+	}
+	// The procedure really ran server-side.
+	if p := res.Prints; len(p) != 1 || p[0] != "10" {
+		t.Fatalf("prints = %v, want [10]", p)
+	}
+}
+
+// TestDebugEndpoints pins the debug mux: /healthz liveness, /metrics
+// Prometheus exposition, the pprof index, and no /traces endpoint.
+func TestDebugEndpoints(t *testing.T) {
+	_, srv, addr := startServer(t)
+	conn, err := client.Dial(addr, wire.LAN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.Exec("create table t (n int); insert into t values (1)"); err != nil {
+		t.Fatal(err)
+	}
+	stmt, err := conn.Prepare("select n from t where n >= ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stmt.Query(sqltypes.NewInt(0)); err != nil {
+		t.Fatal(err)
+	}
+
+	h := srv.DebugHandler()
+	get := func(path string) (int, string) {
+		t.Helper()
+		req := httptest.NewRequest("GET", path, nil)
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		b, _ := io.ReadAll(w.Result().Body)
+		return w.Code, string(b)
+	}
+
+	code, body := get("/healthz")
+	if code != 200 || strings.TrimSpace(body) != `{"status":"ok"}` {
+		t.Fatalf("/healthz = %d %q", code, body)
+	}
+
+	code, body = get("/metrics")
+	if code != 200 {
+		t.Fatalf("/metrics = %d", code)
+	}
+	for _, want := range []string{
+		"aggifyd_requests_total",
+		"aggifyd_execs_total",
+		"aggifyd_queries_total",
+		"aggifyd_request_latency_p50_micros",
+		"# TYPE aggifyd_requests_total counter",
+	} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("/metrics missing %q:\n%s", want, body)
+		}
+	}
+
+	if code, _ := get("/traces"); code != 404 {
+		t.Fatalf("/traces = %d, want 404 (the span tracer is gone)", code)
+	}
+
+	if code, _ := get("/debug/pprof/"); code != 200 {
+		t.Fatalf("/debug/pprof/ = %d", code)
 	}
 }

@@ -56,9 +56,6 @@ go build ./...
 stage "go test -race"
 go test -race ./...
 
-stage "tracing-overhead guard (disabled tracing must not allocate)"
-go test -count=1 -run TestDisabledTracingZeroAllocs ./internal/trace
-
 stage "plan-cache guard (a warm lookup by AST node must not allocate)"
 go test -count=1 -run TestPlanCacheWarmZeroAllocs ./internal/engine ./internal/interp
 
@@ -68,7 +65,7 @@ go test -count=1 -run TestFilteredScanAllocsIndependentOfTableSize ./internal/en
 stage "predicate kernels (differential vs the generic closure; one plan, 8 sessions, -race; panic containment)"
 go test -count=1 -run 'TestKernel|TestScanFilterDefers' ./internal/plan
 go test -race -count=1 -run TestBoundPredicateSharedPlanConcurrentSessions ./internal/engine
-go test -race -count=1 -run TestPanicContainedPerConnection ./internal/server
+go test -race -count=1 -run 'TestPanicContainedPerConnection|TestTraceFlaggedFrameRejected' ./internal/server
 
 stage "access paths (BETWEEN differential, seek operand parity, sort-once build, DML seeks, statistics drift)"
 go test -count=1 -run 'TestBetweenRangeSeekDifferential|TestSeekOperandErrorParity|TestDMLRowSourceDifferential|TestUpdateSeeksOneRow|TestPlanCacheStatsDriftReplan|TestCreateIndexRefreshesStatistics' ./internal/engine
