@@ -43,6 +43,43 @@ func WalkExpr(e Expr, fn func(Expr) bool) {
 	}
 }
 
+// MapExpr rebuilds e bottom-up outside its subqueries: each node's children
+// are mapped first, then fn maps the rebuilt node. Subqueries (and the query
+// of an IN subquery) are kept as they are.
+func MapExpr(e Expr, fn func(Expr) Expr) Expr {
+	switch x := e.(type) {
+	case nil:
+		return nil
+	case *BinExpr:
+		e = &BinExpr{Op: x.Op, L: MapExpr(x.L, fn), R: MapExpr(x.R, fn)}
+	case *UnaryExpr:
+		e = &UnaryExpr{Op: x.Op, E: MapExpr(x.E, fn)}
+	case *IsNullExpr:
+		e = &IsNullExpr{E: MapExpr(x.E, fn), Negate: x.Negate}
+	case *CaseExpr:
+		out := &CaseExpr{Else: MapExpr(x.Else, fn)}
+		for _, w := range x.Whens {
+			out.Whens = append(out.Whens, WhenClause{Cond: MapExpr(w.Cond, fn), Then: MapExpr(w.Then, fn)})
+		}
+		e = out
+	case *FuncCall:
+		out := &FuncCall{Name: x.Name, Star: x.Star}
+		for _, a := range x.Args {
+			out.Args = append(out.Args, MapExpr(a, fn))
+		}
+		e = out
+	case *BetweenExpr:
+		e = &BetweenExpr{E: MapExpr(x.E, fn), Lo: MapExpr(x.Lo, fn), Hi: MapExpr(x.Hi, fn), Negate: x.Negate}
+	case *InExpr:
+		out := &InExpr{E: MapExpr(x.E, fn), Negate: x.Negate, Query: x.Query}
+		for _, it := range x.List {
+			out.List = append(out.List, MapExpr(it, fn))
+		}
+		e = out
+	}
+	return fn(e)
+}
+
 // WalkSelectExprs visits every expression embedded in a query, including
 // CTEs, derived tables, join conditions, and UNION ALL branches.
 func WalkSelectExprs(q *Select, fn func(Expr) bool) {

@@ -17,6 +17,7 @@ import (
 	"aggify/internal/froid"
 	"aggify/internal/interp"
 	"aggify/internal/parser"
+	"aggify/internal/plan"
 	"aggify/internal/storage"
 	"aggify/internal/tpch"
 )
@@ -176,14 +177,9 @@ func (env *Env) RunDriverSession(driverSQL string, mode Mode, timeout time.Durat
 	if err != nil {
 		return nil, err
 	}
-	sess := env.Eng.NewSession()
-	if configure != nil {
-		configure(sess)
-	}
-	if env.SessionInit != "" {
-		if _, err := interp.RunScript(sess, parser.MustParse(env.SessionInit)); err != nil {
-			return nil, err
-		}
+	sess, err := env.newSession(mode, configure)
+	if err != nil {
+		return nil, err
 	}
 	var stop chan struct{}
 	if timeout > 0 {
@@ -207,6 +203,26 @@ func (env *Env) RunDriverSession(driverSQL string, mode Mode, timeout time.Durat
 	res.Rows = len(rows)
 	res.Checksum = checksumRows(rows)
 	return res, nil
+}
+
+// newSession opens a measurement session for mode: configured, with the
+// environment's temp tables. Aggify mode keeps the rewritten UDFs as calls,
+// the paper's Aggify configuration, so it turns inline_udf off; inlining
+// them is what AggifyPlus measures.
+func (env *Env) newSession(mode Mode, configure func(*engine.Session)) (*engine.Session, error) {
+	sess := env.Eng.NewSession()
+	if mode == Aggify {
+		sess.Opts.DisableRules |= plan.RuleInlineUDF
+	}
+	if configure != nil {
+		configure(sess)
+	}
+	if env.SessionInit != "" {
+		if _, err := interp.RunScript(sess, parser.MustParse(env.SessionInit)); err != nil {
+			return nil, err
+		}
+	}
+	return sess, nil
 }
 
 // rewriteDriver parses a driver query and applies the mode's UDF rewrite
@@ -251,14 +267,9 @@ func (env *Env) RunDriverInstrumented(driverSQL string, mode Mode, configure fun
 	if err != nil {
 		return nil, err
 	}
-	sess := env.Eng.NewSession()
-	if configure != nil {
-		configure(sess)
-	}
-	if env.SessionInit != "" {
-		if _, err := interp.RunScript(sess, parser.MustParse(env.SessionInit)); err != nil {
-			return nil, err
-		}
+	sess, err := env.newSession(mode, configure)
+	if err != nil {
+		return nil, err
 	}
 	p, err := sess.PlanQuery(driver, nil)
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"aggify/internal/engine"
 	"aggify/internal/exec"
 	"aggify/internal/parser"
+	"aggify/internal/plan"
 	"aggify/internal/sqltypes"
 )
 
@@ -52,6 +53,8 @@ func TestCursorOpenWorktableWriteFails(t *testing.T) {
 create table t (x int, pad varchar(100));
 GO
 create function hook(@x int) returns int as begin return @x; end`)
+	// hook is a call site the test intercepts, so it must stay a call.
+	sess.Opts.DisableRules = plan.RuleInlineUDF
 	tab, _ := sess.Eng.Table("t")
 	pad := sqltypes.NewString(strings.Repeat("p", 100))
 	for i := int64(0); i < 1000; i++ {

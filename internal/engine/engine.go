@@ -297,10 +297,9 @@ func (c sessionCatalog) AggSpec(name string) (*exec.AggSpec, bool) {
 	return c.eng.Aggregate(name)
 }
 
-// ScalarFuncExists implements plan.Catalog.
-func (c sessionCatalog) ScalarFuncExists(name string) bool {
-	_, ok := c.eng.Function(name)
-	return ok
+// ScalarFunc implements plan.Catalog.
+func (c sessionCatalog) ScalarFunc(name string) (*ast.CreateFunction, bool) {
+	return c.eng.Function(name)
 }
 
 // TypeOfExprDefault is the declared type used when none can be inferred.

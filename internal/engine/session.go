@@ -183,11 +183,7 @@ func (s *Session) ExplainQuery(q *ast.Select, analyze bool, ctx *exec.Ctx) ([]st
 		return nil, err
 	}
 	if !analyze {
-		lines := splitPlanLines(p.Explain.String())
-		if len(p.Rewrites) > 0 {
-			lines = append([]string{"rewrites: " + strings.Join(p.Rewrites, " ")}, lines...)
-		}
-		return lines, nil
+		return append(explainHeader(p), splitPlanLines(p.Explain.String())...), nil
 	}
 	before := s.Stats.Snapshot()
 	rows, ins, err := p.RunInstrumented(ctx)
@@ -196,13 +192,23 @@ func (s *Session) ExplainQuery(q *ast.Select, analyze bool, ctx *exec.Ctx) ([]st
 	}
 	s.Stats.RowsEmitted.Add(int64(len(rows)))
 	delta := s.Stats.Snapshot().Sub(before)
-	lines := splitPlanLines(ins.Render())
-	if len(p.Rewrites) > 0 {
-		lines = append([]string{"rewrites: " + strings.Join(p.Rewrites, " ")}, lines...)
-	}
+	lines := append(explainHeader(p), splitPlanLines(ins.Render())...)
 	lines = append(lines, fmt.Sprintf("-- stats: rows=%d reads=%d worktable w=%d r=%d seeks=%d",
 		len(rows), delta.LogicalReads, delta.WorktableWrites, delta.WorktableReads, delta.IndexSeeks))
 	return lines, nil
+}
+
+// explainHeader renders the lines EXPLAIN prints above the plan tree: the
+// rewrite rules that fired and the UDF calls inline_udf left in place.
+func explainHeader(p *plan.Plan) []string {
+	var out []string
+	if len(p.Rewrites) > 0 {
+		out = append(out, "rewrites: "+strings.Join(p.Rewrites, " "))
+	}
+	if len(p.Declined) > 0 {
+		out = append(out, "declined: "+strings.Join(p.Declined, " "))
+	}
+	return out
 }
 
 // splitPlanLines splits a rendered plan into lines, dropping the trailing

@@ -334,7 +334,9 @@ func TestTransitiveInlining(t *testing.T) {
 	if len(names) != 2 {
 		t.Fatalf("inlined = %v", names)
 	}
-	if got := out.Items[0].Expr.String(); got != "((a + 1) * 2)" {
+	// f's argument binds to g's INT parameter; the column's type is unknown
+	// without a catalog, so it is coerced as the interpreter would.
+	if got := out.Items[0].Expr.String(); got != "((__coerce(a, 'INT') + 1) * 2)" {
 		t.Fatalf("inlined expr = %s", got)
 	}
 }
@@ -351,5 +353,106 @@ func TestRecursiveUDFBounded(t *testing.T) {
 	q := parser.MustParse("select f(a) from t")[0].(*ast.QueryStmt).Query
 	if _, _, err := froid.InlineInSelect(q, resolve); err != nil {
 		t.Fatalf("bounded inlining should not error: %v", err)
+	}
+}
+
+// inlineRepro opens an engine with a small partsupp table and the given
+// functions, and answers sql after froid.InlineInSelect rewrote it.
+func inlineRepro(t *testing.T, funcs, sql string) ([]sqltypes.Value, []string) {
+	t.Helper()
+	eng := engine.New()
+	interp.Install(eng)
+	sess := eng.NewSession()
+	setup := `
+create table partsupp (ps_partkey int, ps_suppkey int);
+insert into partsupp values (1,10),(1,11),(1,12),(1,13),(2,10),(3,11),(4,12);
+GO
+` + funcs
+	if _, err := interp.RunScript(sess, parser.MustParse(setup)); err != nil {
+		t.Fatal(err)
+	}
+	q := parser.MustParse(sql)[0].(*ast.QueryStmt).Query
+	inlined, names, err := froid.InlineInSelect(q, eng.Function)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rows, err := sess.Query(inlined, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", inlined, err)
+	}
+	if len(rows) != 1 {
+		t.Fatalf("%s: %d rows", inlined, len(rows))
+	}
+	return rows[0], names
+}
+
+// TestInlineArgumentNotCaptured: the argument ps_partkey names the caller's
+// column, but substituted unqualified into the body it would resolve to the
+// body's own partsupp row and count the whole table. The body binds the
+// caller's qualifier too, so the call stays a call and answers 4.
+func TestInlineArgumentNotCaptured(t *testing.T) {
+	row, names := inlineRepro(t, `
+create function nsupp(@k int) returns int as
+begin
+  return (select count(*) from partsupp where ps_partkey = @k);
+end`, "select top 1 ps_partkey, nsupp(ps_partkey) from partsupp where ps_partkey = 1")
+	if got := row[1]; got.Kind() != sqltypes.KindInt || got.Int() != 4 {
+		t.Fatalf("nsupp(1) inlined = %v (inlined %v), want 4", got, names)
+	}
+}
+
+// TestInlineCoercesNumericParameter: half's DECIMAL parameter makes the
+// INT argument a float before the division, as the call binds it.
+func TestInlineCoercesNumericParameter(t *testing.T) {
+	row, names := inlineRepro(t, `
+create function half(@x decimal(15,2)) returns float as
+begin
+  return @x / 2;
+end`, "select half(3)")
+	if got := row[0]; got.Kind() != sqltypes.KindFloat || got.Float() != 1.5 || len(names) != 1 {
+		t.Fatalf("half(3) inlined = %v (inlined %v), want 1.5", got, names)
+	}
+}
+
+// TestInlineCoercesDateParameter: plus90's DATE parameter turns the string
+// argument into a date, so day arithmetic applies.
+func TestInlineCoercesDateParameter(t *testing.T) {
+	row, names := inlineRepro(t, `
+create function plus90(@d date) returns date as
+begin
+  return @d + 90;
+end`, "select plus90('1994-01-01')")
+	if got := row[0]; got.Kind() != sqltypes.KindDate || got.String() != "'1994-04-01'" || len(names) != 1 {
+		t.Fatalf("plus90('1994-01-01') inlined = %v (inlined %v), want '1994-04-01'", got, names)
+	}
+}
+
+// TestDeclineReasonCodes: every call froid leaves in place carries one of
+// the stable reason codes.
+func TestDeclineReasonCodes(t *testing.T) {
+	branchy := "create function big(@x int) returns int as begin declare @y int = @x;" +
+		strings.Repeat(" if @x > 0 set @y = @y + @y;", 12) + " return @y; end"
+	cases := []struct {
+		src, call, code string
+	}{
+		{`create function f(@x int) returns int as begin while @x > 0 set @x = @x - 1; return @x; end`, "f(a)", froid.HasLoop},
+		{`create function f(@x int) returns int as begin print 'x'; return @x; end`, "f(a)", froid.SideEffect},
+		{`create function f(@x int) returns int as begin return f(@x - 1); end`, "f(a)", froid.Recursive},
+		{branchy, "big(a)", froid.TooLarge},
+		{`create function f(@x int) returns int as begin return @x + @y; end`, "f(a)", froid.FreeVariable},
+		{`create function f(@x int) returns int as begin set @z = 1; return @x; end`, "f(a)", froid.FreeVariable},
+		{`create function f(@x int) returns int as begin return (select count(*) from t where t.a = @x); end`, "f(a)", froid.NameCapture},
+		{`create function f(@x int) returns int as begin return @x; end`, "f((select max(a) from t))", froid.RepeatedSubquery},
+	}
+	for _, tc := range cases {
+		fn := parseFunc(t, tc.src)
+		resolve := func(name string) (*ast.CreateFunction, bool) { return fn, name == strings.ToLower(fn.Name) }
+		q := parser.MustParse("select " + tc.call + " from t")[0].(*ast.QueryStmt).Query
+		var got []string
+		site := froid.Site{Qualify: func(cr *ast.ColRef) (*ast.ColRef, bool) { return ast.QCol("t", cr.Name), true }}
+		out := froid.InlineCalls(q.Items[0].Expr, resolve, site, nil, nil, func(name, code string) { got = append(got, code) })
+		if len(got) != 1 || got[0] != tc.code || out.String() != q.Items[0].Expr.String() {
+			t.Errorf("%s: declined %v, left %s; want [%s] and the call kept", tc.call, got, out, tc.code)
+		}
 	}
 }

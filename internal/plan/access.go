@@ -34,6 +34,7 @@ import (
 
 	"aggify/internal/ast"
 	"aggify/internal/exec"
+	"aggify/internal/froid"
 	"aggify/internal/sqltypes"
 	"aggify/internal/storage"
 )
@@ -294,11 +295,16 @@ func CompileRowSource(cat Catalog, opts Options, where ast.Expr, tab *storage.Ta
 // literal, `?` or `@var`. A seek evaluates its operands at Open, before it
 // reads a row, while a filter evaluates them only on the rows it reaches,
 // so an operand that can raise (1/0, a cast, a call) stays in the filter
-// and both paths fail or succeed together.
+// and both paths fail or succeed together. The one exception is the
+// inliner's coercion of such an operand: it stands for a UDF parameter,
+// which the call it replaced converted before the body read any row.
 func seekOperand(e ast.Expr) bool {
-	switch e.(type) {
+	switch x := e.(type) {
 	case *ast.Literal, *ast.ParamRef, *ast.VarRef:
 		return true
+	case *ast.FuncCall:
+		operand, _, ok := froid.CoerceArgs(x)
+		return ok && seekOperand(operand)
 	}
 	return false
 }

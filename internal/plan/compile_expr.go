@@ -6,6 +6,7 @@ import (
 
 	"aggify/internal/ast"
 	"aggify/internal/exec"
+	"aggify/internal/froid"
 	"aggify/internal/sqltypes"
 	"aggify/internal/storage"
 )
@@ -27,6 +28,9 @@ type compiler struct {
 	// carries reorder_joins EXPLAIN suffixes, keyed by the lowered Join.
 	accessHints map[*ast.TableRef]*accessHint
 	joinMarks   map[*ast.Join]string
+	// projMarks carries inline_udf EXPLAIN suffixes for a block's Project,
+	// keyed by the lowered block.
+	projMarks map[*ast.Select]string
 }
 
 // stampingCatalog wraps a Catalog and records the stats version of every
@@ -49,7 +53,9 @@ func (s *stampingCatalog) ResolveTable(name string) (*storage.Table, error) {
 }
 
 func (s *stampingCatalog) AggSpec(name string) (*exec.AggSpec, bool) { return s.inner.AggSpec(name) }
-func (s *stampingCatalog) ScalarFuncExists(name string) bool         { return s.inner.ScalarFuncExists(name) }
+func (s *stampingCatalog) ScalarFunc(name string) (*ast.CreateFunction, bool) {
+	return s.inner.ScalarFunc(name)
+}
 
 func (s *stampingCatalog) stamps() []TableStamp {
 	if len(s.seen) == 0 {
@@ -431,6 +437,9 @@ func (c *compiler) compileFunc(x *ast.FuncCall, sc *scope, env *cteEnv) (exec.Sc
 			return agg.Result(ctx)
 		}, nil
 	}
+	if name == froid.CoerceFunc {
+		return c.compileCoerce(x, sc, env)
+	}
 	if _, isAgg := c.cat.AggSpec(name); isAgg || exec.IsBuiltinAgg(name) {
 		return nil, errf("aggregate %s is not allowed in this context", name)
 	}
@@ -455,7 +464,7 @@ func (c *compiler) compileFunc(x *ast.FuncCall, sc *scope, env *cteEnv) (exec.Sc
 			return fn(vals)
 		}, nil
 	}
-	if !c.cat.ScalarFuncExists(name) {
+	if _, ok := c.cat.ScalarFunc(name); !ok {
 		return nil, errf("unknown function %s", name)
 	}
 	return func(ctx *exec.Ctx, row exec.Row) (sqltypes.Value, error) {
@@ -471,6 +480,35 @@ func (c *compiler) compileFunc(x *ast.FuncCall, sc *scope, env *cteEnv) (exec.Sc
 			vals[i] = v
 		}
 		return ctx.CallFunc(name, vals)
+	}, nil
+}
+
+// compileCoerce compiles the inliner's __coerce(e, 'TYPE') pseudo-function:
+// e converted to TYPE as the interpreter converts a value it binds to a
+// parameter, stores into a variable or returns. A literal operand converts
+// once, here.
+func (c *compiler) compileCoerce(x *ast.FuncCall, sc *scope, env *cteEnv) (exec.Scalar, error) {
+	operand, t, ok := froid.CoerceArgs(x)
+	if !ok {
+		return nil, errf("%s expects an expression and a literal type name", froid.CoerceFunc)
+	}
+	if lit, ok := operand.(*ast.Literal); ok {
+		v, err := lit.Val.CoerceTo(t)
+		if err != nil {
+			return func(*exec.Ctx, exec.Row) (sqltypes.Value, error) { return sqltypes.Null, err }, nil
+		}
+		return litScalar(v), nil
+	}
+	inner, err := c.compileExpr(operand, sc, env)
+	if err != nil {
+		return nil, err
+	}
+	return func(ctx *exec.Ctx, row exec.Row) (sqltypes.Value, error) {
+		v, err := inner(ctx, row)
+		if err != nil {
+			return sqltypes.Null, err
+		}
+		return v.CoerceTo(t)
 	}, nil
 }
 

@@ -3,6 +3,7 @@ package plan
 import (
 	"aggify/internal/ast"
 	"aggify/internal/exec"
+	"aggify/internal/froid"
 	"aggify/internal/sqltypes"
 	"aggify/internal/storage"
 	"fmt"
@@ -213,7 +214,13 @@ func (c *compiler) compileFrom(items []ast.TableExpr, where ast.Expr, parent *sc
 				if !isCol || !u.hasCol(cr) {
 					continue
 				}
-				if _, outer := flip.key.(*ast.ColRef); !outer && !seekOperand(flip.key) ||
+				// The inliner's coercion of an outer column binds a UDF
+				// parameter, which the call converted before any seek.
+				key := flip.key
+				if operand, _, ok := froid.CoerceArgs(key); ok {
+					key = operand
+				}
+				if _, outer := key.(*ast.ColRef); !outer && !seekOperand(flip.key) ||
 					len(unitsOf(flip.key, units)) != 0 {
 					continue
 				}

@@ -20,19 +20,19 @@ func Compile(cat Catalog, opts Options, q *ast.Select) (*Plan, error) {
 	if !opts.DisableDecorrelation {
 		q = DecorrelateSelect(c, q)
 	}
-	rq, rewrites := c.rewriteSelect(q)
+	rq, rewrites, declined := c.rewriteSelect(q)
 	builder, cols, n, err := c.compileSelect(rq, nil, nil)
 	if err != nil && len(rewrites) > 0 {
 		// A rewritten query must never fail where the original compiles;
 		// fall back so a rule bug degrades to a missed optimization.
 		c2 := &compiler{cat: sc, opts: opts}
 		builder, cols, n, err = c2.compileSelect(q, nil, nil)
-		rewrites = nil
+		rewrites, declined = nil, nil
 	}
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{Columns: cols, Explain: n, build: builder, Rewrites: rewrites, Stamps: sc.stamps()}, nil
+	return &Plan{Columns: cols, Explain: n, build: builder, Rewrites: rewrites, Declined: declined, Stamps: sc.stamps()}, nil
 }
 
 // compileSelect compiles a query (with CTEs and UNION ALL) against an
@@ -544,7 +544,7 @@ func (c *compiler) compileCore(q *ast.Select, parent *scope, env *cteEnv, orderB
 		scalars[i] = p.scalar
 	}
 	inner := builder
-	n = node("Project", n)
+	n = node("Project"+c.rwSuffix(c.projMarks[q]), n)
 	builder = annotate(func(bc *buildCtx) exec.Operator {
 		return &exec.ProjectOp{Child: inner(bc), Exprs: scalars}
 	}, n)
@@ -603,71 +603,15 @@ func (c *compiler) hoistCommonSubqueries(builder opBuilder, curScope *scope, ite
 	// Count top-level scalar subqueries (not descending into subquery
 	// bodies: nested subqueries belong to their parents' scopes).
 	counts := map[string]int{}
-	var countIn func(e ast.Expr)
-	countIn = func(e ast.Expr) {
-		if e == nil {
-			return
-		}
-		if sq, ok := e.(*ast.Subquery); ok {
-			if !sq.Exists {
-				counts[sq.String()]++
-			}
-			return
-		}
-		switch x := e.(type) {
-		case *ast.BinExpr:
-			countIn(x.L)
-			countIn(x.R)
-		case *ast.UnaryExpr:
-			countIn(x.E)
-		case *ast.IsNullExpr:
-			countIn(x.E)
-		case *ast.CaseExpr:
-			for _, w := range x.Whens {
-				countIn(w.Cond)
-				countIn(w.Then)
-			}
-			countIn(x.Else)
-		case *ast.FuncCall:
-			for _, a := range x.Args {
-				countIn(a)
-			}
-		case *ast.BetweenExpr:
-			countIn(x.E)
-			countIn(x.Lo)
-			countIn(x.Hi)
-		case *ast.InExpr:
-			countIn(x.E)
-			for _, it := range x.List {
-				countIn(it)
-			}
-		}
-	}
-	var firstOf = map[string]*ast.Subquery{}
-	var findFirst func(e ast.Expr)
-	findFirst = func(e ast.Expr) {
-		if e == nil {
-			return
-		}
-		if sq, ok := e.(*ast.Subquery); ok {
-			if !sq.Exists && firstOf[sq.String()] == nil {
-				firstOf[sq.String()] = sq
-			}
-			return
-		}
-		ast.WalkExpr(e, func(x ast.Expr) bool {
-			if sq, ok := x.(*ast.Subquery); ok {
-				if !sq.Exists && firstOf[sq.String()] == nil {
-					firstOf[sq.String()] = sq
-				}
-				return false
-			}
-			return true
-		})
-	}
+	firstOf := map[string]*ast.Subquery{}
 	for _, it := range items {
 		if !it.Star {
-			countIn(it.Expr)
+			topSubqueries(it.Expr, func(sq *ast.Subquery) {
+				key := subqueryKey(sq)
+				if counts[key]++; firstOf[key] == nil {
+					firstOf[key] = sq
+				}
+			})
 		}
 	}
 	var dups []string
@@ -680,11 +624,6 @@ func (c *compiler) hoistCommonSubqueries(builder opBuilder, curScope *scope, ite
 		return builder, curScope, items, n, nil
 	}
 	sort.Strings(dups)
-	for _, it := range items {
-		if !it.Star {
-			findFirst(it.Expr)
-		}
-	}
 	// Pre-projection: identity columns plus one column per hoisted
 	// subquery.
 	exprs := make([]exec.Scalar, 0, curScope.width()+len(dups))
@@ -703,8 +642,17 @@ func (c *compiler) hoistCommonSubqueries(builder opBuilder, curScope *scope, ite
 		newScope.add("#sq", colName, sqltypes.Unknown)
 		repl := ast.QCol("#sq", colName)
 		for j := range newItems {
-			if !newItems[j].Star {
-				newItems[j].Expr = substituteByString(newItems[j].Expr, key, repl)
+			if newItems[j].Star {
+				continue
+			}
+			var same []*ast.Subquery
+			topSubqueries(newItems[j].Expr, func(sq *ast.Subquery) {
+				if subqueryKey(sq) == key {
+					same = append(same, sq)
+				}
+			})
+			for _, sq := range same {
+				newItems[j].Expr = replaceExpr(newItems[j].Expr, sq, ast.CloneExpr(repl))
 			}
 		}
 	}
@@ -714,6 +662,45 @@ func (c *compiler) hoistCommonSubqueries(builder opBuilder, curScope *scope, ite
 		return &exec.ProjectOp{Child: inner(bc), Exprs: exprs}
 	}, cn)
 	return builder, newScope, newItems, cn, nil
+}
+
+// topSubqueries calls fn for each scalar subquery of e that is not inside
+// another subquery, in visit order.
+func topSubqueries(e ast.Expr, fn func(*ast.Subquery)) {
+	var visit func(x ast.Expr) bool
+	visit = func(x ast.Expr) bool {
+		switch t := x.(type) {
+		case *ast.Subquery:
+			if !t.Exists {
+				fn(t)
+			}
+			return false
+		case *ast.InExpr:
+			if t.Query != nil {
+				ast.WalkExpr(t.E, visit)
+				for _, it := range t.List {
+					ast.WalkExpr(it, visit)
+				}
+				return false
+			}
+		}
+		return true
+	}
+	ast.WalkExpr(e, visit)
+}
+
+// subqueryKey identifies a subquery by its text and, since `?` prints
+// without its position, the positions of its parameters: two subqueries
+// with equal keys compute the same value for the same row.
+func subqueryKey(sq *ast.Subquery) string {
+	key := sq.String()
+	ast.WalkExpr(sq, func(x ast.Expr) bool {
+		if p, ok := x.(*ast.ParamRef); ok {
+			key += fmt.Sprintf("#%d", p.Index)
+		}
+		return true
+	})
+	return key
 }
 
 // applyOrderTop applies ORDER BY and TOP over an already-projected stream

@@ -84,7 +84,8 @@ func (c *compiler) tryDecorrelate(e ast.Expr, serial *int, left ast.TableExpr, c
 	}
 	var repl ast.Expr
 	join := left
-	if cached, ok := cache[target.String()]; ok {
+	key := subqueryKey(target)
+	if cached, ok := cache[key]; ok {
 		repl = ast.CloneExpr(cached)
 	} else {
 		var ok bool
@@ -92,7 +93,7 @@ func (c *compiler) tryDecorrelate(e ast.Expr, serial *int, left ast.TableExpr, c
 		if !ok {
 			return nil, nil, false
 		}
-		cache[target.String()] = repl
+		cache[key] = repl
 	}
 	newExpr := replaceExpr(e, target, repl)
 	// Try to decorrelate further subqueries within the same item.
@@ -430,47 +431,15 @@ func flattenable(q *ast.Select) bool {
 	return true
 }
 
-// mapColRefs rewrites column references through fn.
+// mapColRefs rewrites column references through fn. Subqueries and
+// literals pass through unchanged; correlation into flattened derived tables
+// from deeper subqueries is left intact (names remain valid since the inner
+// FROM units are spliced in).
 func mapColRefs(e ast.Expr, fn func(*ast.ColRef) ast.Expr) ast.Expr {
-	if e == nil {
-		return nil
-	}
-	switch x := e.(type) {
-	case *ast.ColRef:
-		return fn(x)
-	case *ast.BinExpr:
-		return &ast.BinExpr{Op: x.Op, L: mapColRefs(x.L, fn), R: mapColRefs(x.R, fn)}
-	case *ast.UnaryExpr:
-		return &ast.UnaryExpr{Op: x.Op, E: mapColRefs(x.E, fn)}
-	case *ast.IsNullExpr:
-		return &ast.IsNullExpr{E: mapColRefs(x.E, fn), Negate: x.Negate}
-	case *ast.CaseExpr:
-		out := &ast.CaseExpr{}
-		for _, w := range x.Whens {
-			out.Whens = append(out.Whens, ast.WhenClause{Cond: mapColRefs(w.Cond, fn), Then: mapColRefs(w.Then, fn)})
+	return ast.MapExpr(e, func(x ast.Expr) ast.Expr {
+		if cr, ok := x.(*ast.ColRef); ok {
+			return fn(cr)
 		}
-		if x.Else != nil {
-			out.Else = mapColRefs(x.Else, fn)
-		}
-		return out
-	case *ast.FuncCall:
-		out := &ast.FuncCall{Name: x.Name, Star: x.Star}
-		for _, a := range x.Args {
-			out.Args = append(out.Args, mapColRefs(a, fn))
-		}
-		return out
-	case *ast.BetweenExpr:
-		return &ast.BetweenExpr{E: mapColRefs(x.E, fn), Lo: mapColRefs(x.Lo, fn), Hi: mapColRefs(x.Hi, fn), Negate: x.Negate}
-	case *ast.InExpr:
-		out := &ast.InExpr{E: mapColRefs(x.E, fn), Negate: x.Negate, Query: x.Query}
-		for _, it := range x.List {
-			out.List = append(out.List, mapColRefs(it, fn))
-		}
-		return out
-	default:
-		// Subqueries and literals pass through unchanged; correlation into
-		// flattened derived tables from deeper subqueries is left intact
-		// (names remain valid since the inner FROM units are spliced in).
-		return e
-	}
+		return x
+	})
 }

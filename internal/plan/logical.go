@@ -93,6 +93,7 @@ type lProject struct {
 	// OrderEnforced carries the Aggify Eq. 6 flag of the source block so
 	// lowering restores it verbatim.
 	OrderEnforced bool
+	mark          string // fired-rule annotation (inline_udf), "" when untouched
 }
 
 // lApply marks a block whose projection evaluates embedded subqueries
@@ -367,6 +368,12 @@ func (c *compiler) lowerBlock(n lNode) (*ast.Select, bool) {
 		return nil, false
 	}
 	q := &ast.Select{Items: p.Items, Distinct: p.Distinct, OrderEnforced: p.OrderEnforced}
+	if p.mark != "" {
+		if c.projMarks == nil {
+			c.projMarks = map[*ast.Select]string{}
+		}
+		c.projMarks[q] = p.mark
+	}
 	n = p.In
 
 	preds, n := c.lowerFilters(n)

@@ -1,9 +1,10 @@
 // Package plan compiles query ASTs into executable physical operator trees
 // in three stages: apply decorrelation (the rewrite that gives the paper's
 // "Aggify+" configuration its set-oriented plans), a rule-based logical
-// rewrite pass over a small relational IR (logical.go + rewrite.go: constant
-// folding, predicate pushdown, projection pruning, redundant-sort
-// elimination, each individually toggleable and reported in EXPLAIN), and
+// rewrite pass over a small relational IR (logical.go + rewrite.go: UDF
+// inlining, constant folding, predicate pushdown, projection pruning,
+// redundant-sort elimination, each individually toggleable and reported in
+// EXPLAIN), and
 // physical compilation: predicate placement, index-seek selection,
 // join-order and join-algorithm choice, scalar-subquery apply, and the
 // paper's Eq. 6 streaming-aggregate enforcement for order-sensitive custom
@@ -27,9 +28,9 @@ type Catalog interface {
 	// AggSpec returns the aggregate function spec for name, if any
 	// (built-in or custom).
 	AggSpec(name string) (*exec.AggSpec, bool)
-	// ScalarFuncExists reports whether a scalar UDF with this name exists
-	// (built-in scalar functions are handled by the planner itself).
-	ScalarFuncExists(name string) bool
+	// ScalarFunc returns the definition of the scalar UDF with this name,
+	// if any (built-in scalar functions are handled by the planner itself).
+	ScalarFunc(name string) (*ast.CreateFunction, bool)
 }
 
 // Options control optimizer behaviour; the zero value is the default
@@ -59,6 +60,10 @@ type Plan struct {
 	// this query, as "rule(count)" in rule order; empty when the pass left
 	// the query untouched. Surfaced as the EXPLAIN `rewrites:` header.
 	Rewrites []string
+	// Declined lists the UDF calls inline_udf left in place, as
+	// "name=reason" (froid's reason codes); surfaced as the EXPLAIN
+	// `declined:` header. Empty when the query calls no UDF.
+	Declined []string
 
 	// Stamps records the stats version of every base table this plan was
 	// costed against at compile time. The engine plan cache compares them

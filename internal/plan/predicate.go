@@ -3,6 +3,7 @@ package plan
 import (
 	"aggify/internal/ast"
 	"aggify/internal/exec"
+	"aggify/internal/froid"
 	"aggify/internal/sqltypes"
 	"aggify/internal/storage"
 )
@@ -155,6 +156,9 @@ func (c *compiler) variantReason(e ast.Expr, sc *scope) string {
 	case *ast.Subquery:
 		return "subquery"
 	case *ast.FuncCall:
+		if operand, _, ok := froid.CoerceArgs(x); ok {
+			return c.variantReason(operand, sc)
+		}
 		return c.callReason(x)
 	}
 	if ast.HasSubquery(e) {
@@ -176,7 +180,7 @@ func (c *compiler) noColumnReason(sc *scope, operands ...ast.Expr) string {
 }
 
 func (c *compiler) callReason(x *ast.FuncCall) string {
-	if c.cat.ScalarFuncExists(x.Name) {
+	if _, ok := c.cat.ScalarFunc(x.Name); ok {
 		return "udf_call"
 	}
 	return "func_call"

@@ -112,7 +112,9 @@ func (noCatalog) ResolveTable(name string) (*storage.Table, error) {
 	return nil, fmt.Errorf("no table %s", name)
 }
 func (noCatalog) AggSpec(string) (*exec.AggSpec, bool) { return nil, false }
-func (noCatalog) ScalarFuncExists(name string) bool    { return name == "udf" }
+func (noCatalog) ScalarFunc(name string) (*ast.CreateFunction, bool) {
+	return &ast.CreateFunction{Name: name}, name == "udf"
+}
 
 // outcome is what evaluating a filter over the rows produced: the rows that
 // passed before the first error, rendered in order, and that error.

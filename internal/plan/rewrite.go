@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"aggify/internal/ast"
+	"aggify/internal/froid"
 	"aggify/internal/sqltypes"
 )
 
@@ -67,6 +68,14 @@ const (
 	// pins the cheapest on the plan. Decisions surface in EXPLAIN as
 	// [rw:choose_access_path] with a cost= annotation.
 	RuleChooseAccessPath
+	// RuleInlineUDF replaces each call to a loop-free scalar UDF in a select
+	// list or a WHERE/HAVING conjunct with the expression package froid
+	// composes from the stored body (Froid; the paper's Aggify+ when the
+	// body is an Aggify rewrite). It runs after decorrelation, so the
+	// subqueries it introduces execute as correlated applies — the plan the
+	// UDF body ran, without the interpreter around it. Calls it leaves in
+	// place are listed with a reason code in Plan.Declined.
+	RuleInlineUDF
 
 	ruleSentinel
 )
@@ -78,10 +87,12 @@ const RuleAll RuleSet = ruleSentinel - 1
 func (r RuleSet) Has(x RuleSet) bool { return r&x != 0 }
 
 // ruleOrder fixes the reporting order (the order rules run in a pass).
-var ruleOrder = []RuleSet{RuleFoldConst, RulePushFilter, RulePushFilterDecor, RulePruneProject, RuleDropSort, RuleReorderJoins, RuleChooseAccessPath}
+var ruleOrder = []RuleSet{RuleInlineUDF, RuleFoldConst, RulePushFilter, RulePushFilterDecor, RulePruneProject, RuleDropSort, RuleReorderJoins, RuleChooseAccessPath}
 
 func ruleName(r RuleSet) string {
 	switch r {
+	case RuleInlineUDF:
+		return "inline_udf"
 	case RuleFoldConst:
 		return "fold_const"
 	case RulePushFilter:
@@ -106,31 +117,31 @@ func ruleName(r RuleSet) string {
 const maxRewritePasses = 10
 
 // rewriteSelect runs the rewrite pass and returns the normalized query plus
-// the fired-rule report. When nothing fires (or any step refuses the shape)
-// the original query is returned untouched, so unchanged queries compile to
-// byte-identical plans.
-func (c *compiler) rewriteSelect(q *ast.Select) (*ast.Select, []string) {
+// the fired-rule report and the inline_udf declines ("name=reason"). When
+// nothing fires (or any step refuses the shape) the original query is
+// returned untouched, so unchanged queries compile to byte-identical plans.
+func (c *compiler) rewriteSelect(q *ast.Select) (*ast.Select, []string, []string) {
 	rules := RuleAll &^ c.opts.DisableRules
 	if c.opts.DisableDecorrelation {
 		rules &^= RulePushFilterDecor
 	}
 	if rules == 0 {
-		return q, nil
+		return q, nil, nil
 	}
 	root, ok := c.buildLogical(ast.CloneSelect(q))
 	if !ok {
-		return q, nil
+		return q, nil, nil
 	}
 	rw := &rewriter{c: c, rules: rules, fired: map[RuleSet]int{}}
 	root = rw.run(root)
 	if rw.total == 0 {
-		return q, nil
+		return q, nil, rw.declined
 	}
 	out, ok := c.lowerLogical(root)
 	if !ok {
-		return q, nil
+		return q, nil, nil
 	}
-	return out, rw.firedList()
+	return out, rw.firedList(), rw.declined
 }
 
 type rewriter struct {
@@ -138,6 +149,9 @@ type rewriter struct {
 	rules RuleSet
 	fired map[RuleSet]int
 	total int
+	// declined lists, once each in first-seen order, the UDF calls
+	// inline_udf left in place as "name=reason".
+	declined []string
 }
 
 func (rw *rewriter) fire(r RuleSet)         { rw.fired[r]++; rw.total++ }
@@ -154,6 +168,11 @@ func (rw *rewriter) firedList() []string {
 }
 
 func (rw *rewriter) run(n lNode) lNode {
+	// Inlining runs once, first: it only expands calls, and the local rules
+	// below then see (and fold) the composed expressions.
+	if rw.rules.Has(RuleInlineUDF) {
+		n = rw.inlinePass(n)
+	}
 	for pass := 0; pass < maxRewritePasses; pass++ {
 		before := rw.total
 		if rw.rules.Has(RuleFoldConst) {
@@ -183,6 +202,245 @@ func (rw *rewriter) run(n lNode) lNode {
 		n = rw.choosePass(n)
 	}
 	return n
+}
+
+// --- inline_udf ---
+
+// inlinePass inlines UDF calls in every query block of the IR. Calls inside
+// expression subqueries, CTE bodies, GROUP BY, ORDER BY and JOIN ON are not
+// visited.
+func (rw *rewriter) inlinePass(n lNode) lNode {
+	n = mapLogicalChildren(n, rw.inlinePass)
+	if p, ok := n.(*lProject); ok {
+		rw.inlineBlock(p)
+	}
+	return n
+}
+
+// inlineBlock inlines the UDF calls of one block: its projection and its
+// WHERE and HAVING conjuncts. Only the projection of a block without
+// aggregation has CommonSubquery, which evaluates a duplicated subquery once
+// per row; elsewhere a body that repeats a subquery declines as
+// repeated_subquery. Past an aggregation the arguments name group keys, not
+// FROM columns, so a column argument there declines as name_capture.
+func (rw *rewriter) inlineBlock(p *lProject) {
+	var above []*lFilter // HAVING, or WHERE when there is no aggregation
+	n := p.In
+	for f, ok := n.(*lFilter); ok; f, ok = n.(*lFilter) {
+		above = append(above, f)
+		n = f.In
+	}
+	where, having := above, []*lFilter(nil)
+	agg, grouped := n.(*lAggregate)
+	if grouped {
+		where, having = nil, above
+		for n = agg.In; ; {
+			f, ok := n.(*lFilter)
+			if !ok {
+				break
+			}
+			where = append(where, f)
+			n = f.In
+		}
+	}
+	if !rw.blockCallsUDF(p, where, having) {
+		return
+	}
+	var units []unitRef
+	rw.collectUnits(n, func(lNode) {}, false, false, false, &units)
+	pre := rw.site(units)
+	post := froid.Site{Qualify: func(*ast.ColRef) (*ast.ColRef, bool) { return nil, false }}
+
+	mark := ruleName(RuleInlineUDF)
+	itemSite := pre
+	if grouped {
+		itemSite = post
+	}
+	pos, posKnown := 0, true // output position, stars expanded
+	for i := range p.Items {
+		it := &p.Items[i]
+		if it.Star {
+			w, ok := starWidth(units, it.Alias)
+			pos, posKnown = pos+w, posKnown && ok
+			continue
+		}
+		pos++
+		var k int
+		if it.Expr, k = rw.inlineExpr(it.Expr, itemSite, !grouped); k > 0 {
+			p.mark = addMark(p.mark, mark)
+			// The call named its column colN; an inlined body that is (or
+			// folds to) a bare column would be named after the column.
+			if it.Alias == "" && posKnown {
+				it.Alias = fmt.Sprintf("col%d", pos)
+			}
+		}
+	}
+	for _, fs := range []struct {
+		filters []*lFilter
+		site    froid.Site
+	}{{where, pre}, {having, post}} {
+		for _, f := range fs.filters {
+			var k int
+			if f.Pred, k = rw.inlineExpr(f.Pred, fs.site, false); k > 0 {
+				f.mark = addMark(f.mark, mark)
+			}
+		}
+	}
+}
+
+// starWidth is how many columns a `*` (alias "") or `alias.*` item expands
+// to over a block's FROM units, when their columns are known.
+func starWidth(units []unitRef, alias string) (int, bool) {
+	w := 0
+	for _, u := range units {
+		if alias != "" && u.binding != alias {
+			continue
+		}
+		if !u.known {
+			return 0, false
+		}
+		w += len(u.cols)
+	}
+	return w, true
+}
+
+// inlineExpr inlines the UDF calls of e at site and returns the new
+// expression and how many calls it replaced (e itself when none). hoisted
+// says duplicated subqueries in e are evaluated once per row.
+func (rw *rewriter) inlineExpr(e ast.Expr, site froid.Site, hoisted bool) (ast.Expr, int) {
+	if !rw.callsUDF(e) {
+		return e, 0
+	}
+	check := func(body, bound ast.Expr) string {
+		// The body must be closed: a column its own FROM units do not bind
+		// would otherwise resolve against the caller's row.
+		if _, err := rw.c.compileExpr(body, &scope{}, nil); err != nil {
+			return froid.FreeVariable
+		}
+		if !hoisted && repeatsSubquery(bound) {
+			return froid.RepeatedSubquery
+		}
+		return ""
+	}
+	n := 0
+	out := froid.InlineCalls(e, rw.c.cat.ScalarFunc, site, check, func(string) { n++ }, rw.decline)
+	if n == 0 {
+		return e, 0
+	}
+	rw.fireN(RuleInlineUDF, n)
+	return out, n
+}
+
+// blockCallsUDF reports whether any projection item or filter of a block
+// calls a UDF: the cheap test that lets blocks without calls skip the rule.
+func (rw *rewriter) blockCallsUDF(p *lProject, filters ...[]*lFilter) bool {
+	for _, it := range p.Items {
+		if !it.Star && rw.callsUDF(it.Expr) {
+			return true
+		}
+	}
+	for _, fs := range filters {
+		for _, f := range fs {
+			if rw.callsUDF(f.Pred) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// callsUDF reports whether e calls a UDF outside its subqueries.
+func (rw *rewriter) callsUDF(e ast.Expr) bool {
+	found := false
+	ast.WalkExpr(e, func(x ast.Expr) bool {
+		switch t := x.(type) {
+		case *ast.Subquery:
+			return false
+		case *ast.FuncCall:
+			_, found = rw.c.cat.ScalarFunc(t.Name)
+		}
+		return !found
+	})
+	return found
+}
+
+func (rw *rewriter) decline(name, code string) {
+	if d := name + "=" + code; !containsStr(rw.declined, d) {
+		rw.declined = append(rw.declined, d)
+	}
+}
+
+// site pins the argument columns of one block's calls to its FROM units:
+// a qualified column to the unit of that binding, an unqualified one to the
+// only unit that has it.
+func (rw *rewriter) site(units []unitRef) froid.Site {
+	find := func(cr *ast.ColRef) (unitRef, bool) {
+		if cr.Table != "" {
+			for _, u := range units {
+				if u.binding == cr.Table {
+					return u, true
+				}
+			}
+			return unitRef{}, false
+		}
+		if len(units) == 1 {
+			return units[0], units[0].binding != ""
+		}
+		found := -1
+		for i, u := range units {
+			if !u.known {
+				return unitRef{}, false
+			}
+			if containsStr(u.cols, cr.Name) {
+				if found >= 0 {
+					return unitRef{}, false
+				}
+				found = i
+			}
+		}
+		if found < 0 {
+			return unitRef{}, false
+		}
+		return units[found], true
+	}
+	return froid.Site{
+		Qualify: func(cr *ast.ColRef) (*ast.ColRef, bool) {
+			u, ok := find(cr)
+			if !ok {
+				return nil, false
+			}
+			return ast.QCol(u.binding, cr.Name), true
+		},
+		ColType: func(cr *ast.ColRef) (sqltypes.Type, bool) {
+			u, ok := find(cr)
+			s, isScan := u.node.(*lScan)
+			if !ok || !isScan || lateBound(s.Name) {
+				return sqltypes.Unknown, false
+			}
+			tab, err := rw.c.cat.ResolveTable(s.Name)
+			if err != nil {
+				return sqltypes.Unknown, false
+			}
+			ord := tab.Schema.Ordinal(cr.Name)
+			if ord < 0 {
+				return sqltypes.Unknown, false
+			}
+			return tab.Schema.Columns[ord].Type, true
+		},
+	}
+}
+
+// repeatsSubquery reports whether e evaluates one scalar subquery (by text
+// and parameter positions) more than once.
+func repeatsSubquery(e ast.Expr) bool {
+	seen := map[string]bool{}
+	dup := false
+	topSubqueries(e, func(sq *ast.Subquery) {
+		k := subqueryKey(sq)
+		dup = dup || seen[k]
+		seen[k] = true
+	})
+	return dup
 }
 
 // --- fold_const ---

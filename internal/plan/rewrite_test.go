@@ -178,7 +178,7 @@ func (stubCatalog) AggSpec(name string) (*exec.AggSpec, bool) {
 	return nil, false
 }
 
-func (stubCatalog) ScalarFuncExists(string) bool { return false }
+func (stubCatalog) ScalarFunc(string) (*ast.CreateFunction, bool) { return nil, false }
 
 // TestRewriteRoundTrip feeds representative queries through
 // buildLogical/lowerLogical with no rules enabled and requires the lowered

@@ -5,15 +5,41 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"aggify"
+	"aggify/internal/ast"
 )
 
 // TestRewriteTraceGolden locks down the EXPLAIN rewrite trace (the `rewrites:`
-// header plus the [rw:rule] node annotations) for three representative
-// queries: predicate pushdown into a derived table, constant folding, and
-// redundant-sort elimination. Regenerate with:
+// and `declined:` headers plus the [rw:rule] node annotations) for
+// representative queries: predicate pushdown into a derived table, constant
+// folding, redundant-sort elimination, and inline_udf on an aggified UDF,
+// on its cursor-loop twin and on a body whose FROM would capture the
+// argument. Regenerate with:
 // go test -run TestRewriteTraceGolden -update .
 func TestRewriteTraceGolden(t *testing.T) {
 	db := newDemoDB(t)
+	if err := db.Exec(`
+create table part (p_partkey int);
+create index pk_part on part(p_partkey);
+insert into part values (1), (2), (3);
+GO
+create function nsupp(@k int) returns int as
+begin
+  return (select count(*) from partsupp where ps_partkey = @k);
+end`); err != nil {
+		t.Fatal(err)
+	}
+	// The aggified twin of the demo's cursor-loop minCostSupp.
+	loop, _ := db.Engine().Function("minCostSupp")
+	twin := ast.CloneStmt(loop).(*ast.CreateFunction)
+	twin.Name = "minCostSuppAggified"
+	if err := db.Engine().RegisterFunction(twin); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.AggifyFunction(twin.Name, aggify.TransformOptions{}); err != nil {
+		t.Fatal(err)
+	}
 	queries := []struct {
 		label, sql string
 	}{
@@ -25,6 +51,12 @@ where 1 + 1 = 2 and s_suppkey >= 10 and 'a' = 'b' or null is not null`},
 		{"redundant sort", `EXPLAIN select q.s_name
 from (select top 5 s_name from supplier order by s_name) q
 order by s_name`},
+		{"inline_udf: aggified driver", `EXPLAIN select p_partkey, minCostSuppAggified(p_partkey)
+from part where p_partkey between 1 and 2`},
+		{"inline_udf: cursor-loop twin", `EXPLAIN select p_partkey, minCostSupp(p_partkey)
+from part where p_partkey between 1 and 2`},
+		{"inline_udf: name capture", `EXPLAIN select ps_partkey, nsupp(ps_partkey)
+from partsupp where ps_partkey = 1`},
 	}
 
 	var b strings.Builder
@@ -34,6 +66,11 @@ order by s_name`},
 		b.WriteByte('\n')
 	}
 	got := b.String()
+	// The rule runs after decorrelation: the inlined apply stays an apply.
+	inlined := got[strings.Index(got, "-- inline_udf: aggified"):strings.Index(got, "-- inline_udf: cursor")]
+	if !strings.Contains(inlined, "[rw:inline_udf]") || strings.Contains(inlined, "Join") || strings.Contains(inlined, "__dcor") {
+		t.Errorf("aggified driver should inline as a correlated apply:\n%s", inlined)
+	}
 
 	golden := filepath.Join("testdata", "rewrite_trace.golden")
 	if *updateGolden {

@@ -71,6 +71,14 @@ stage "access paths (BETWEEN differential, seek operand parity, sort-once build,
 go test -count=1 -run 'TestBetweenRangeSeekDifferential|TestSeekOperandErrorParity|TestDMLRowSourceDifferential|TestUpdateSeeksOneRow|TestPlanCacheStatsDriftReplan|TestCreateIndexRefreshesStatistics' ./internal/engine
 go test -count=1 -run 'TestCreateIndexBuildMatchesIncremental|TestSeekAllocs|TestStatisticsReuseWithinDrift|TestCreateIndexDropsCachedStatistics|TestHistogramEquiDepth' ./internal/storage
 
+stage "inline_udf (differential on/off embedded and TCP, froid repros and reason codes, replan after CREATE FUNCTION, rewrite trace)"
+inline='TestInlineUDFDifferential|TestInlinedBodyReplannedAfterCreateFunction|TestRewriteTraceGolden'
+froid='TestInlineArgumentNotCaptured|TestInlineCoerces|TestDeclineReasonCodes'
+go test -count=1 -run "$inline" .
+go test -count=1 -run "$froid" ./internal/froid
+go test -race -count=1 -run "$inline" .
+go test -race -count=1 -run "$froid" ./internal/froid
+
 stage "value layout (24-byte Value, zero-alloc accessors, GC survival, checkptr)"
 # -race turns on checkptr, which checks every unsafe conversion in value.go.
 layout='TestValueIs24Bytes|TestValueRoundTripEdges|TestCompareGroupEqualHashTable|TestIdentical|TestValuesSurviveGC|TestAccessorsDoNotAllocate'
