@@ -71,39 +71,30 @@ func costSuffix(c float64) string { return fmt.Sprintf(" cost=%.1f", c) }
 
 // --- choose_access_path ---
 
-// choosePass walks the IR and, for every block whose FROM is reachable
-// below its WHERE filter chain, decides an access path per base scan.
+// choosePass walks the IR and, for every block, decides an access path per
+// base scan from its WHERE conjuncts.
 func (rw *rewriter) choosePass(n lNode) lNode {
 	n = mapLogicalChildren(n, rw.choosePass)
-	switch t := n.(type) {
-	case *lProject:
-		rw.chooseBlock(t.In)
-	case *lAggregate:
-		rw.chooseBlock(t.In)
+	if p, ok := n.(*lProject); ok {
+		rw.chooseBlock(p)
 	}
 	return n
 }
 
-// chooseBlock gathers the filter chain above a FROM node and decides
-// access paths for the scans it covers. A chain terminating anywhere else
-// (e.g. HAVING filters above an aggregate) is left alone.
-func (rw *rewriter) chooseBlock(n lNode) {
-	var preds []ast.Expr
-	for {
-		f, ok := n.(*lFilter)
-		if !ok {
-			break
-		}
-		preds = append(preds, f.Pred)
-		n = f.In
-	}
-	switch n.(type) {
+// chooseBlock decides access paths for the scans of a block's FROM node.
+func (rw *rewriter) chooseBlock(p *lProject) {
+	where, _, _, from := blockParts(p)
+	switch from.(type) {
 	case *lScan, *lCross, *lJoin:
 	default:
 		return
 	}
+	preds := make([]ast.Expr, len(where))
+	for i, f := range where {
+		preds[i] = f.Pred
+	}
 	var units []unitRef
-	rw.collectUnits(n, func(lNode) {}, false, false, false, &units)
+	rw.collectUnits(from, func(lNode) {}, false, false, false, &units)
 	perUnit := resolveConjuncts(units, preds)
 	for i, u := range units {
 		scan, ok := u.node.(*lScan)
@@ -121,52 +112,8 @@ func (rw *rewriter) chooseBlock(n lNode) {
 func resolveConjuncts(units []unitRef, preds []ast.Expr) map[int][]ast.Expr {
 	out := map[int][]ast.Expr{}
 	for _, pred := range preds {
-		if ast.HasSubquery(pred) {
-			continue
-		}
-		refs := ast.ColRefs(pred)
-		if len(refs) == 0 {
-			continue
-		}
-		target := -1
-		ok := true
-		for _, cr := range refs {
-			idx := -1
-			for i, u := range units {
-				var match bool
-				if cr.Table != "" {
-					if cr.Table != u.binding {
-						continue
-					}
-					match = u.known && containsStr(u.cols, cr.Name)
-				} else {
-					if !u.known {
-						ok = false
-						break
-					}
-					match = containsStr(u.cols, cr.Name)
-				}
-				if match {
-					if idx != -1 {
-						ok = false
-						break
-					}
-					idx = i
-				}
-			}
-			if !ok || idx == -1 {
-				ok = false
-				break
-			}
-			if target == -1 {
-				target = idx
-			} else if target != idx {
-				ok = false
-				break
-			}
-		}
-		if ok && target >= 0 {
-			out[target] = append(out[target], pred)
+		if i, ok := targetUnit(units, pred); ok {
+			out[i] = append(out[i], pred)
 		}
 	}
 	return out
@@ -638,21 +585,9 @@ func (rw *rewriter) estimateLeaf(n lNode) (float64, bool) {
 			case *lApply:
 				inner = w.In
 			case *lProject:
-				if w.Distinct {
-					return 0, false
-				}
-				var preds []ast.Expr
-				c := w.In
-				for {
-					f, ok := c.(*lFilter)
-					if !ok {
-						break
-					}
-					preds = append(preds, f.Pred)
-					c = f.In
-				}
-				s, ok := c.(*lScan)
-				if !ok {
+				where, _, agg, from := blockParts(w)
+				s, ok := from.(*lScan)
+				if w.Distinct || agg != nil || !ok {
 					return 0, false
 				}
 				tab, ok := rw.leafTable(s)
@@ -661,8 +596,8 @@ func (rw *rewriter) estimateLeaf(n lNode) (float64, bool) {
 				}
 				st := tab.Statistics()
 				rows := math.Max(float64(st.Rows), 1)
-				for _, p := range preds {
-					rows *= predSelectivity(p, tab, st)
+				for _, f := range where {
+					rows *= predSelectivity(f.Pred, tab, st)
 				}
 				return math.Max(rows, 0.1), true
 			default:

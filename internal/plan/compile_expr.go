@@ -11,26 +11,14 @@ import (
 	"aggify/internal/storage"
 )
 
-// compiler holds the immutable state of one compilation.
+// compiler holds the immutable state of one compilation. What the rewrite
+// pass decided travels on the logical IR it compiles (logical.go), not here.
 type compiler struct {
 	cat  Catalog
 	opts Options
 	// slots, when non-nil, resolves variable references to Ctx.VarSlots
 	// indexes at compile time (compiled procedural blocks).
 	slots map[string]int
-	// marks and selMarks carry fired-rewrite-rule annotations from the
-	// logical rewrite pass (rewrite.go) to the physical explain tree, keyed
-	// by the exact predicate / derived-table-body pointers lowering emitted.
-	marks    map[ast.Expr]string
-	selMarks map[*ast.Select]string
-	// accessHints pins the access path choose_access_path selected for a
-	// base-table scan, keyed by the TableRef lowering emitted; joinMarks
-	// carries reorder_joins EXPLAIN suffixes, keyed by the lowered Join.
-	accessHints map[*ast.TableRef]*accessHint
-	joinMarks   map[*ast.Join]string
-	// projMarks carries inline_udf EXPLAIN suffixes for a block's Project,
-	// keyed by the lowered block.
-	projMarks map[*ast.Select]string
 }
 
 // stampingCatalog wraps a Catalog and records the stats version of every
@@ -74,13 +62,23 @@ type cteEnv struct {
 	binding *cteBinding
 }
 
-func (e *cteEnv) lookup(name string) *cteBinding {
+// resolve finds the innermost binding of a CTE name.
+func (e *cteEnv) resolve(name string) (*cteBinding, error) {
 	for cur := e; cur != nil; cur = cur.parent {
 		if cur.binding.name == name {
-			return cur.binding
+			return cur.binding, nil
 		}
 	}
-	return nil
+	return nil, errf("CTE %s is not in scope", name)
+}
+
+// names lists the CTE names in scope.
+func (e *cteEnv) names() []string {
+	var out []string
+	for cur := e; cur != nil; cur = cur.parent {
+		out = append(out, cur.binding.name)
+	}
+	return out
 }
 
 // cteBinding binds a CTE name to a compiled instantiation strategy.
@@ -328,7 +326,7 @@ func (c *compiler) compileIn(x *ast.InExpr, sc *scope, env *cteEnv) (exec.Scalar
 			return finish(false, sawNull), nil
 		}, nil
 	}
-	builder, _, _, err := c.compileSelect(x.Query, sc, env)
+	builder, _, _, err := c.compileQuery(x.Query, sc, env)
 	if err != nil {
 		return nil, err
 	}
@@ -368,7 +366,7 @@ func (c *compiler) compileIn(x *ast.InExpr, sc *scope, env *cteEnv) (exec.Scalar
 // returning multiple columns yield a tuple value (used by the Aggify
 // multi-live-variable rewrite).
 func (c *compiler) compileSubquery(x *ast.Subquery, sc *scope, env *cteEnv) (exec.Scalar, error) {
-	builder, cols, _, err := c.compileSelect(x.Query, sc, env)
+	builder, cols, _, err := c.compileQuery(x.Query, sc, env)
 	if err != nil {
 		return nil, err
 	}

@@ -12,80 +12,127 @@ import (
 )
 
 // Compile compiles a SELECT query into a reusable Plan: decorrelation, then
-// the logical rewrite pass (logical.go + rewrite.go), then physical
-// compilation of the normalized AST.
+// the logical IR (logical.go) normalized by the rewrite pass (rewrite.go),
+// then physical compilation of that IR.
 func Compile(cat Catalog, opts Options, q *ast.Select) (*Plan, error) {
 	sc := &stampingCatalog{inner: cat, seen: map[*storage.Table]uint64{}}
 	c := &compiler{cat: sc, opts: opts}
 	if !opts.DisableDecorrelation {
 		q = DecorrelateSelect(c, q)
 	}
-	rq, rewrites, declined := c.rewriteSelect(q)
-	builder, cols, n, err := c.compileSelect(rq, nil, nil)
-	if err != nil && len(rewrites) > 0 {
-		// A rewritten query must never fail where the original compiles;
-		// fall back so a rule bug degrades to a missed optimization.
-		c2 := &compiler{cat: sc, opts: opts}
-		builder, cols, n, err = c2.compileSelect(q, nil, nil)
-		rewrites, declined = nil, nil
+	rules := RuleAll &^ opts.DisableRules
+	if opts.DisableDecorrelation {
+		rules &^= RulePushFilterDecor
+	}
+	p, fired, err := c.compileRewritten(q, rules)
+	if err != nil && fired {
+		// A rewritten query must never fail where the original compiles:
+		// compile it again with no rule, so a rule bug degrades to a missed
+		// optimization.
+		p, _, err = c.compileRewritten(q, 0)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{Columns: cols, Explain: n, build: builder, Rewrites: rewrites, Declined: declined, Stamps: sc.stamps()}, nil
+	p.Stamps = sc.stamps()
+	return p, nil
 }
 
-// compileSelect compiles a query (with CTEs and UNION ALL) against an
-// enclosing scope. It returns the operator builder, output column names,
-// and the explain node.
-func (c *compiler) compileSelect(q *ast.Select, parent *scope, env *cteEnv) (opBuilder, []string, *Node, error) {
-	var err error
-	if env, err = c.registerCTEs(q, parent, env); err != nil {
+// compileRewritten builds q into the IR, runs the enabled rules over it and
+// compiles the result. fired reports whether any rule changed the IR.
+func (c *compiler) compileRewritten(q *ast.Select, rules RuleSet) (p *Plan, fired bool, err error) {
+	if rules != 0 {
+		q = ast.CloneSelect(q) // the rules rewrite the IR's expressions in place
+	}
+	root, err := c.buildLogical(q, nil)
+	if err != nil {
+		return nil, false, err
+	}
+	rw := &rewriter{c: c, rules: rules, fired: map[RuleSet]int{}}
+	root = rw.run(root)
+	builder, cols, n, err := c.compileSelect(root, nil, nil)
+	if err != nil {
+		return nil, rw.total > 0, err
+	}
+	return &Plan{Columns: cols, Explain: n, build: builder, Rewrites: rw.firedList(), Declined: rw.declined}, rw.total > 0, nil
+}
+
+// compileQuery compiles a query no rule runs on (a CTE body or an
+// expression subquery) against an enclosing scope.
+func (c *compiler) compileQuery(q *ast.Select, parent *scope, env *cteEnv) (opBuilder, []string, *Node, error) {
+	n, err := c.buildLogical(q, env.names())
+	if err != nil {
 		return nil, nil, nil, err
 	}
-	if q.Union == nil {
-		builder, outSc, n, err := c.compileCore(q, parent, env, q.OrderBy, q.Top)
+	return c.compileSelect(n, parent, env)
+}
+
+// compileSelect compiles the IR of a query (with CTEs and UNION ALL)
+// against an enclosing scope. It returns the operator builder, output
+// column names, and the explain node.
+func (c *compiler) compileSelect(n lNode, parent *scope, env *cteEnv) (opBuilder, []string, *Node, error) {
+	if w, ok := n.(*lWith); ok {
+		var err error
+		if env, err = c.registerCTEs(w.Defs, parent, env); err != nil {
+			return nil, nil, nil, err
+		}
+		n = w.In
+	}
+	var top ast.Expr
+	if t, ok := n.(*lTop); ok {
+		top, n = t.N, t.In
+	}
+	var orderBy []ast.OrderItem
+	if s, ok := n.(*lSort); ok {
+		orderBy, n = s.Keys, s.In
+	}
+	set, ok := n.(*lSetOp)
+	if !ok {
+		builder, outSc, n, err := c.compileCore(n, parent, env, orderBy, top)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		return builder, outSc.names(), n, nil
 	}
-	// UNION ALL: compile each branch core, concatenate, then order/top.
+	// UNION ALL: compile each branch, concatenate, then order/top.
 	var builders []opBuilder
 	var nodes []*Node
-	var outSc *scope
-	for branch := q; branch != nil; branch = branch.Union {
-		b, sc, n, err := c.compileCore(branch, parent, env, nil, nil)
+	var cols []string
+	for i, branch := range set.Branches {
+		b, bcols, n, err := c.compileSelect(branch, parent, env)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		if outSc == nil {
-			outSc = sc
-		} else if sc.width() != outSc.width() {
-			return nil, nil, nil, errf("UNION ALL branches have different column counts (%d vs %d)", outSc.width(), sc.width())
+		if i == 0 {
+			cols = bcols
+		} else if len(bcols) != len(cols) {
+			return nil, nil, nil, errf("UNION ALL branches have different column counts (%d vs %d)", len(cols), len(bcols))
 		}
 		builders = append(builders, b)
 		nodes = append(nodes, n)
 	}
-	n := node("UnionAll", nodes...)
+	outSc := &scope{parent: parent}
+	for _, name := range cols {
+		outSc.add("", name, sqltypes.Unknown)
+	}
+	un := node("UnionAll", nodes...)
 	builder := annotate(func(bc *buildCtx) exec.Operator {
 		children := make([]exec.Operator, len(builders))
 		for i, b := range builders {
 			children[i] = b(bc)
 		}
 		return &exec.ConcatOp{Children: children}
-	}, n)
-	builder, n, err = c.applyOrderTop(builder, n, outSc, q.OrderBy, q.Top, env)
+	}, un)
+	builder, un, err := c.applyOrderTop(builder, un, outSc, orderBy, top, env)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return builder, outSc.names(), n, nil
+	return builder, cols, un, nil
 }
 
-// registerCTEs binds the query's WITH clause into a new environment.
-func (c *compiler) registerCTEs(q *ast.Select, parent *scope, env *cteEnv) (*cteEnv, error) {
-	for i := range q.With {
-		cte := q.With[i]
+// registerCTEs binds a WITH clause into a new environment.
+func (c *compiler) registerCTEs(defs []ast.CTE, parent *scope, env *cteEnv) (*cteEnv, error) {
+	for _, cte := range defs {
 		b, err := c.compileCTE(cte, parent, env)
 		if err != nil {
 			return nil, err
@@ -138,7 +185,7 @@ func (c *compiler) compileCTE(cte ast.CTE, parent *scope, env *cteEnv) (*cteBind
 		return out, nil
 	}
 	if !cteSelfRef(cte.Query, cte.Name) {
-		builder, cols, n, err := c.compileSelect(cte.Query, parent, env)
+		builder, cols, n, err := c.compileQuery(cte.Query, parent, env)
 		if err != nil {
 			return nil, err
 		}
@@ -176,7 +223,7 @@ func (c *compiler) compileCTE(cte ast.CTE, parent *scope, env *cteEnv) (*cteBind
 	var seedCols []string
 	var seedNodes []*Node
 	for _, s := range seeds {
-		b, cols, n, err := c.compileSelect(s, parent, env)
+		b, cols, n, err := c.compileQuery(s, parent, env)
 		if err != nil {
 			return nil, err
 		}
@@ -199,7 +246,7 @@ func (c *compiler) compileCTE(cte ast.CTE, parent *scope, env *cteEnv) (*cteBind
 	var recBuilders []opBuilder
 	var recNodes []*Node
 	for _, r := range recs {
-		b, _, n, err := c.compileSelect(r, parent, recEnv)
+		b, _, n, err := c.compileQuery(r, parent, recEnv)
 		if err != nil {
 			return nil, err
 		}
@@ -235,6 +282,22 @@ type aggCall struct {
 	key  string // canonical String() of the call
 	call *ast.FuncCall
 	spec *exec.AggSpec
+}
+
+// distinctAggs keys a block's aggregate calls by their current text, which a
+// rule may have changed since the block was built (fold_const folds their
+// arguments in place), and drops the calls that have become duplicates.
+func distinctAggs(calls []aggCall) []aggCall {
+	out := make([]aggCall, 0, len(calls))
+	seen := make(map[string]bool, len(calls))
+	for _, a := range calls {
+		a.key = a.call.String()
+		if !seen[a.key] {
+			seen[a.key] = true
+			out = append(out, a)
+		}
+	}
+	return out
 }
 
 // findAggCalls collects aggregate invocations in e without descending into
@@ -369,82 +432,65 @@ func substPostAgg(e ast.Expr, keyIndex map[string]int, aggIndex map[string]int, 
 	}
 }
 
-// compileCore compiles one SELECT block (no UNION handling) including its
+// compileCore compiles one block spine (no UNION handling) including its
 // projection, aggregation, DISTINCT, and — when orderBy/top are passed —
 // ordering and limiting.
-func (c *compiler) compileCore(q *ast.Select, parent *scope, env *cteEnv, orderBy []ast.OrderItem, top ast.Expr) (opBuilder, *scope, *Node, error) {
-	builder, inScope, n, err := c.compileFrom(q.From, q.Where, parent, env)
+func (c *compiler) compileCore(block lNode, parent *scope, env *cteEnv, orderBy []ast.OrderItem, top ast.Expr) (opBuilder, *scope, *Node, error) {
+	if a, ok := block.(*lApply); ok {
+		block = a.In
+	}
+	project, ok := block.(*lProject)
+	if !ok {
+		return nil, nil, nil, errf("malformed logical plan: %T where a projection belongs", block)
+	}
+	where, having, agg, from := blockParts(project)
+	builder, inScope, n, err := c.compileFrom(from, whereConjuncts(where), parent, env)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 
-	// Collect aggregate calls from projection, HAVING, and ORDER BY.
-	var aggs []aggCall
-	seen := map[string]bool{}
-	for _, it := range q.Items {
-		if it.Star {
-			continue
-		}
-		if err := c.findAggCalls(it.Expr, &aggs, seen); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	if err := c.findAggCalls(q.Having, &aggs, seen); err != nil {
-		return nil, nil, nil, err
-	}
-	for _, o := range orderBy {
-		if err := c.findAggCalls(o.Expr, &aggs, seen); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-
-	items := q.Items
-	having := q.Having
+	items := project.Items
 	curScope := inScope
-	if len(aggs) > 0 || len(q.GroupBy) > 0 {
-		builder, curScope, n, err = c.compileAggregation(q, builder, inScope, n, env, aggs)
+	if agg != nil {
+		aggs := distinctAggs(agg.Aggs)
+		builder, curScope, n, err = c.compileAggregation(agg.GroupBy, aggs, project.OrderEnforced, builder, inScope, n, env)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		// Rewrite items / having / order-by to reference post-agg columns.
 		keyIndex := map[string]int{}
-		for i, g := range q.GroupBy {
+		for i, g := range agg.GroupBy {
 			keyIndex[g.String()] = i
 		}
 		aggIndex := map[string]int{}
 		for j, a := range aggs {
 			aggIndex[a.key] = j
 		}
-		items = make([]ast.SelectItem, len(q.Items))
-		for i, it := range q.Items {
+		nKeys := len(agg.GroupBy)
+		items = make([]ast.SelectItem, len(project.Items))
+		for i, it := range project.Items {
 			if it.Star {
 				return nil, nil, nil, errf("SELECT * is not allowed with aggregation")
 			}
-			// Substitution replaces group-key column refs with internal
-			// #agg.#N refs; name the output after the original expression so
-			// unaliased group keys keep their column name (outer blocks
-			// reference derived tables by it).
-			alias := it.Alias
-			if cr, ok := it.Expr.(*ast.ColRef); ok && alias == "" {
-				alias = cr.Name
-			}
-			items[i] = ast.SelectItem{Expr: substPostAgg(it.Expr, keyIndex, aggIndex, len(q.GroupBy)), Alias: alias}
+			items[i] = ast.SelectItem{Expr: substPostAgg(it.Expr, keyIndex, aggIndex, nKeys)}
 		}
-		having = substPostAgg(q.Having, keyIndex, aggIndex, len(q.GroupBy))
 		if len(orderBy) > 0 {
 			rewritten := make([]ast.OrderItem, len(orderBy))
 			for i, o := range orderBy {
-				rewritten[i] = ast.OrderItem{Expr: substPostAgg(o.Expr, keyIndex, aggIndex, len(q.GroupBy)), Desc: o.Desc}
+				rewritten[i] = ast.OrderItem{Expr: substPostAgg(o.Expr, keyIndex, aggIndex, nKeys), Desc: o.Desc}
 			}
 			orderBy = rewritten
 		}
-		if having != nil {
-			if builder, n, err = c.addFilter(builder, n, "Filter(HAVING)", having, curScope, env); err != nil {
+		// HAVING runs as one filter over the conjunction, innermost first.
+		var cond ast.Expr
+		for i := len(having) - 1; i >= 0; i-- {
+			cond = ast.And(cond, having[i].Pred)
+		}
+		if cond != nil {
+			if builder, n, err = c.addFilter(builder, n, "Filter(HAVING)", substPostAgg(cond, keyIndex, aggIndex, nKeys), curScope, env); err != nil {
 				return nil, nil, nil, err
 			}
 		}
-	} else if q.Having != nil {
-		return nil, nil, nil, errf("HAVING requires aggregation")
 	}
 
 	// Common-subquery elimination: when the projection evaluates textually
@@ -452,8 +498,7 @@ func (c *compiler) compileCore(q *ast.Select, parent *scope, env *cteEnv, orderB
 	// Froid inliner produces for Aggify's guarded rewrites), hoist each
 	// distinct subquery into a shared pre-projection so it runs once per
 	// row.
-	if len(aggs) == 0 && len(q.GroupBy) == 0 {
-		var err error
+	if agg == nil {
 		builder, curScope, items, n, err = c.hoistCommonSubqueries(builder, curScope, items, env, n)
 		if err != nil {
 			return nil, nil, nil, err
@@ -467,7 +512,7 @@ func (c *compiler) compileCore(q *ast.Select, parent *scope, env *cteEnv, orderB
 		expr   ast.Expr // nil for star-expanded columns
 	}
 	var proj []projItem
-	for _, it := range items {
+	for i, it := range items {
 		if it.Star {
 			for ord, col := range curScope.cols {
 				if it.Alias != "" && col.Qual != it.Alias {
@@ -481,15 +526,9 @@ func (c *compiler) compileCore(q *ast.Select, parent *scope, env *cteEnv, orderB
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		name := it.Alias
-		if name == "" {
-			if cr, ok := it.Expr.(*ast.ColRef); ok {
-				name = cr.Name
-			} else {
-				name = fmt.Sprintf("col%d", len(proj)+1)
-			}
-		}
-		proj = append(proj, projItem{scalar: s, name: name, expr: it.Expr})
+		// Named after the item as written, before aggregate substitution
+		// and subquery hoisting replaced its expression.
+		proj = append(proj, projItem{scalar: s, name: itemOutName(project.Items[i], len(proj)), expr: it.Expr})
 	}
 	if len(proj) == 0 {
 		return nil, nil, nil, errf("empty projection")
@@ -544,12 +583,12 @@ func (c *compiler) compileCore(q *ast.Select, parent *scope, env *cteEnv, orderB
 		scalars[i] = p.scalar
 	}
 	inner := builder
-	n = node("Project"+c.rwSuffix(c.projMarks[q]), n)
+	n = node("Project"+rwSuffix(project.mark), n)
 	builder = annotate(func(bc *buildCtx) exec.Operator {
 		return &exec.ProjectOp{Child: inner(bc), Exprs: scalars}
 	}, n)
 
-	if q.Distinct {
+	if project.Distinct {
 		if len(proj) > hiddenStart {
 			return nil, nil, nil, errf("DISTINCT with ORDER BY on non-projected expressions is not supported")
 		}
@@ -740,9 +779,9 @@ func (c *compiler) applyOrderTop(builder opBuilder, n *Node, outSc *scope, order
 // compileAggregation builds the aggregation operator for a query block and
 // returns the post-aggregation scope ("#agg".#N columns: group keys first,
 // then one per distinct aggregate call).
-func (c *compiler) compileAggregation(q *ast.Select, input opBuilder, inScope *scope, n *Node, env *cteEnv, aggs []aggCall) (opBuilder, *scope, *Node, error) {
-	groupKeys := make([]exec.Scalar, len(q.GroupBy))
-	for i, g := range q.GroupBy {
+func (c *compiler) compileAggregation(groupBy []ast.Expr, aggs []aggCall, orderEnforced bool, input opBuilder, inScope *scope, n *Node, env *cteEnv) (opBuilder, *scope, *Node, error) {
+	groupKeys := make([]exec.Scalar, len(groupBy))
+	for i, g := range groupBy {
 		s, err := c.compileExpr(g, inScope, env)
 		if err != nil {
 			return nil, nil, nil, err
@@ -750,7 +789,7 @@ func (c *compiler) compileAggregation(q *ast.Select, input opBuilder, inScope *s
 		groupKeys[i] = s
 	}
 	instances := make([]exec.AggInstance, len(aggs))
-	orderSensitive := q.OrderEnforced
+	orderSensitive := orderEnforced
 	for i, a := range aggs {
 		inst := exec.AggInstance{Spec: a.spec, Star: a.call.Star}
 		if !a.call.Star {
@@ -768,11 +807,11 @@ func (c *compiler) compileAggregation(q *ast.Select, input opBuilder, inScope *s
 		instances[i] = inst
 	}
 	outScope := &scope{parent: inScope.parent}
-	for i := range q.GroupBy {
+	for i := range groupBy {
 		outScope.add("#agg", fmt.Sprintf("#%d", i), sqltypes.Unknown)
 	}
 	for j := range aggs {
-		outScope.add("#agg", fmt.Sprintf("#%d", len(q.GroupBy)+j), sqltypes.Unknown)
+		outScope.add("#agg", fmt.Sprintf("#%d", len(groupBy)+j), sqltypes.Unknown)
 	}
 	names := make([]string, len(aggs))
 	for i, a := range aggs {
@@ -787,12 +826,12 @@ func (c *compiler) compileAggregation(q *ast.Select, input opBuilder, inScope *s
 		builder = func(bc *buildCtx) exec.Operator {
 			return &exec.StreamAggOp{Child: input(bc), GroupKeys: groupKeys, Aggs: instances}
 		}
-		label = fmt.Sprintf("StreamAgg(keys=%d, aggs=[%s])", len(q.GroupBy), argList)
+		label = fmt.Sprintf("StreamAgg(keys=%d, aggs=[%s])", len(groupBy), argList)
 	} else {
 		builder = func(bc *buildCtx) exec.Operator {
 			return &exec.HashAggOp{Child: input(bc), GroupKeys: groupKeys, Aggs: instances}
 		}
-		label = fmt.Sprintf("HashAgg(keys=%d, aggs=[%s])", len(q.GroupBy), argList)
+		label = fmt.Sprintf("HashAgg(keys=%d, aggs=[%s])", len(groupBy), argList)
 	}
 	an := node(label, n)
 	return annotate(builder, an), outScope, an, nil

@@ -173,11 +173,13 @@ func (c *compiler) decorrelateSubquery(sq *ast.Subquery, serial *int, left ast.T
 	// Column names available from the subquery's own FROM units.
 	units := make([]*fromUnit, len(s.From))
 	for i, te := range s.From {
-		cols, err := c.outputNames(te, nil)
+		n, err := c.buildUnit(te, nil)
 		if err != nil {
 			return nil, nil, false
 		}
-		units[i] = &fromUnit{pos: i, te: te, binding: ast.BindingName(te), cols: cols}
+		if units[i], err = c.newFromUnit(i, n, nil); err != nil {
+			return nil, nil, false
+		}
 	}
 	localCol := func(cr *ast.ColRef) bool {
 		for _, u := range units {

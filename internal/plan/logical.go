@@ -1,22 +1,21 @@
-// Logical-plan IR: a small relational algebra sitting between the AST and
-// physical compilation. Compile builds it from the (already decorrelated)
-// SELECT, the rewrite pass (rewrite.go) normalizes it, and lowering turns it
-// back into a canonical AST the existing physical compiler consumes — so
-// every physical decision (index selection, join algorithm) keeps working
-// on the tree it already understands.
+// Logical-plan IR: the one tree between a parsed SELECT and its physical
+// operators. Compile builds it from the (already decorrelated) query, the
+// rewrite pass (rewrite.go) normalizes it in place, and physical compilation
+// (compile_select.go, compile_from.go) reads it directly. A rule's decision
+// reaches its operator as a field of the node it decided: lFilter.mark,
+// lDerived.mark, lProject.mark, lScan.hint, lJoin.mark and lJoin.cost.
 //
-// The IR is deliberately lossless and conservative: buildLogical refuses any
-// shape it cannot round-trip exactly (ok=false), in which case the rewrite
-// pass is skipped and the query compiles from the original AST. Blocks have
-// a fixed spine, innermost to outermost:
+// Blocks have a fixed spine, innermost to outermost:
 //
 //	From → Filter* (WHERE) → [Aggregate → Filter* (HAVING)] → Project
 //	     → [Apply] → [Sort] → [Top] → [With]
 //
-// where From is a Scan, CTERef, Derived, Join tree, or Cross of those.
-// UNION ALL chains become a SetOp of per-branch spines under the head's
-// Sort/Top/With wrappers. CTE bodies are carried opaquely (they see only
-// outer scopes, so block-local rules cannot touch them safely).
+// where From is a Scan, CTERef, Derived, Join tree, or Cross of those. A
+// UNION ALL chain is a SetOp of branch spines, each under its own Top (a TOP
+// belongs to its query specification), with the trailing ORDER BY as a Sort
+// above the SetOp. CTE bodies and expression subqueries are built the same
+// way when they compile, but no rule runs on them: they see only outer
+// scopes, so block-local rules cannot touch them safely.
 package plan
 
 import (
@@ -78,11 +77,13 @@ type lFilter struct {
 	mark string
 }
 
-// lAggregate groups and aggregates; the aggregate calls themselves live in
-// the enclosing lProject's items (as in the AST).
+// lAggregate groups and aggregates. Aggs are the block's distinct aggregate
+// calls, found once when the block is built; the calls themselves stay in
+// the enclosing lProject's items, HAVING filters and ORDER BY keys.
 type lAggregate struct {
 	In      lNode
 	GroupBy []ast.Expr
+	Aggs    []aggCall
 }
 
 // lProject is the projection list of one query block.
@@ -90,8 +91,7 @@ type lProject struct {
 	In       lNode
 	Items    []ast.SelectItem
 	Distinct bool
-	// OrderEnforced carries the Aggify Eq. 6 flag of the source block so
-	// lowering restores it verbatim.
+	// OrderEnforced carries the Aggify Eq. 6 flag of the source block.
 	OrderEnforced bool
 	mark          string // fired-rule annotation (inline_udf), "" when untouched
 }
@@ -122,12 +122,9 @@ type lWith struct {
 	Defs []ast.CTE
 }
 
-// lSetOp is a UNION ALL chain. origs keeps each branch's source Select so
-// lowering can restore fields the physical compiler ignores on non-head
-// branches (their own With/OrderBy/Top) without the IR modeling them.
+// lSetOp is a UNION ALL chain of branch spines.
 type lSetOp struct {
 	Branches []lNode
-	origs    []*ast.Select
 }
 
 func (*lScan) lnode()      {}
@@ -144,70 +141,62 @@ func (*lTop) lnode()       {}
 func (*lWith) lnode()      {}
 func (*lSetOp) lnode()     {}
 
-// buildLogical turns a SELECT into the IR, or reports ok=false for any shape
-// that would not round-trip exactly (the caller then skips the rewrite pass).
-func (c *compiler) buildLogical(q *ast.Select) (lNode, bool) {
-	return c.buildLogicalSelect(q, nil)
-}
-
-// buildLogicalSelect builds the wrapper stack + block spine (or SetOp of
-// spines) for one SELECT. cteScope lists CTE names visible at this point so
-// TableRefs classify as lCTERef vs lScan the same way the compiler's cteEnv
-// will.
-func (c *compiler) buildLogicalSelect(q *ast.Select, cteScope []string) (lNode, bool) {
-	scope := cteScope
+// buildLogical turns a SELECT into the IR: the wrapper stack and the block
+// spine, or a SetOp of spines. ctes lists the CTE names visible where q
+// appears, so table references classify as lCTERef or lScan the way the
+// compiler's cteEnv resolves them. Its errors are the query's compile
+// errors.
+func (c *compiler) buildLogical(q *ast.Select, ctes []string) (lNode, error) {
 	if len(q.With) > 0 {
-		scope = make([]string, 0, len(cteScope)+len(q.With))
-		scope = append(scope, cteScope...)
+		ctes = append([]string(nil), ctes...)
 		for _, cte := range q.With {
-			scope = append(scope, cte.Name)
+			ctes = append(ctes, cte.Name)
 		}
 	}
 	var n lNode
 	if q.Union == nil {
-		var ok bool
-		n, ok = c.buildLogicalCore(q, q.OrderBy, scope)
-		if !ok {
-			return nil, false
+		var err error
+		if n, err = c.buildBlock(q, q.OrderBy, ctes); err != nil {
+			return nil, err
+		}
+		if len(q.OrderBy) > 0 {
+			n = &lSort{In: n, Keys: q.OrderBy}
+		}
+		if q.Top != nil {
+			n = &lTop{In: n, N: q.Top}
 		}
 	} else {
 		set := &lSetOp{}
 		for b := q; b != nil; b = b.Union {
-			// Non-head branches compile with nil ORDER BY (compileSelect
-			// applies only the head's), matching compileCore's inputs.
-			var orderBy []ast.OrderItem
-			if b == q {
-				orderBy = nil // head's ORDER BY resolves against union output
+			// The trailing ORDER BY resolves against the union's output, so
+			// it takes no part in a branch's aggregate detection.
+			bn, err := c.buildBlock(b, nil, ctes)
+			if err != nil {
+				return nil, err
 			}
-			bn, ok := c.buildLogicalCore(b, orderBy, scope)
-			if !ok {
-				return nil, false
+			if b.Top != nil {
+				bn = &lTop{In: bn, N: b.Top}
 			}
 			set.Branches = append(set.Branches, bn)
-			set.origs = append(set.origs, b)
 		}
 		n = set
-	}
-	if len(q.OrderBy) > 0 {
-		n = &lSort{In: n, Keys: q.OrderBy}
-	}
-	if q.Top != nil {
-		n = &lTop{In: n, N: q.Top}
+		if len(q.OrderBy) > 0 {
+			n = &lSort{In: n, Keys: q.OrderBy}
+		}
 	}
 	if len(q.With) > 0 {
 		n = &lWith{In: n, Defs: q.With}
 	}
-	return n, true
+	return n, nil
 }
 
-// buildLogicalCore builds one query block's spine: From → WHERE filters →
-// aggregate + HAVING filters → Project [→ Apply]. orderBy is passed only for
-// aggregate detection (ORDER BY sum(x) forces aggregation), mirroring
-// compileCore.
-func (c *compiler) buildLogicalCore(q *ast.Select, orderBy []ast.OrderItem, cteScope []string) (lNode, bool) {
-	n, ok := c.buildLogicalFrom(q.From, cteScope)
-	if !ok {
-		return nil, false
+// buildBlock builds one query block's spine: From → WHERE filters →
+// aggregate + HAVING filters → Project [→ Apply]. orderBy takes part in
+// aggregate detection only: ORDER BY sum(x) makes the block aggregate.
+func (c *compiler) buildBlock(q *ast.Select, orderBy []ast.OrderItem, ctes []string) (lNode, error) {
+	n, err := c.buildFrom(q.From, ctes)
+	if err != nil {
+		return nil, err
 	}
 	for _, cj := range splitConjuncts(q.Where) {
 		n = &lFilter{In: n, Pred: cj}
@@ -220,270 +209,80 @@ func (c *compiler) buildLogicalCore(q *ast.Select, orderBy []ast.OrderItem, cteS
 			continue
 		}
 		if err := c.findAggCalls(it.Expr, &aggs, seen); err != nil {
-			return nil, false // nested aggregates: let compileCore report it
+			return nil, err
 		}
 	}
 	if err := c.findAggCalls(q.Having, &aggs, seen); err != nil {
-		return nil, false
+		return nil, err
 	}
 	for _, o := range orderBy {
 		if err := c.findAggCalls(o.Expr, &aggs, seen); err != nil {
-			return nil, false
+			return nil, err
 		}
 	}
 	if len(aggs) > 0 || len(q.GroupBy) > 0 {
-		n = &lAggregate{In: n, GroupBy: q.GroupBy}
+		n = &lAggregate{In: n, GroupBy: q.GroupBy, Aggs: aggs}
 		for _, cj := range splitConjuncts(q.Having) {
 			n = &lFilter{In: n, Pred: cj}
 		}
 	} else if q.Having != nil {
-		return nil, false // HAVING without aggregation is a compile error
+		return nil, errf("HAVING requires aggregation")
 	}
 
 	p := &lProject{In: n, Items: q.Items, Distinct: q.Distinct, OrderEnforced: q.OrderEnforced}
-	hasSub := false
 	for _, it := range q.Items {
 		if !it.Star && ast.HasSubquery(it.Expr) {
-			hasSub = true
-			break
+			return &lApply{In: p}, nil
 		}
 	}
-	if hasSub {
-		return &lApply{In: p}, true
-	}
-	return p, true
+	return p, nil
 }
 
-func (c *compiler) buildLogicalFrom(items []ast.TableExpr, cteScope []string) (lNode, bool) {
+func (c *compiler) buildFrom(items []ast.TableExpr, ctes []string) (lNode, error) {
 	if len(items) == 1 {
-		return c.buildLogicalUnit(items[0], cteScope)
+		return c.buildUnit(items[0], ctes)
 	}
 	cross := &lCross{Units: make([]lNode, 0, len(items))}
 	for _, te := range items {
-		u, ok := c.buildLogicalUnit(te, cteScope)
-		if !ok {
-			return nil, false
+		u, err := c.buildUnit(te, ctes)
+		if err != nil {
+			return nil, err
 		}
 		cross.Units = append(cross.Units, u)
 	}
-	return cross, true
+	return cross, nil
 }
 
-func (c *compiler) buildLogicalUnit(te ast.TableExpr, cteScope []string) (lNode, bool) {
+func (c *compiler) buildUnit(te ast.TableExpr, ctes []string) (lNode, error) {
 	switch t := te.(type) {
 	case *ast.TableRef:
-		for _, name := range cteScope {
-			if name == t.Name {
-				return &lCTERef{Name: t.Name, Alias: t.Alias}, true
-			}
+		if containsStr(ctes, t.Name) {
+			return &lCTERef{Name: t.Name, Alias: t.Alias}, nil
 		}
-		return &lScan{Name: t.Name, Alias: t.Alias}, true
+		return &lScan{Name: t.Name, Alias: t.Alias}, nil
 	case *ast.SubqueryRef:
-		child, ok := c.buildLogicalSelect(t.Query, cteScope)
-		if !ok {
-			return nil, false
+		child, err := c.buildLogical(t.Query, ctes)
+		if err != nil {
+			return nil, err
 		}
-		return &lDerived{Child: child, Alias: t.Alias}, true
+		return &lDerived{Child: child, Alias: t.Alias}, nil
 	case *ast.Join:
-		l, ok := c.buildLogicalUnit(t.L, cteScope)
-		if !ok {
-			return nil, false
+		l, err := c.buildUnit(t.L, ctes)
+		if err != nil {
+			return nil, err
 		}
-		r, ok := c.buildLogicalUnit(t.R, cteScope)
-		if !ok {
-			return nil, false
+		r, err := c.buildUnit(t.R, ctes)
+		if err != nil {
+			return nil, err
 		}
-		return &lJoin{Kind: t.Kind, L: l, R: r, On: t.On}, true
+		return &lJoin{Kind: t.Kind, L: l, R: r, On: t.On}, nil
 	}
-	return nil, false
-}
-
-// lowerLogical turns a rewritten IR back into the canonical AST the physical
-// compiler consumes, recording fired-rule marks on the compiler for EXPLAIN
-// annotation. ok=false means the tree drifted from the canonical spine (a
-// rule bug); the caller falls back to the original AST.
-func (c *compiler) lowerLogical(n lNode) (*ast.Select, bool) {
-	return c.lowerSelect(n)
-}
-
-func (c *compiler) lowerSelect(n lNode) (*ast.Select, bool) {
-	var with []ast.CTE
-	var top ast.Expr
-	var orderBy []ast.OrderItem
-	if w, ok := n.(*lWith); ok {
-		with = w.Defs
-		n = w.In
-	}
-	if t, ok := n.(*lTop); ok {
-		top = t.N
-		n = t.In
-	}
-	if s, ok := n.(*lSort); ok {
-		orderBy = s.Keys
-		n = s.In
-	}
-
-	var head *ast.Select
-	if set, ok := n.(*lSetOp); ok {
-		var prev *ast.Select
-		for i, b := range set.Branches {
-			bs, ok := c.lowerBlock(b)
-			if !ok {
-				return nil, false
-			}
-			if i > 0 {
-				// Inert on non-head branches (never compiled), preserved so
-				// the round-trip is lossless.
-				orig := set.origs[i]
-				bs.With = orig.With
-				bs.OrderBy = orig.OrderBy
-				bs.Top = orig.Top
-				prev.Union = bs
-			} else {
-				head = bs
-			}
-			prev = bs
-		}
-	} else {
-		var ok bool
-		head, ok = c.lowerBlock(n)
-		if !ok {
-			return nil, false
-		}
-	}
-	head.With = with
-	head.Top = top
-	head.OrderBy = orderBy
-	return head, true
-}
-
-// lowerBlock lowers one block spine to a Select (without the wrapper fields,
-// which lowerSelect owns).
-func (c *compiler) lowerBlock(n lNode) (*ast.Select, bool) {
-	if a, ok := n.(*lApply); ok {
-		n = a.In
-	}
-	p, ok := n.(*lProject)
-	if !ok {
-		return nil, false
-	}
-	q := &ast.Select{Items: p.Items, Distinct: p.Distinct, OrderEnforced: p.OrderEnforced}
-	if p.mark != "" {
-		if c.projMarks == nil {
-			c.projMarks = map[*ast.Select]string{}
-		}
-		c.projMarks[q] = p.mark
-	}
-	n = p.In
-
-	preds, n := c.lowerFilters(n)
-	if agg, ok := n.(*lAggregate); ok {
-		q.Having = andReversed(preds)
-		q.GroupBy = agg.GroupBy
-		preds, n = c.lowerFilters(agg.In)
-	}
-	q.Where = andReversed(preds)
-
-	from, ok := c.lowerFrom(n)
-	if !ok {
-		return nil, false
-	}
-	q.From = from
-	return q, true
-}
-
-// lowerFilters collects a run of lFilter nodes top-down (outermost conjunct
-// first) and records their rewrite marks.
-func (c *compiler) lowerFilters(n lNode) ([]ast.Expr, lNode) {
-	var preds []ast.Expr
-	for {
-		f, ok := n.(*lFilter)
-		if !ok {
-			return preds, n
-		}
-		if f.mark != "" {
-			c.markExpr(f.Pred, f.mark)
-		}
-		preds = append(preds, f.Pred)
-		n = f.In
-	}
-}
-
-// andReversed rebuilds a conjunction from filters collected top-down, so the
-// innermost (first-built) conjunct comes first — byte-identical to the
-// original WHERE for an untouched chain.
-func andReversed(preds []ast.Expr) ast.Expr {
-	var out ast.Expr
-	for i := len(preds) - 1; i >= 0; i-- {
-		out = ast.And(out, preds[i])
-	}
-	return out
-}
-
-func (c *compiler) lowerFrom(n lNode) ([]ast.TableExpr, bool) {
-	if cross, ok := n.(*lCross); ok {
-		out := make([]ast.TableExpr, 0, len(cross.Units))
-		for _, u := range cross.Units {
-			te, ok := c.lowerUnit(u)
-			if !ok {
-				return nil, false
-			}
-			out = append(out, te)
-		}
-		return out, true
-	}
-	te, ok := c.lowerUnit(n)
-	if !ok {
-		return nil, false
-	}
-	return []ast.TableExpr{te}, true
-}
-
-func (c *compiler) lowerUnit(n lNode) (ast.TableExpr, bool) {
-	switch t := n.(type) {
-	case *lScan:
-		tr := &ast.TableRef{Name: t.Name, Alias: t.Alias}
-		if t.hint != nil {
-			if c.accessHints == nil {
-				c.accessHints = map[*ast.TableRef]*accessHint{}
-			}
-			c.accessHints[tr] = t.hint
-		}
-		return tr, true
-	case *lCTERef:
-		return &ast.TableRef{Name: t.Name, Alias: t.Alias}, true
-	case *lDerived:
-		sel, ok := c.lowerSelect(t.Child)
-		if !ok {
-			return nil, false
-		}
-		if t.mark != "" {
-			c.markSelect(sel, t.mark)
-		}
-		return &ast.SubqueryRef{Query: sel, Alias: t.Alias}, true
-	case *lJoin:
-		l, ok := c.lowerUnit(t.L)
-		if !ok {
-			return nil, false
-		}
-		r, ok := c.lowerUnit(t.R)
-		if !ok {
-			return nil, false
-		}
-		j := &ast.Join{Kind: t.Kind, L: l, R: r, On: t.On}
-		if t.mark != "" {
-			if c.joinMarks == nil {
-				c.joinMarks = map[*ast.Join]string{}
-			}
-			c.joinMarks[j] = c.rwSuffix(t.mark) + costSuffix(t.cost)
-		}
-		return j, true
-	}
-	return nil, false
+	return nil, errf("unknown table expression %T", te)
 }
 
 // mapLogicalChildren rewrites every direct child of n through f, in place
-// (the IR owns a private AST clone), and returns n.
+// (rules run only on an IR built from a private clone of the query), and
+// returns n.
 func mapLogicalChildren(n lNode, f func(lNode) lNode) lNode {
 	switch t := n.(type) {
 	case *lFilter:
@@ -539,14 +338,67 @@ func blockProject(child lNode) *lProject {
 	}
 }
 
-// itemOutName is the output column name of a projection item, mirroring
-// selectOutputNames for star-free item lists.
-func itemOutName(it ast.SelectItem, idx int) string {
+// blockParts splits a block below its projection into the filters above
+// the aggregation (HAVING) and below it (WHERE), each outermost first, the
+// aggregation (nil when the block has none), and the FROM node.
+func blockParts(p *lProject) (where, having []*lFilter, agg *lAggregate, from lNode) {
+	where, from = filterRun(p.In)
+	if a, ok := from.(*lAggregate); ok {
+		having = where
+		where, from = filterRun(a.In)
+		return where, having, a, from
+	}
+	return where, nil, nil, from
+}
+
+// filterRun collects the filters stacked from n down, outermost first, and
+// the node below them.
+func filterRun(n lNode) ([]*lFilter, lNode) {
+	var fs []*lFilter
+	for f, ok := n.(*lFilter); ok; f, ok = n.(*lFilter) {
+		fs = append(fs, f)
+		n = f.In
+	}
+	return fs, n
+}
+
+// fromUnits lists the comma-joined units of a block's FROM node.
+func fromUnits(from lNode) []lNode {
+	if cross, ok := from.(*lCross); ok {
+		return cross.Units
+	}
+	return []lNode{from}
+}
+
+// bindingName is the qualifier a FROM unit's columns are visible under: the
+// alias, else the table or CTE name ("" for a join).
+func bindingName(n lNode) string {
+	switch t := n.(type) {
+	case *lScan:
+		if t.Alias != "" {
+			return t.Alias
+		}
+		return t.Name
+	case *lCTERef:
+		if t.Alias != "" {
+			return t.Alias
+		}
+		return t.Name
+	case *lDerived:
+		return t.Alias
+	}
+	return ""
+}
+
+// itemOutName is the output column name of a projection item at output
+// position pos (stars expanded): its alias, else the name of the column it
+// projects, else col<pos+1>.
+func itemOutName(it ast.SelectItem, pos int) string {
 	if it.Alias != "" {
 		return it.Alias
 	}
 	if cr, ok := it.Expr.(*ast.ColRef); ok {
 		return cr.Name
 	}
-	return fmt.Sprintf("col%d", idx+1)
+	return fmt.Sprintf("col%d", pos+1)
 }

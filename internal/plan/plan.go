@@ -4,11 +4,10 @@
 // rewrite pass over a small relational IR (logical.go + rewrite.go: UDF
 // inlining, constant folding, predicate pushdown, projection pruning,
 // redundant-sort elimination, each individually toggleable and reported in
-// EXPLAIN), and
-// physical compilation: predicate placement, index-seek selection,
-// join-order and join-algorithm choice, scalar-subquery apply, and the
-// paper's Eq. 6 streaming-aggregate enforcement for order-sensitive custom
-// aggregates.
+// EXPLAIN), and physical compilation of that IR: predicate placement,
+// index-seek selection, join-order and join-algorithm choice,
+// scalar-subquery apply, and the paper's Eq. 6 streaming-aggregate
+// enforcement for order-sensitive custom aggregates.
 package plan
 
 import (

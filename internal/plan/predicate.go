@@ -266,11 +266,11 @@ func (f scanFilter) suffix() string {
 // unobservable for kernels (no reads charged, and an invariant's error is
 // held back behind the rows that precede it) but not for conjuncts that
 // call user code or run subqueries, and conjuncts keep their order.
-func (c *compiler) fuseScanFilter(preds []ast.Expr, sc *scope, env *cteEnv) (scanFilter, []ast.Expr, error) {
+func (c *compiler) fuseScanFilter(preds []conjunct, sc *scope, env *cteEnv) (scanFilter, []conjunct, error) {
 	var f scanFilter
 	var conj []exec.Conjunct
 	for len(preds) > 0 {
-		form, why := c.kernelOf(preds[0], sc)
+		form, why := c.kernelOf(preds[0].e, sc)
 		if why != "" {
 			break
 		}
@@ -280,9 +280,7 @@ func (c *compiler) fuseScanFilter(preds []ast.Expr, sc *scope, env *cteEnv) (sca
 		}
 		k.End = true // each conjunct was a filter of its own
 		conj = append(conj, k)
-		if m := c.marks[preds[0]]; m != "" {
-			f.marks = addMark(f.marks, m)
-		}
+		f.marks = addMark(f.marks, preds[0].mark)
 		preds = preds[1:]
 	}
 	if len(conj) > 0 {

@@ -1,10 +1,12 @@
 // Rule-based rewrite pass over the logical IR (logical.go). Compile runs it
-// between decorrelation and physical compilation: the AST is cloned, built
-// into the IR, normalized by a fixpoint loop of local rules, and lowered back
-// to a canonical AST for the unchanged physical compiler. Every rule is
-// individually toggleable through Options.DisableRules (for bisection), every
-// firing is counted into Plan.Rewrites for the EXPLAIN `rewrites:` header,
-// and nodes a rule touched carry a ` [rw:<rule>]` suffix in the plan tree.
+// between decorrelation and physical compilation: the query is cloned, built
+// into the IR, and normalized in place by a fixpoint loop of local rules and
+// two cost-based passes; the physical compiler then reads the normalized IR.
+// Every rule is individually toggleable through Options.DisableRules (for
+// bisection; with RuleAll the IR is built and compiled with no rule run),
+// every firing is counted into Plan.Rewrites for the EXPLAIN `rewrites:`
+// header, and nodes a rule touched carry a ` [rw:<rule>]` suffix in the plan
+// tree.
 //
 // The rules are deliberately conservative: a transformation applies only
 // when the rewritten query is byte-identical in results (row values AND row
@@ -116,34 +118,6 @@ func ruleName(r RuleSet) string {
 // passes.
 const maxRewritePasses = 10
 
-// rewriteSelect runs the rewrite pass and returns the normalized query plus
-// the fired-rule report and the inline_udf declines ("name=reason"). When
-// nothing fires (or any step refuses the shape) the original query is
-// returned untouched, so unchanged queries compile to byte-identical plans.
-func (c *compiler) rewriteSelect(q *ast.Select) (*ast.Select, []string, []string) {
-	rules := RuleAll &^ c.opts.DisableRules
-	if c.opts.DisableDecorrelation {
-		rules &^= RulePushFilterDecor
-	}
-	if rules == 0 {
-		return q, nil, nil
-	}
-	root, ok := c.buildLogical(ast.CloneSelect(q))
-	if !ok {
-		return q, nil, nil
-	}
-	rw := &rewriter{c: c, rules: rules, fired: map[RuleSet]int{}}
-	root = rw.run(root)
-	if rw.total == 0 {
-		return q, nil, rw.declined
-	}
-	out, ok := c.lowerLogical(root)
-	if !ok {
-		return q, nil, nil
-	}
-	return out, rw.firedList(), rw.declined
-}
-
 type rewriter struct {
 	c     *compiler
 	rules RuleSet
@@ -224,30 +198,13 @@ func (rw *rewriter) inlinePass(n lNode) lNode {
 // repeated_subquery. Past an aggregation the arguments name group keys, not
 // FROM columns, so a column argument there declines as name_capture.
 func (rw *rewriter) inlineBlock(p *lProject) {
-	var above []*lFilter // HAVING, or WHERE when there is no aggregation
-	n := p.In
-	for f, ok := n.(*lFilter); ok; f, ok = n.(*lFilter) {
-		above = append(above, f)
-		n = f.In
-	}
-	where, having := above, []*lFilter(nil)
-	agg, grouped := n.(*lAggregate)
-	if grouped {
-		where, having = nil, above
-		for n = agg.In; ; {
-			f, ok := n.(*lFilter)
-			if !ok {
-				break
-			}
-			where = append(where, f)
-			n = f.In
-		}
-	}
+	where, having, agg, from := blockParts(p)
+	grouped := agg != nil
 	if !rw.blockCallsUDF(p, where, having) {
 		return
 	}
 	var units []unitRef
-	rw.collectUnits(n, func(lNode) {}, false, false, false, &units)
+	rw.collectUnits(from, func(lNode) {}, false, false, false, &units)
 	pre := rw.site(units)
 	post := froid.Site{Qualify: func(*ast.ColRef) (*ast.ColRef, bool) { return nil, false }}
 
@@ -645,12 +602,9 @@ func (rw *rewriter) collectUnits(n lNode, set func(lNode), blocked, joined, unde
 }
 
 func (rw *rewriter) unitInfo(n lNode) (binding string, cols []string, known bool) {
+	binding = bindingName(n)
 	switch t := n.(type) {
 	case *lScan:
-		binding = t.Alias
-		if binding == "" {
-			binding = t.Name
-		}
 		if lateBound(t.Name) {
 			return binding, nil, false
 		}
@@ -659,26 +613,20 @@ func (rw *rewriter) unitInfo(n lNode) (binding string, cols []string, known bool
 			return binding, nil, false
 		}
 		return binding, tab.Schema.Names(), true
-	case *lCTERef:
-		binding = t.Alias
-		if binding == "" {
-			binding = t.Name
-		}
-		return binding, nil, false
 	case *lDerived:
 		p := blockProject(t.Child)
 		if p == nil {
-			return t.Alias, nil, false
+			return binding, nil, false
 		}
 		for i, it := range p.Items {
 			if it.Star {
-				return t.Alias, nil, false
+				return binding, nil, false
 			}
 			cols = append(cols, itemOutName(it, i))
 		}
-		return t.Alias, cols, true
+		return binding, cols, true
 	}
-	return "", nil, false
+	return binding, nil, false
 }
 
 // tryPush attempts to move filter f's predicate into the single FROM unit it
@@ -691,55 +639,11 @@ func (rw *rewriter) tryPush(f *lFilter) (lNode, bool) {
 		return nil, false
 	}
 	pred := f.Pred
-	if ast.HasSubquery(pred) {
-		// A predicate with an embedded (possibly correlated) subquery stays
-		// where the user wrote it: moving it would change how often the
-		// subquery runs.
-		return nil, false
-	}
-	refs := ast.ColRefs(pred)
-	if len(refs) == 0 {
-		return nil, false
-	}
 	var units []unitRef
 	rw.collectUnits(f.In, func(x lNode) { f.In = x }, false, false, false, &units)
-
-	target := -1
-	for _, cr := range refs {
-		idx := -1
-		for i, u := range units {
-			var match bool
-			if cr.Table != "" {
-				if cr.Table != u.binding {
-					continue
-				}
-				if !u.known || !containsStr(u.cols, cr.Name) {
-					return nil, false
-				}
-				match = true
-			} else {
-				if !u.known {
-					// A unit with unknown columns could expose this name;
-					// uniqueness is unprovable.
-					return nil, false
-				}
-				match = containsStr(u.cols, cr.Name)
-			}
-			if match {
-				if idx != -1 {
-					return nil, false // ambiguous reference
-				}
-				idx = i
-			}
-		}
-		if idx == -1 {
-			return nil, false // outer reference or unknown column
-		}
-		if target == -1 {
-			target = idx
-		} else if target != idx {
-			return nil, false // predicate spans units
-		}
+	target, ok := targetUnit(units, pred)
+	if !ok {
+		return nil, false
 	}
 	u := units[target]
 	if u.blocked {
@@ -785,6 +689,46 @@ func (rw *rewriter) tryPush(f *lFilter) (lNode, bool) {
 	return nil, false
 }
 
+// targetUnit returns the one FROM unit every column reference of pred
+// resolves to. There is none when a reference is ambiguous, outer, unknown
+// or into a unit whose columns are unknown, when pred references no column,
+// and when pred embeds a subquery: such a predicate (possibly correlated)
+// stays where the user wrote it, since moving it would change how often the
+// subquery runs.
+func targetUnit(units []unitRef, pred ast.Expr) (int, bool) {
+	if ast.HasSubquery(pred) {
+		return -1, false
+	}
+	target := -1
+	for _, cr := range ast.ColRefs(pred) {
+		idx := -1
+		for i, u := range units {
+			if cr.Table != "" && cr.Table != u.binding {
+				continue
+			}
+			if !u.known {
+				// A unit with unknown columns could expose this name.
+				return -1, false
+			}
+			if !containsStr(u.cols, cr.Name) {
+				if cr.Table != "" {
+					return -1, false
+				}
+				continue
+			}
+			if idx != -1 {
+				return -1, false // ambiguous reference
+			}
+			idx = i
+		}
+		if idx == -1 || target != -1 && target != idx {
+			return -1, false // outer reference, or the predicate spans units
+		}
+		target = idx
+	}
+	return target, target != -1
+}
+
 // pushIntoDerived moves pred inside derived table d, substituting the
 // derived table's output columns with the projection expressions they name.
 func (rw *rewriter) pushIntoDerived(d *lDerived, pred ast.Expr) (RuleSet, bool) {
@@ -812,33 +756,11 @@ func (rw *rewriter) pushIntoDerived(d *lDerived, pred ast.Expr) (RuleSet, bool) 
 		break
 	}
 
-	byName := map[string]int{}
-	dup := map[string]bool{}
-	for i, it := range p.Items {
-		if it.Star {
-			return 0, false
-		}
-		name := itemOutName(it, i)
-		if _, seen := byName[name]; seen {
-			dup[name] = true
-		} else {
-			byName[name] = i
-		}
+	byName, dup := itemIndex(p.Items)
+	if byName == nil {
+		return 0, false
 	}
-
-	// Locate the block's aggregation, if any, below the HAVING filters.
-	var aggNode *lAggregate
-	n := p.In
-	for {
-		if f, ok := n.(*lFilter); ok {
-			n = f.In
-			continue
-		}
-		break
-	}
-	if a, ok := n.(*lAggregate); ok {
-		aggNode = a
-	}
+	_, _, aggNode, _ := blockParts(p)
 
 	rule := RulePushFilter
 	if aggNode != nil {
@@ -961,6 +883,10 @@ func (rw *rewriter) pruneSelect(root lNode) {
 
 func (rw *rewriter) pruneBlock(n lNode, outer []ast.Expr) {
 	exprs := append([]ast.Expr(nil), outer...)
+	if t, ok := n.(*lTop); ok { // a UNION ALL branch's own TOP
+		exprs = append(exprs, t.N)
+		n = t.In
+	}
 	if a, ok := n.(*lApply); ok {
 		n = a.In
 	}
@@ -981,19 +907,12 @@ func (rw *rewriter) pruneBlock(n lNode, outer []ast.Expr) {
 		}
 		exprs = append(exprs, it.Expr)
 	}
-	n = p.In
-	for {
-		if f, ok := n.(*lFilter); ok {
-			exprs = append(exprs, f.Pred)
-			n = f.In
-			continue
-		}
-		if a, ok := n.(*lAggregate); ok {
-			exprs = append(exprs, a.GroupBy...)
-			n = a.In
-			continue
-		}
-		break
+	where, having, agg, from := blockParts(p)
+	for _, f := range append(where, having...) {
+		exprs = append(exprs, f.Pred)
+	}
+	if agg != nil {
+		exprs = append(exprs, agg.GroupBy...)
 	}
 	var deriveds []*lDerived
 	var walk func(x lNode)
@@ -1013,7 +932,7 @@ func (rw *rewriter) pruneBlock(n lNode, outer []ast.Expr) {
 			deriveds = append(deriveds, t)
 		}
 	}
-	walk(n)
+	walk(from)
 	for _, d := range deriveds {
 		if !starAll && !starQual[d.Alias] {
 			rw.pruneDerived(d, exprs)
@@ -1153,16 +1072,9 @@ func (rw *rewriter) sortRedundantOver(s *lSort) *lDerived {
 	if !ok || p.Distinct {
 		return nil
 	}
-	n = p.In
-	for {
-		if f, ok := n.(*lFilter); ok {
-			n = f.In
-			continue
-		}
-		break
-	}
-	d, ok := n.(*lDerived)
-	if !ok {
+	_, _, agg, from := blockParts(p)
+	d, ok := from.(*lDerived)
+	if agg != nil || !ok {
 		return nil
 	}
 	inner := d.Child
@@ -1266,34 +1178,14 @@ func addMark(existing, rule string) string {
 	return existing + "," + rule
 }
 
-// markExpr records that a predicate was placed by a rewrite rule, so the
-// physical compiler annotates the Filter (or IndexSeek) it compiles into.
-// Keys are expression pointers: splitConjuncts and ast.And preserve conjunct
-// identity from lowering through compilation.
-func (c *compiler) markExpr(e ast.Expr, rule string) {
-	if c.marks == nil {
-		c.marks = map[ast.Expr]string{}
-	}
-	c.marks[e] = rule
-}
-
-// markSelect records that a derived table's body was rewritten, annotating
-// its Derived() node.
-func (c *compiler) markSelect(q *ast.Select, rule string) {
-	if c.selMarks == nil {
-		c.selMarks = map[*ast.Select]string{}
-	}
-	c.selMarks[q] = rule
-}
-
 // rwSuffix renders a node-label annotation for a fired rule, "" when none.
-func (c *compiler) rwSuffix(mark string) string {
+func rwSuffix(mark string) string {
 	if mark == "" {
 		return ""
 	}
 	return " [rw:" + mark + "]"
 }
 
-func (c *compiler) filterLabel(pred ast.Expr) string {
-	return "Filter" + c.rwSuffix(c.marks[pred])
+func filterLabel(mark string) string {
+	return "Filter" + rwSuffix(mark)
 }

@@ -1,6 +1,7 @@
 #!/bin/sh
-# The full CI gauntlet: formatting, vet, static analyzers, build, and the
-# test suite under the race detector. Equivalent to `make ci`.
+# The full CI gauntlet: formatting, vet, static analyzers, build, the test
+# suite under the race detector, and the guards, smokes and goldens below.
+# This script is its one definition: `make ci` and the CI workflow run it.
 #
 # Each stage reports its wall time so slow stages are obvious in CI logs.
 set -eu
@@ -68,10 +69,21 @@ go test -race -count=1 -run TestBoundPredicateSharedPlanConcurrentSessions ./int
 go test -race -count=1 -run 'TestPanicContainedPerConnection|TestTraceFlaggedFrameRejected' ./internal/server
 
 stage "access paths (BETWEEN differential, seek operand parity, sort-once build, DML seeks, statistics drift)"
+# A BETWEEN or comparison on an indexed column range-seeks: same rows, same
+# order and same error as the scan; operands that could raise stay in the
+# filter; the sort-once index build equals the index grown row by row.
+# UPDATE and DELETE seek their rows the same way and change what the scan
+# would. Statistics and cached plans are rebuilt once a tenth of the table
+# drifted, and CREATE INDEX drops the cached statistics.
 go test -count=1 -run 'TestBetweenRangeSeekDifferential|TestSeekOperandErrorParity|TestDMLRowSourceDifferential|TestUpdateSeeksOneRow|TestPlanCacheStatsDriftReplan|TestCreateIndexRefreshesStatistics' ./internal/engine
 go test -count=1 -run 'TestCreateIndexBuildMatchesIncremental|TestSeekAllocs|TestStatisticsReuseWithinDrift|TestCreateIndexDropsCachedStatistics|TestHistogramEquiDepth' ./internal/storage
 
 stage "inline_udf (differential on/off embedded and TCP, froid repros and reason codes, replan after CREATE FUNCTION, rewrite trace)"
+# inline_udf runs each loop-free UDF call as the expression froid composes
+# from its body: every workload driver and inline shape answers alike with
+# the rule on and off, embedded and over TCP; the froid repros (argument
+# capture, numeric and date coercion) and the decline reason codes hold;
+# CREATE FUNCTION replans a statement already prepared on a connection.
 inline='TestInlineUDFDifferential|TestInlinedBodyReplannedAfterCreateFunction|TestRewriteTraceGolden'
 froid='TestInlineArgumentNotCaptured|TestInlineCoerces|TestDeclineReasonCodes'
 go test -count=1 -run "$inline" .
@@ -247,8 +259,9 @@ go test -count=1 -run 'TestExplainAnalyze' .
 
 stage "rewrite-trace golden"
 # The logical rewrite pass's EXPLAIN trace (the `rewrites:` header and the
-# per-node [rw:rule] annotations) for three representative queries is pinned
-# to testdata/rewrite_trace.golden.
+# per-node [rw:rule] annotations) for representative queries, and the plans
+# of eight basic shapes with every rule off, are pinned to
+# testdata/rewrite_trace.golden.
 # Regenerate intentional changes with:  go test -run TestRewriteTraceGolden -update .
 go test -count=1 -run 'TestRewriteTraceGolden' .
 
