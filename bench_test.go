@@ -23,6 +23,7 @@ import (
 	"aggify/internal/engine"
 	"aggify/internal/interp"
 	"aggify/internal/parser"
+	"aggify/internal/plan"
 	"aggify/internal/tpch"
 	"aggify/internal/wire"
 	"aggify/internal/workloads/applicability"
@@ -278,13 +279,16 @@ func BenchmarkAblationDecorrelation(b *testing.B) {
 		if !on {
 			name = "apply-per-row"
 		}
-		disable := !on
+		var disable plan.RuleSet
+		if !on {
+			disable = plan.RuleDecorrelate
+		}
 		b.Run(name, func(b *testing.B) {
 			// The plan cache keys include planner options, so both
 			// variants coexist in the shared engine.
 			for i := 0; i < b.N; i++ {
 				r, err := env.RunDriverSession(q.Driver(0), bench.AggifyPlus, 5*time.Minute,
-					func(sess *engine.Session) { sess.Opts.DisableDecorrelation = disable })
+					func(sess *engine.Session) { sess.Opts.DisableRules |= disable })
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -175,7 +175,7 @@ func TestDecorrelationPlanAndResults(t *testing.T) {
 	      from part order by p_partkey`
 	sessOn := newDB(t, sampleDB)
 	sessOff := newDB(t, sampleDB)
-	sessOff.Opts.DisableDecorrelation = true
+	sessOff.Opts.DisableRules = plan.RuleDecorrelate
 
 	pOn, err := sessOn.PlanQuery(parser.MustParse(q)[0].(*ast.QueryStmt).Query, nil)
 	if err != nil {

@@ -119,7 +119,7 @@ func TestPlannerRewritesPreserveResults(t *testing.T) {
 	indexed := buildPropDB(t, true)
 	unindexed := buildPropDB(t, false)
 	noDecor := buildPropDB(t, true)
-	noDecor.Opts.DisableDecorrelation = true
+	noDecor.Opts.DisableRules = plan.RuleDecorrelate
 
 	rng := rand.New(rand.NewSource(20200615))
 	for trial := 0; trial < 60; trial++ {

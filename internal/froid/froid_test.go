@@ -10,6 +10,7 @@ import (
 	"aggify/internal/froid"
 	"aggify/internal/interp"
 	"aggify/internal/parser"
+	"aggify/internal/plan"
 	"aggify/internal/sqltypes"
 )
 
@@ -279,7 +280,7 @@ end`
 
 	// Ablation: with decorrelation disabled, results still agree.
 	off := eng.NewSession()
-	off.Opts.DisableDecorrelation = true
+	off.Opts.DisableRules = plan.RuleDecorrelate
 	pOff, err := off.PlanQuery(inlined, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -834,9 +834,9 @@ func (c *compiler) compileJoin(j *lJoin, parent *scope, env *cteEnv) (opBuilder,
 			residual = append(residual, cj)
 		}
 	}
-	label := j.Kind.String() + ")"
-	if j.mark != "" {
-		label += rwSuffix(j.mark) + costSuffix(j.cost)
+	label := j.Kind.String() + ")" + rwSuffix(j.mark)
+	if j.cost > 0 {
+		label += costSuffix(j.cost)
 	}
 
 	if len(eqL) > 0 {

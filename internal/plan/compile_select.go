@@ -11,17 +11,14 @@ import (
 	"aggify/internal/storage"
 )
 
-// Compile compiles a SELECT query into a reusable Plan: decorrelation, then
-// the logical IR (logical.go) normalized by the rewrite pass (rewrite.go),
-// then physical compilation of that IR.
+// Compile compiles a SELECT query into a reusable Plan: the logical IR
+// (logical.go) normalized by the rewrite pass (rewrite.go), then physical
+// compilation of that IR.
 func Compile(cat Catalog, opts Options, q *ast.Select) (*Plan, error) {
 	sc := &stampingCatalog{inner: cat, seen: map[*storage.Table]uint64{}}
 	c := &compiler{cat: sc, opts: opts}
-	if !opts.DisableDecorrelation {
-		q = DecorrelateSelect(c, q)
-	}
 	rules := RuleAll &^ opts.DisableRules
-	if opts.DisableDecorrelation {
+	if !rules.Has(RuleDecorrelate) {
 		rules &^= RulePushFilterDecor
 	}
 	p, fired, err := c.compileRewritten(q, rules)
@@ -691,7 +688,12 @@ func (c *compiler) hoistCommonSubqueries(builder opBuilder, curScope *scope, ite
 				}
 			})
 			for _, sq := range same {
-				newItems[j].Expr = replaceExpr(newItems[j].Expr, sq, ast.CloneExpr(repl))
+				newItems[j].Expr = ast.MapExpr(newItems[j].Expr, func(x ast.Expr) ast.Expr {
+					if x == sq {
+						return ast.CloneExpr(repl)
+					}
+					return x
+				})
 			}
 		}
 	}

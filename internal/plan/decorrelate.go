@@ -6,16 +6,16 @@ import (
 	"aggify/internal/ast"
 )
 
-// DecorrelateSelect applies the apply-decorrelation rewrite: a correlated
-// scalar-aggregate subquery in the projection,
+// decorrelatePass is the decorrelate rule. It turns each correlated
+// scalar-aggregate subquery in the root block's projection,
 //
 //	SELECT t.a, (SELECT AGG(...) FROM s WHERE s.k = t.a AND p) FROM t
 //
-// becomes a left join against a grouped aggregation,
+// into a left join against a grouped aggregation,
 //
 //	SELECT t.a, CASE WHEN d.__m IS NULL THEN __agg_empty('agg') ELSE d.__v END
-//	FROM t LEFT JOIN (SELECT s.k AS __k, 1 AS __m, AGG(...) AS __v
-//	                  FROM s WHERE p GROUP BY s.k) d ON d.__k = t.a
+//	FROM t LEFT JOIN (SELECT s.k AS __k0, 1 AS __m, AGG(...) AS __v
+//	                  FROM s WHERE p GROUP BY s.k) d ON d.__k0 = t.a
 //
 // This is the rewrite that turns the Aggify+Froid pipeline's per-row apply
 // into a set-oriented plan — the source of the paper's Q13-style orders-of-
@@ -24,150 +24,117 @@ import (
 // value (Init+Terminate), evaluated by the __agg_empty pseudo-function, so
 // the semantics match the original apply exactly (COUNT(*) = 0 included).
 //
-// The rewrite is applied when safe and left alone otherwise; it never
-// changes results. It returns a rewritten copy (or q itself when nothing
-// applied).
-func DecorrelateSelect(c *compiler, q *ast.Select) *ast.Select {
-	// Only rewrite blocks with a single FROM unit and no aggregation of
-	// their own; this covers the UDF-inlining pattern the paper targets.
-	if len(q.From) != 1 || len(q.GroupBy) > 0 || q.Union != nil || len(q.With) > 0 || q.OrderEnforced {
-		return q
+// The rule rewrites when safe and declines otherwise; it never changes
+// results. It reaches the root block through its TOP and ORDER BY, and
+// declines a root with CTEs or UNION ALL and a block with GROUP BY, an
+// order-enforced (Eq. 6) projection, or a FROM of other than exactly one
+// unit: it covers the UDF-inlining pattern the paper targets.
+func (rw *rewriter) decorrelatePass(root lNode) lNode {
+	n, set := root, func(x lNode) { root = x }
+	if t, ok := n.(*lTop); ok {
+		n, set = t.In, func(x lNode) { t.In = x }
 	}
-	out := *q
-	items := make([]ast.SelectItem, len(q.Items))
-	copy(items, q.Items)
-	out.Items = items
-	from := q.From[0]
-	changed := false
-	serial := 0
+	if s, ok := n.(*lSort); ok {
+		n, set = s.In, func(x lNode) { s.In = x }
+	}
+	a, ok := n.(*lApply)
+	if !ok {
+		return root
+	}
+	p := a.In.(*lProject)
+	where, _, agg, from := blockParts(p)
+	if _, cross := from.(*lCross); cross || p.OrderEnforced || agg != nil && len(agg.GroupBy) > 0 {
+		return root
+	}
+	fired := 0
 	// cache deduplicates textually identical subqueries (tuple_get(S, 0)
 	// and tuple_get(S, 1) from the Aggify guarded rewrite share one join).
 	cache := map[string]ast.Expr{}
-	for i, it := range items {
-		if it.Star || it.Expr == nil {
+	for i := range p.Items {
+		it := &p.Items[i]
+		if it.Star {
 			continue
 		}
-		newExpr, join, ok := c.tryDecorrelate(it.Expr, &serial, from, cache)
-		if !ok {
-			continue
-		}
-		items[i] = ast.SelectItem{Expr: newExpr, Alias: it.Alias}
-		from = join
-		changed = true
-	}
-	if !changed {
-		return q
-	}
-	out.From = []ast.TableExpr{from}
-	return &out
-}
-
-// tryDecorrelate searches e for a decorrelatable scalar subquery. On
-// success it returns the rewritten expression and the join to splice in.
-// It rewrites at most one subquery per call (the caller loops via serial
-// numbering across items; nested multiple subqueries in one expression are
-// handled by repeated application).
-func (c *compiler) tryDecorrelate(e ast.Expr, serial *int, left ast.TableExpr, cache map[string]ast.Expr) (ast.Expr, ast.TableExpr, bool) {
-	var target *ast.Subquery
-	ast.WalkExpr(e, func(x ast.Expr) bool {
-		if target != nil {
-			return false
-		}
-		if sq, ok := x.(*ast.Subquery); ok && !sq.Exists {
-			target = sq
-			return false
-		}
-		return true
-	})
-	if target == nil {
-		return nil, nil, false
-	}
-	var repl ast.Expr
-	join := left
-	key := subqueryKey(target)
-	if cached, ok := cache[key]; ok {
-		repl = ast.CloneExpr(cached)
-	} else {
-		var ok bool
-		repl, join, ok = c.decorrelateSubquery(target, serial, left)
-		if !ok {
-			return nil, nil, false
-		}
-		cache[key] = repl
-	}
-	newExpr := replaceExpr(e, target, repl)
-	// Try to decorrelate further subqueries within the same item.
-	if again, join2, ok2 := c.tryDecorrelate(newExpr, serial, join, cache); ok2 {
-		return again, join2, true
-	}
-	return newExpr, join, true
-}
-
-// replaceExpr returns e with the (pointer-identical) node old replaced by
-// repl.
-func replaceExpr(e ast.Expr, old, repl ast.Expr) ast.Expr {
-	if e == old {
-		return repl
-	}
-	switch x := e.(type) {
-	case *ast.BinExpr:
-		return &ast.BinExpr{Op: x.Op, L: replaceExpr(x.L, old, repl), R: replaceExpr(x.R, old, repl)}
-	case *ast.UnaryExpr:
-		return &ast.UnaryExpr{Op: x.Op, E: replaceExpr(x.E, old, repl)}
-	case *ast.IsNullExpr:
-		return &ast.IsNullExpr{E: replaceExpr(x.E, old, repl), Negate: x.Negate}
-	case *ast.CaseExpr:
-		out := &ast.CaseExpr{}
-		for _, w := range x.Whens {
-			out.Whens = append(out.Whens, ast.WhenClause{
-				Cond: replaceExpr(w.Cond, old, repl),
-				Then: replaceExpr(w.Then, old, repl),
+		// Rewrite the item's subqueries in order; the first that declines
+		// ends the item.
+		for {
+			var sq *ast.Subquery
+			topSubqueries(it.Expr, func(x *ast.Subquery) {
+				if sq == nil {
+					sq = x
+				}
 			})
+			if sq == nil {
+				break
+			}
+			key := subqueryKey(sq)
+			repl, ok := cache[key]
+			if ok {
+				repl = ast.CloneExpr(repl)
+			} else {
+				alias := fmt.Sprintf("__dcor%d", len(cache)+1)
+				var derived *ast.Select
+				var on ast.Expr
+				if repl, derived, on, ok = rw.c.decorrelateSubquery(sq, alias); !ok {
+					break
+				}
+				r, err := rw.c.buildLogical(derived, nil)
+				if err != nil {
+					break
+				}
+				from = &lJoin{Kind: ast.JoinLeft, L: from, R: &lDerived{Child: r, Alias: alias}, On: on, mark: ruleName(RuleDecorrelate)}
+				cache[key] = repl
+			}
+			it.Expr = ast.MapExpr(it.Expr, func(x ast.Expr) ast.Expr {
+				if x == sq {
+					return repl
+				}
+				return x
+			})
+			fired++
 		}
-		if x.Else != nil {
-			out.Else = replaceExpr(x.Else, old, repl)
-		}
-		return out
-	case *ast.FuncCall:
-		out := &ast.FuncCall{Name: x.Name, Star: x.Star}
-		for _, a := range x.Args {
-			out.Args = append(out.Args, replaceExpr(a, old, repl))
-		}
-		return out
-	case *ast.BetweenExpr:
-		return &ast.BetweenExpr{
-			E:  replaceExpr(x.E, old, repl),
-			Lo: replaceExpr(x.Lo, old, repl),
-			Hi: replaceExpr(x.Hi, old, repl), Negate: x.Negate,
-		}
-	case *ast.InExpr:
-		out := &ast.InExpr{E: replaceExpr(x.E, old, repl), Negate: x.Negate, Query: x.Query}
-		for _, it := range x.List {
-			out.List = append(out.List, replaceExpr(it, old, repl))
-		}
-		return out
-	default:
-		return e
 	}
+	if fired == 0 {
+		return root
+	}
+	rw.fireN(RuleDecorrelate, fired)
+	switch {
+	case len(where) > 0:
+		where[len(where)-1].In = from
+	case agg != nil:
+		agg.In = from
+	default:
+		p.In = from
+	}
+	for _, it := range p.Items {
+		if !it.Star && ast.HasSubquery(it.Expr) {
+			return root
+		}
+	}
+	set(p)
+	return root
 }
 
-// decorrelateSubquery attempts the rewrite for one scalar subquery.
-func (c *compiler) decorrelateSubquery(sq *ast.Subquery, serial *int, left ast.TableExpr) (ast.Expr, ast.TableExpr, bool) {
+// decorrelateSubquery attempts the rewrite for one scalar subquery, whose
+// derived table takes alias. It returns the expression that replaces the
+// subquery, the derived table's query, and the join condition. It works on
+// the subquery's AST, which the IR carries as is.
+func (c *compiler) decorrelateSubquery(sq *ast.Subquery, alias string) (ast.Expr, *ast.Select, ast.Expr, bool) {
 	s := ast.CloneSelect(sq.Query)
 	if len(s.With) > 0 || s.Union != nil || s.Distinct || s.Top != nil || s.OrderEnforced || len(s.GroupBy) > 0 || s.Having != nil {
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
 	flattenDerived(s)
 	if len(s.Items) != 1 || s.Items[0].Star {
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
 	agg, ok := s.Items[0].Expr.(*ast.FuncCall)
 	if !ok {
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
 	spec, isAgg := c.cat.AggSpec(agg.Name)
 	if !isAgg || spec.OrderSensitive {
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
 
 	// Column names available from the subquery's own FROM units.
@@ -175,110 +142,108 @@ func (c *compiler) decorrelateSubquery(sq *ast.Subquery, serial *int, left ast.T
 	for i, te := range s.From {
 		n, err := c.buildUnit(te, nil)
 		if err != nil {
-			return nil, nil, false
+			return nil, nil, nil, false
 		}
 		if units[i], err = c.newFromUnit(i, n, nil); err != nil {
-			return nil, nil, false
+			return nil, nil, nil, false
 		}
 	}
-	localCol := func(cr *ast.ColRef) bool {
-		for _, u := range units {
-			if u.hasCol(cr) {
-				return true
-			}
-		}
-		return false
-	}
-	allLocal := func(e ast.Expr) bool {
-		local := true
+	// hasRef reports whether e references a column that is (local) or is
+	// not (!local) one of the subquery's own.
+	hasRef := func(e ast.Expr, local bool) bool {
+		found := false
 		ast.WalkExpr(e, func(x ast.Expr) bool {
-			if cr, ok := x.(*ast.ColRef); ok && !localCol(cr) {
-				local = false
+			if cr, ok := x.(*ast.ColRef); ok {
+				isLocal := false
+				for _, u := range units {
+					isLocal = isLocal || u.hasCol(cr)
+				}
+				found = found || isLocal == local
 			}
-			return true
+			return !found
 		})
-		return local
+		return found
+	}
+	localCol := func(e ast.Expr) bool {
+		cr, ok := e.(*ast.ColRef)
+		return ok && hasRef(cr, true)
 	}
 
 	// Split WHERE into correlation equalities (local col = outer expr) and
 	// local residue.
-	var corrCols []*ast.ColRef
+	var corrCols []ast.Expr
 	var corrOuter []ast.Expr
 	var localPreds []ast.Expr
 	for _, cj := range splitConjuncts(s.Where) {
-		if allLocal(cj) {
+		if !hasRef(cj, false) {
 			localPreds = append(localPreds, cj)
 			continue
 		}
 		l, r, isEq := eqSides(cj)
 		if !isEq {
-			return nil, nil, false
+			return nil, nil, nil, false
 		}
-		var col *ast.ColRef
-		var outer ast.Expr
-		if cr, ok := l.(*ast.ColRef); ok && localCol(cr) && !containsLocalRef(r, localCol) {
-			col, outer = cr, r
-		} else if cr, ok := r.(*ast.ColRef); ok && localCol(cr) && !containsLocalRef(l, localCol) {
-			col, outer = cr, l
-		} else {
-			return nil, nil, false
+		switch {
+		case localCol(l) && !hasRef(r, true):
+		case localCol(r) && !hasRef(l, true):
+			l, r = r, l
+		default:
+			return nil, nil, nil, false
 		}
 		// The outer side must reference at least one column (otherwise it
 		// would be local already) and no subqueries of its own.
-		if ast.HasSubquery(outer) {
-			return nil, nil, false
+		if ast.HasSubquery(r) {
+			return nil, nil, nil, false
 		}
-		corrCols = append(corrCols, col)
-		corrOuter = append(corrOuter, outer)
+		corrCols = append(corrCols, l)
+		corrOuter = append(corrOuter, r)
 	}
 	if len(corrCols) == 0 {
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
 
 	// Substitute outer expressions with the (join-equal) correlation columns
 	// inside the aggregate arguments; afterwards everything must be local.
+	// The derived table aggregates every inner group, including groups no
+	// outer row joins, so an operation that can raise on a column value
+	// (arithmetic, a function call) would raise where the apply never runs.
 	substArgs := make([]ast.Expr, len(agg.Args))
 	for i, a := range agg.Args {
 		sub := ast.CloneExpr(a)
 		for j, outer := range corrOuter {
-			sub = substituteByString(sub, outer.String(), corrCols[j])
+			key := outer.String()
+			sub = ast.MapExpr(sub, func(x ast.Expr) ast.Expr {
+				if x.String() == key {
+					return ast.CloneExpr(corrCols[j])
+				}
+				return x
+			})
 		}
-		if !allLocal(sub) {
-			return nil, nil, false
+		if hasRef(sub, false) || hasPartialOp(sub, true) {
+			return nil, nil, nil, false
 		}
 		substArgs[i] = sub
 	}
 	for _, p := range localPreds {
-		if !allLocal(p) {
-			return nil, nil, false
+		if hasPartialOp(p, true) {
+			return nil, nil, nil, false
 		}
 	}
 
-	*serial++
-	alias := fmt.Sprintf("__dcor%d", *serial)
-
 	derived := &ast.Select{From: s.From}
-	var groupBy []ast.Expr
 	var on ast.Expr
 	for j, col := range corrCols {
 		kname := fmt.Sprintf("__k%d", j)
 		derived.Items = append(derived.Items, ast.SelectItem{Expr: col, Alias: kname})
-		groupBy = append(groupBy, col)
 		on = ast.And(on, ast.Eq(ast.QCol(alias, kname), corrOuter[j]))
 	}
 	derived.Items = append(derived.Items,
 		ast.SelectItem{Expr: ast.IntLit(1), Alias: "__m"},
 		ast.SelectItem{Expr: &ast.FuncCall{Name: agg.Name, Args: substArgs, Star: agg.Star}, Alias: "__v"},
 	)
-	derived.GroupBy = groupBy
+	derived.GroupBy = corrCols
 	derived.Where = ast.And(localPreds...)
 
-	join := &ast.Join{
-		Kind: ast.JoinLeft,
-		L:    left,
-		R:    &ast.SubqueryRef{Query: derived, Alias: alias},
-		On:   on,
-	}
 	repl := &ast.CaseExpr{
 		Whens: []ast.WhenClause{{
 			Cond: &ast.IsNullExpr{E: ast.QCol(alias, "__m")},
@@ -286,64 +251,7 @@ func (c *compiler) decorrelateSubquery(sq *ast.Subquery, serial *int, left ast.T
 		}},
 		Else: ast.QCol(alias, "__v"),
 	}
-	return repl, join, true
-}
-
-func containsLocalRef(e ast.Expr, localCol func(*ast.ColRef) bool) bool {
-	found := false
-	ast.WalkExpr(e, func(x ast.Expr) bool {
-		if cr, ok := x.(*ast.ColRef); ok && localCol(cr) {
-			found = true
-		}
-		return true
-	})
-	return found
-}
-
-// substituteByString replaces every subtree of e whose String() rendering
-// equals key with repl (used to replace outer correlation expressions with
-// the join-equal local column).
-func substituteByString(e ast.Expr, key string, repl ast.Expr) ast.Expr {
-	if e == nil {
-		return nil
-	}
-	if e.String() == key {
-		return ast.CloneExpr(repl)
-	}
-	switch x := e.(type) {
-	case *ast.BinExpr:
-		return &ast.BinExpr{Op: x.Op, L: substituteByString(x.L, key, repl), R: substituteByString(x.R, key, repl)}
-	case *ast.UnaryExpr:
-		return &ast.UnaryExpr{Op: x.Op, E: substituteByString(x.E, key, repl)}
-	case *ast.IsNullExpr:
-		return &ast.IsNullExpr{E: substituteByString(x.E, key, repl), Negate: x.Negate}
-	case *ast.CaseExpr:
-		out := &ast.CaseExpr{}
-		for _, w := range x.Whens {
-			out.Whens = append(out.Whens, ast.WhenClause{
-				Cond: substituteByString(w.Cond, key, repl),
-				Then: substituteByString(w.Then, key, repl),
-			})
-		}
-		if x.Else != nil {
-			out.Else = substituteByString(x.Else, key, repl)
-		}
-		return out
-	case *ast.FuncCall:
-		out := &ast.FuncCall{Name: x.Name, Star: x.Star}
-		for _, a := range x.Args {
-			out.Args = append(out.Args, substituteByString(a, key, repl))
-		}
-		return out
-	case *ast.BetweenExpr:
-		return &ast.BetweenExpr{
-			E:  substituteByString(x.E, key, repl),
-			Lo: substituteByString(x.Lo, key, repl),
-			Hi: substituteByString(x.Hi, key, repl), Negate: x.Negate,
-		}
-	default:
-		return e
-	}
+	return repl, derived, on, true
 }
 
 // flattenDerived inlines trivial derived tables (pure projections without

@@ -1,9 +1,10 @@
 // Logical-plan IR: the one tree between a parsed SELECT and its physical
-// operators. Compile builds it from the (already decorrelated) query, the
-// rewrite pass (rewrite.go) normalizes it in place, and physical compilation
-// (compile_select.go, compile_from.go) reads it directly. A rule's decision
-// reaches its operator as a field of the node it decided: lFilter.mark,
-// lDerived.mark, lProject.mark, lScan.hint, lJoin.mark and lJoin.cost.
+// operators. Compile builds it from the parsed query, the rewrite pass
+// (rewrite.go, decorrelate.go) normalizes it in place, and physical
+// compilation (compile_select.go, compile_from.go) reads it directly. A
+// rule's decision reaches its operator as a field of the node it decided:
+// lFilter.mark, lDerived.mark, lProject.mark, lScan.hint, lJoin.mark and
+// lJoin.cost.
 //
 // Blocks have a fixed spine, innermost to outermost:
 //
@@ -51,9 +52,9 @@ type lDerived struct {
 	mark  string // fired-rule annotation for EXPLAIN, "" when untouched
 }
 
-// lJoin is an explicit ANSI join. mark/cost annotate a join reorder_joins
-// rebuilt (mark is "" when untouched; cost is the estimated driving-leaf
-// cardinality shown in EXPLAIN).
+// lJoin is an explicit ANSI join. mark annotates a join a rule built
+// (decorrelate, reorder_joins; "" when untouched); cost is the estimated
+// driving-leaf cardinality reorder_joins shows in EXPLAIN (0 when unset).
 type lJoin struct {
 	Kind ast.JoinKind
 	L, R lNode
@@ -98,8 +99,8 @@ type lProject struct {
 
 // lApply marks a block whose projection evaluates embedded subqueries
 // (correlated or not): the physical compiler runs them per row, so rules
-// must not change how many rows reach the projection... which none of the
-// current rules do above a Project; the node mostly documents the shape.
+// must not change how many rows reach the projection. decorrelate drops it
+// once it has replaced every subquery of the projection with a join.
 type lApply struct {
 	In lNode
 }

@@ -1,10 +1,10 @@
 // Package plan compiles query ASTs into executable physical operator trees
-// in three stages: apply decorrelation (the rewrite that gives the paper's
-// "Aggify+" configuration its set-oriented plans), a rule-based logical
-// rewrite pass over a small relational IR (logical.go + rewrite.go: UDF
-// inlining, constant folding, predicate pushdown, projection pruning,
-// redundant-sort elimination, each individually toggleable and reported in
-// EXPLAIN), and physical compilation of that IR: predicate placement,
+// in two stages: a rule-based logical rewrite pass over a small relational
+// IR (logical.go + rewrite.go: apply decorrelation, the rewrite that gives
+// the paper's "Aggify+" configuration its set-oriented plans; UDF inlining,
+// constant folding, predicate pushdown, projection pruning, redundant-sort
+// elimination, each individually toggleable and reported in EXPLAIN), and
+// physical compilation of that IR: predicate placement,
 // index-seek selection, join-order and join-algorithm choice,
 // scalar-subquery apply, and the paper's Eq. 6 streaming-aggregate
 // enforcement for order-sensitive custom aggregates.
@@ -35,11 +35,6 @@ type Catalog interface {
 // Options control optimizer behaviour; the zero value is the default
 // configuration used by the engine.
 type Options struct {
-	// DisableDecorrelation turns off the apply-decorrelation rewrite
-	// (for the Aggify+ ablation). It also disables logical rewrite rules
-	// that assume decorrelated shapes (RulePushFilterDecor), so the
-	// ablation measures what it claims.
-	DisableDecorrelation bool
 	// DisableRules turns off individual logical rewrite rules (rewrite.go);
 	// RuleAll disables the whole pass. A bitmask rather than a slice so
 	// Options stays usable as a plan-cache key.

@@ -1,7 +1,8 @@
 // Rule-based rewrite pass over the logical IR (logical.go). Compile runs it
-// between decorrelation and physical compilation: the query is cloned, built
-// into the IR, and normalized in place by a fixpoint loop of local rules and
-// two cost-based passes; the physical compiler then reads the normalized IR.
+// between building the IR and physical compilation: the query is cloned,
+// built into the IR, and normalized in place by decorrelation and UDF
+// inlining (once each), a fixpoint loop of local rules and two cost-based
+// passes; the physical compiler then reads the normalized IR.
 // Every rule is individually toggleable through Options.DisableRules (for
 // bisection; with RuleAll the IR is built and compiled with no rule run),
 // every firing is counted into Plan.Rewrites for the EXPLAIN `rewrites:`
@@ -45,8 +46,8 @@ const (
 	// RulePushFilterDecor pushes predicates through the shapes decorrelation
 	// emits: group-key predicates into grouped derived tables, and preserved-
 	// side predicates below LEFT JOINs. Disabled automatically when
-	// Options.DisableDecorrelation is set, so the decorrelation ablation
-	// measures what it claims.
+	// RuleDecorrelate is, so the decorrelation ablation measures what it
+	// claims.
 	RulePushFilterDecor
 	// RulePruneProject drops unreferenced pass-through columns from derived
 	// table projections so only referenced columns flow through joins.
@@ -73,11 +74,16 @@ const (
 	// RuleInlineUDF replaces each call to a loop-free scalar UDF in a select
 	// list or a WHERE/HAVING conjunct with the expression package froid
 	// composes from the stored body (Froid; the paper's Aggify+ when the
-	// body is an Aggify rewrite). It runs after decorrelation, so the
+	// body is an Aggify rewrite). It runs after RuleDecorrelate, so the
 	// subqueries it introduces execute as correlated applies — the plan the
 	// UDF body ran, without the interpreter around it. Calls it leaves in
 	// place are listed with a reason code in Plan.Declined.
 	RuleInlineUDF
+	// RuleDecorrelate rewrites each correlated scalar-aggregate subquery in
+	// the root block's projection into a left join against a grouped
+	// derived table (decorrelate.go): the set-oriented plan of the paper's
+	// Aggify+. It runs once, before every other rule.
+	RuleDecorrelate
 
 	ruleSentinel
 )
@@ -89,10 +95,12 @@ const RuleAll RuleSet = ruleSentinel - 1
 func (r RuleSet) Has(x RuleSet) bool { return r&x != 0 }
 
 // ruleOrder fixes the reporting order (the order rules run in a pass).
-var ruleOrder = []RuleSet{RuleInlineUDF, RuleFoldConst, RulePushFilter, RulePushFilterDecor, RulePruneProject, RuleDropSort, RuleReorderJoins, RuleChooseAccessPath}
+var ruleOrder = []RuleSet{RuleDecorrelate, RuleInlineUDF, RuleFoldConst, RulePushFilter, RulePushFilterDecor, RulePruneProject, RuleDropSort, RuleReorderJoins, RuleChooseAccessPath}
 
 func ruleName(r RuleSet) string {
 	switch r {
+	case RuleDecorrelate:
+		return "decorrelate"
 	case RuleInlineUDF:
 		return "inline_udf"
 	case RuleFoldConst:
@@ -142,8 +150,12 @@ func (rw *rewriter) firedList() []string {
 }
 
 func (rw *rewriter) run(n lNode) lNode {
-	// Inlining runs once, first: it only expands calls, and the local rules
-	// below then see (and fold) the composed expressions.
+	// Decorrelation runs once, first, on the subqueries the query was
+	// written with. Inlining runs once, next: it only expands calls, and the
+	// local rules below then see (and fold) the composed expressions.
+	if rw.rules.Has(RuleDecorrelate) {
+		n = rw.decorrelatePass(n)
+	}
 	if rw.rules.Has(RuleInlineUDF) {
 		n = rw.inlinePass(n)
 	}
@@ -819,36 +831,38 @@ func (rw *rewriter) pushIntoDerived(d *lDerived, pred ast.Expr) (RuleSet, bool) 
 }
 
 // totalPushExpr reports whether e is total: evaluating it can never raise a
-// runtime error, regardless of input values. Comparisons, Kleene AND/OR/NOT,
-// LIKE, CONCAT, IS NULL, BETWEEN, CASE, and IN over a list are total;
-// arithmetic (overflow, division by zero), unary minus, function calls, and
-// subqueries are not. Moving a total predicate can never introduce an error
-// the original query would not have raised.
-func totalPushExpr(e ast.Expr) bool {
-	total := true
+// runtime error, regardless of input values. Moving a total predicate can
+// never introduce an error the original query would not have raised.
+func totalPushExpr(e ast.Expr) bool { return !hasPartialOp(e, false) }
+
+// hasPartialOp reports whether e contains an operation that can raise a
+// runtime error; with overColumns, only one whose operands reference a
+// column counts. Comparisons, Kleene AND/OR/NOT, LIKE, CONCAT, IS NULL,
+// BETWEEN, CASE, and IN over a list are total; arithmetic (overflow,
+// division by zero), unary minus, function calls, and subqueries are not.
+func hasPartialOp(e ast.Expr, overColumns bool) bool {
+	found := false
 	ast.WalkExpr(e, func(x ast.Expr) bool {
+		partial := true
 		switch t := x.(type) {
 		case *ast.Literal, *ast.ColRef, *ast.VarRef, *ast.ParamRef,
 			*ast.IsNullExpr, *ast.BetweenExpr, *ast.CaseExpr:
+			partial = false
 		case *ast.BinExpr:
 			switch t.Op {
 			case sqltypes.OpAdd, sqltypes.OpSub, sqltypes.OpMul, sqltypes.OpDiv, sqltypes.OpMod:
-				total = false
+			default:
+				partial = false
 			}
 		case *ast.UnaryExpr:
-			if t.Op == '-' {
-				total = false
-			}
+			partial = t.Op == '-'
 		case *ast.InExpr:
-			if t.Query != nil {
-				total = false
-			}
-		default:
-			total = false
+			partial = t.Query != nil
 		}
-		return total
+		found = found || partial && (!overColumns || len(ast.ColRefs(x)) > 0)
+		return !found
 	})
-	return total
+	return found
 }
 
 // --- prune_project ---

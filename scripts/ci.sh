@@ -78,14 +78,17 @@ stage "access paths (BETWEEN differential, seek operand parity, sort-once build,
 go test -count=1 -run 'TestBetweenRangeSeekDifferential|TestSeekOperandErrorParity|TestDMLRowSourceDifferential|TestUpdateSeeksOneRow|TestPlanCacheStatsDriftReplan|TestCreateIndexRefreshesStatistics' ./internal/engine
 go test -count=1 -run 'TestCreateIndexBuildMatchesIncremental|TestSeekAllocs|TestStatisticsReuseWithinDrift|TestCreateIndexDropsCachedStatistics|TestHistogramEquiDepth' ./internal/storage
 
-stage "inline_udf (differential on/off embedded and TCP, froid repros and reason codes, replan after CREATE FUNCTION, rewrite trace)"
+stage "Aggify+ rules (inline_udf, decorrelate)"
 # inline_udf runs each loop-free UDF call as the expression froid composes
 # from its body: every workload driver and inline shape answers alike with
 # the rule on and off, embedded and over TCP; the froid repros (argument
 # capture, numeric and date coercion) and the decline reason codes hold;
 # CREATE FUNCTION replans a statement already prepared on a connection.
-inline='TestInlineUDFDifferential|TestInlinedBodyReplannedAfterCreateFunction|TestRewriteTraceGolden'
-froid='TestInlineArgumentNotCaptured|TestInlineCoerces|TestDeclineReasonCodes'
+# decorrelate turns a correlated scalar aggregate into a left join: the
+# same rows or the same error with it on, off, alone and with no rule, and
+# the inlined-then-decorrelated Aggify+ pipeline agrees with the UDF calls.
+inline='TestInlineUDFDifferential|TestInlinedBodyReplannedAfterCreateFunction|TestRewriteTraceGolden|TestDecorrelateDifferential|TestDecorrelateEdgeCases'
+froid='TestInlineArgumentNotCaptured|TestInlineCoerces|TestDeclineReasonCodes|TestAggifyPlusPipeline'
 go test -count=1 -run "$inline" .
 go test -count=1 -run "$froid" ./internal/froid
 go test -race -count=1 -run "$inline" .
