@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"aggify"
+	"aggify/internal/exec"
 	"aggify/internal/server"
 )
 
@@ -164,6 +165,40 @@ func (g *geoMeanAgg) Terminate() (aggify.Value, error) {
 		return aggify.Null, nil
 	}
 	return aggify.Float(math.Pow(g.product, 1/float64(g.n))), nil
+}
+
+// TestNativeAggregateResetEqualsNew: the executor keeps aggregate
+// instances and Resets them (Init) between groups and re-Opens, so a native
+// aggregate after Reset must answer as a new instance does.
+func TestNativeAggregateResetEqualsNew(t *testing.T) {
+	db := aggify.Open()
+	if err := db.RegisterAggregate("geomean", false, func() aggify.Aggregator { return &geoMeanAgg{} }); err != nil {
+		t.Fatal(err)
+	}
+	spec, ok := db.Engine().Aggregate("geomean")
+	if !ok {
+		t.Fatal("geomean not registered")
+	}
+	fold := func(agg exec.Aggregator, vals ...float64) string {
+		agg.Reset()
+		for _, v := range vals {
+			if err := agg.Step(nil, []aggify.Value{aggify.Float(v)}); err != nil {
+				return err.Error()
+			}
+		}
+		v, err := agg.Result(nil)
+		return fmt.Sprint(v, err)
+	}
+	used := spec.New()
+	inputs := [][]float64{{2, 8}, {}, {5}, {1, 4, 16}}
+	for _, first := range inputs {
+		for _, second := range inputs {
+			fold(used, first...)
+			if got, want := fold(used, second...), fold(spec.New(), second...); got != want {
+				t.Errorf("over %v after %v: got %s, a new instance %s", second, first, got, want)
+			}
+		}
+	}
 }
 
 // TestRedefinedAggregateReplans: a plan binds the *exec.AggSpec it was

@@ -41,7 +41,10 @@ func argBuffers(aggs []AggInstance) [][]sqltypes.Value {
 // HashAggOp groups its input by GroupKeys and folds each group through the
 // aggregates. With no group keys it is a scalar aggregate: exactly one
 // output row, produced even for empty input (Init + Terminate only — the
-// semantics Aggify's empty-cursor case relies on).
+// semantics Aggify's empty-cursor case relies on). A scalar aggregate keeps
+// its aggregator instances and argument buffers across re-Opens and Resets
+// them, so a correlated subquery re-opened per outer row creates its
+// aggregates (and a compiled aggregate its machine) once.
 type HashAggOp struct {
 	Child     Operator
 	GroupKeys []Scalar
@@ -49,6 +52,8 @@ type HashAggOp struct {
 
 	groups []Row
 	pos    int
+	bufs   [][]sqltypes.Value
+	scalar *aggGroup // the one group of a scalar aggregate, reused
 }
 
 // BufferedRows reports the number of materialized groups.
@@ -60,31 +65,47 @@ type aggGroup struct {
 	aggs []Aggregator
 }
 
+// newAggs creates and initializes one instance of each aggregate.
+func newAggs(aggs []AggInstance) []Aggregator {
+	out := make([]Aggregator, len(aggs))
+	for i, ai := range aggs {
+		out[i] = ai.Spec.New()
+		out[i].Reset()
+	}
+	return out
+}
+
+// resetAggs re-initializes aggregator instances for another pass.
+func resetAggs(aggs []Aggregator) {
+	for _, a := range aggs {
+		a.Reset()
+	}
+}
+
 // Open implements Operator: it consumes the child entirely, one row per
 // Step, checking for cancellation every refillRows rows.
 func (o *HashAggOp) Open(ctx *Ctx) error {
-	o.groups = nil
+	clear(o.groups)
+	o.groups = o.groups[:0]
 	o.pos = 0
+	if o.bufs == nil {
+		o.bufs = argBuffers(o.Aggs)
+	}
 	if err := o.Child.Open(ctx); err != nil {
 		return err
 	}
 	defer o.Child.Close()
 
-	newGroup := func(keys []sqltypes.Value) *aggGroup {
-		g := &aggGroup{keys: keys, aggs: make([]Aggregator, len(o.Aggs))}
-		for i, ai := range o.Aggs {
-			g.aggs[i] = ai.Spec.New()
-			g.aggs[i].Reset()
-		}
-		return g
-	}
-	table := map[uint64][]*aggGroup{}
-	bufs := argBuffers(o.Aggs)
+	var table map[uint64][]*aggGroup
 	var order []*aggGroup // preserve first-seen group order for determinism
-	var scalarGroup *aggGroup
 	if len(o.GroupKeys) == 0 {
-		scalarGroup = newGroup(nil)
-		order = append(order, scalarGroup)
+		if o.scalar == nil {
+			o.scalar = &aggGroup{aggs: newAggs(o.Aggs)}
+		} else {
+			resetAggs(o.scalar.aggs)
+		}
+	} else {
+		table = map[uint64][]*aggGroup{}
 	}
 	for n := 1; ; n++ {
 		row, err := o.Child.Next(ctx)
@@ -97,8 +118,8 @@ func (o *HashAggOp) Open(ctx *Ctx) error {
 		if n%refillRows == 0 && ctx.Interrupted() {
 			return ErrInterrupted
 		}
-		g := scalarGroup
-		if g == nil {
+		g := o.scalar
+		if table != nil {
 			keys := make([]sqltypes.Value, len(o.GroupKeys))
 			for i, k := range o.GroupKeys {
 				if keys[i], err = k(ctx, row); err != nil {
@@ -106,6 +127,7 @@ func (o *HashAggOp) Open(ctx *Ctx) error {
 				}
 			}
 			h := sqltypes.HashRow(keys)
+			g = nil
 			for _, cand := range table[h] {
 				if sqltypes.RowsGroupEqual(cand.keys, keys) {
 					g = cand
@@ -113,29 +135,41 @@ func (o *HashAggOp) Open(ctx *Ctx) error {
 				}
 			}
 			if g == nil {
-				g = newGroup(keys)
+				g = &aggGroup{keys: keys, aggs: newAggs(o.Aggs)}
 				table[h] = append(table[h], g)
 				order = append(order, g)
 			}
 		}
 		for i := range o.Aggs {
-			if err := o.Aggs[i].step(ctx, g.aggs[i], row, bufs[i]); err != nil {
+			if err := o.Aggs[i].step(ctx, g.aggs[i], row, o.bufs[i]); err != nil {
 				return err
 			}
 		}
+	}
+	if table == nil {
+		return o.emit(ctx, o.scalar)
 	}
 	for _, g := range order {
-		out := make(Row, len(g.keys)+len(g.aggs))
-		copy(out, g.keys)
-		for i, a := range g.aggs {
-			v, err := a.Result(ctx)
-			if err != nil {
-				return err
-			}
-			out[len(g.keys)+i] = v
+		if err := o.emit(ctx, g); err != nil {
+			return err
 		}
-		o.groups = append(o.groups, out)
 	}
+	return nil
+}
+
+// emit terminates g's aggregates into a fresh output row: consumers may
+// keep the rows they are handed.
+func (o *HashAggOp) emit(ctx *Ctx, g *aggGroup) error {
+	out := make(Row, len(g.keys)+len(g.aggs))
+	copy(out, g.keys)
+	for i, a := range g.aggs {
+		v, err := a.Result(ctx)
+		if err != nil {
+			return err
+		}
+		out[len(g.keys)+i] = v
+	}
+	o.groups = append(o.groups, out)
 	return nil
 }
 
@@ -149,8 +183,12 @@ func (o *HashAggOp) Next(*Ctx) (Row, error) {
 	return r, nil
 }
 
-// Close implements Operator.
-func (o *HashAggOp) Close() { o.groups = nil }
+// Close implements Operator. It keeps the group buffer's capacity for a
+// re-Open.
+func (o *HashAggOp) Close() {
+	clear(o.groups)
+	o.groups = o.groups[:0]
+}
 
 // StreamAggOp is the streaming aggregate operator: it folds its input in
 // arrival order, emitting a group whenever the group keys change. Its input
@@ -168,6 +206,9 @@ type StreamAggOp struct {
 	childEOF bool
 	emitted  bool // scalar-aggregate case: one row emitted
 	bufs     [][]sqltypes.Value
+	// scalarAggs are the instances of a scalar aggregate (no group keys),
+	// kept across re-Opens and Reset for each pass.
+	scalarAggs []Aggregator
 }
 
 // Open implements Operator.
@@ -177,17 +218,24 @@ func (o *StreamAggOp) Open(ctx *Ctx) error {
 	o.started = false
 	o.childEOF = false
 	o.emitted = false
-	o.bufs = argBuffers(o.Aggs)
+	if o.bufs == nil {
+		o.bufs = argBuffers(o.Aggs)
+	}
 	return o.Child.Open(ctx)
 }
 
+// freshAggs returns initialized aggregator instances for the next group: a
+// new set per group, or the scalar aggregate's one set, Reset.
 func (o *StreamAggOp) freshAggs() []Aggregator {
-	aggs := make([]Aggregator, len(o.Aggs))
-	for i, ai := range o.Aggs {
-		aggs[i] = ai.Spec.New()
-		aggs[i].Reset()
+	if len(o.GroupKeys) > 0 {
+		return newAggs(o.Aggs)
 	}
-	return aggs
+	if o.scalarAggs == nil {
+		o.scalarAggs = newAggs(o.Aggs)
+	} else {
+		resetAggs(o.scalarAggs)
+	}
+	return o.scalarAggs
 }
 
 func (o *StreamAggOp) result(ctx *Ctx) (Row, error) {

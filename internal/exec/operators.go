@@ -219,8 +219,12 @@ func (o *IndexSeekOp) Next(*Ctx) (Row, error) {
 	return r, nil
 }
 
-// Close implements Operator.
-func (o *IndexSeekOp) Close() { o.rows = nil }
+// Close implements Operator. It keeps the row buffer's capacity for a
+// re-Open.
+func (o *IndexSeekOp) Close() {
+	clear(o.rows)
+	o.rows = o.rows[:0]
+}
 
 // RangeSeekOp streams the rows of Table whose Column falls in [Lo, Hi]
 // through an ordered index. A nil bound scalar is unbounded on that side; a
@@ -939,10 +943,12 @@ func (o *ConcatOp) Open(ctx *Ctx) error {
 func (o *ConcatOp) Next(ctx *Ctx) (Row, error) {
 	for o.cur < len(o.Children) {
 		if !o.open {
+			// Mark open before the call so a failed child Open is still
+			// closed (the Operator contract makes that safe).
+			o.open = true
 			if err := o.Children[o.cur].Open(ctx); err != nil {
 				return nil, err
 			}
-			o.open = true
 		}
 		r, err := o.Children[o.cur].Next(ctx)
 		if err != nil {

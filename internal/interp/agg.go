@@ -62,13 +62,32 @@ type interpAgg struct {
 
 // Reset implements exec.Aggregator (the contract's Init is deferred to the
 // first Step/Result since running the body requires an execution context).
+// A used instance keeps its runner, and with it the runner's cached
+// subquery trees, but gets an empty frame: afterwards it runs exactly as a
+// new instance would.
 func (a *interpAgg) Reset() {
 	a.needInit = true
 	if a.r != nil {
-		for _, f := range a.def.Fields {
-			_ = a.r.Frame.declare(f.Name, f.Type, sqltypes.Null)
+		a.r.cleanup()
+		a.r.Frame.reset()
+		a.r.Results = nil
+		_ = a.declareState()
+	}
+}
+
+// declareState declares the fields and parameters, all NULL.
+func (a *interpAgg) declareState() error {
+	for _, f := range a.def.Fields {
+		if err := a.r.Frame.declare(f.Name, f.Type, sqltypes.Null); err != nil {
+			return err
 		}
 	}
+	for _, p := range a.def.Params {
+		if err := a.r.Frame.declare(p.Name, p.Type, sqltypes.Null); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (a *interpAgg) ensure(ctx *exec.Ctx) error {
@@ -78,15 +97,8 @@ func (a *interpAgg) ensure(ctx *exec.Ctx) error {
 			return fmt.Errorf("interp: aggregate %s executed without a session context", a.def.Name)
 		}
 		a.r = NewRunner(sess)
-		for _, f := range a.def.Fields {
-			if err := a.r.Frame.declare(f.Name, f.Type, sqltypes.Null); err != nil {
-				return err
-			}
-		}
-		for _, p := range a.def.Params {
-			if err := a.r.Frame.declare(p.Name, p.Type, sqltypes.Null); err != nil {
-				return err
-			}
+		if err := a.declareState(); err != nil {
+			return err
 		}
 	}
 	if a.needInit {

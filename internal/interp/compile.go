@@ -742,13 +742,21 @@ type compiledAgg struct {
 	needInit bool
 }
 
-// Reset implements exec.Aggregator.
+// Reset implements exec.Aggregator. A used instance keeps its machine, and
+// with it the machine's context and cached subquery trees, but every slot,
+// table and cursor is cleared: afterwards it runs exactly as a new instance
+// would.
 func (a *compiledAgg) Reset() {
 	a.needInit = true
-	if a.m != nil {
-		for i := range a.m.slots {
-			a.m.slots[i] = sqltypes.Null
+	if m := a.m; m != nil {
+		clear(m.slots)
+		clear(m.tables)
+		for _, c := range m.cursors {
+			if c != nil {
+				c.Deallocate()
+			}
 		}
+		clear(m.cursors)
 	}
 }
 

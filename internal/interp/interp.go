@@ -66,6 +66,15 @@ func newFrame() *frame {
 	}
 }
 
+// reset empties f for reuse, leaving it as newFrame made it.
+func (f *frame) reset() {
+	clear(f.vars)
+	clear(f.types)
+	clear(f.tables)
+	clear(f.cursors)
+	f.fetchStatus = 0
+}
+
 func (f *frame) lookup(name string) (sqltypes.Value, bool) {
 	if name == ast.FetchStatusVar {
 		return sqltypes.NewInt(f.fetchStatus), true

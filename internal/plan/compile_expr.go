@@ -326,7 +326,7 @@ func (c *compiler) compileIn(x *ast.InExpr, sc *scope, env *cteEnv) (exec.Scalar
 			return finish(false, sawNull), nil
 		}, nil
 	}
-	builder, _, _, err := c.compileQuery(x.Query, sc, env)
+	sq, _, err := c.compileSubqueryTree(x.Query, sc, env)
 	if err != nil {
 		return nil, err
 	}
@@ -335,53 +335,105 @@ func (c *compiler) compileIn(x *ast.InExpr, sc *scope, env *cteEnv) (exec.Scalar
 		if err != nil {
 			return sqltypes.Null, err
 		}
-		if v.IsNull() {
-			return sqltypes.Null, nil
-		}
 		ctx.OuterRows = append(ctx.OuterRows, row)
-		rows, err := exec.Drain(ctx, builder(&buildCtx{}))
-		ctx.OuterRows = ctx.OuterRows[:len(ctx.OuterRows)-1]
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		sawNull := false
-		for _, r := range rows {
-			if len(r) != 1 {
-				return sqltypes.Null, errf("IN subquery must return one column")
+		op, err := sq.open(ctx)
+		// The rows are drained to the end, as a materialized set would be:
+		// an error in a later row wins over an earlier match. A NULL probe
+		// reads one row only: NULL IN (non-empty set) is unknown, NULL IN
+		// (empty set) FALSE.
+		matched, sawNull, wide := false, false, false
+		for err == nil {
+			var r exec.Row
+			if r, err = op.Next(ctx); err != nil || r == nil {
+				break
 			}
-			cv, ok := sqltypes.Compare(v, r[0])
-			if !ok {
-				sawNull = true
+			if matched || wide {
 				continue
 			}
-			if cv == 0 {
-				return finish(true, false), nil
+			if len(r) != 1 {
+				wide = true
+				continue
+			}
+			if v.IsNull() {
+				sawNull = true
+				break
+			}
+			cv, ok := sqltypes.Compare(v, r[0])
+			switch {
+			case !ok:
+				sawNull = true
+			case cv == 0:
+				matched = true
 			}
 		}
-		return finish(false, sawNull), nil
+		sq.done(ctx, op, err)
+		ctx.OuterRows = ctx.OuterRows[:len(ctx.OuterRows)-1]
+		switch {
+		case err != nil:
+			return sqltypes.Null, err
+		case wide:
+			return sqltypes.Null, errf("IN subquery must return one column")
+		}
+		return finish(matched, sawNull), nil
 	}, nil
+}
+
+// subquery is a compiled subquery: the builder of its operator tree and the
+// key the trees are cached under. An evaluation takes the subquery's idle
+// tree from its execution context, or builds one when none is idle, drains
+// it and puts it back, so one execution builds the tree once and re-opens
+// it for every outer row.
+type subquery struct {
+	build opBuilder
+	key   *exec.TreeKey
+}
+
+func (c *compiler) compileSubqueryTree(q *ast.Select, sc *scope, env *cteEnv) (*subquery, []string, error) {
+	builder, cols, _, err := c.compileQuery(q, sc, env)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &subquery{build: builder, key: new(exec.TreeKey)}, cols, nil
+}
+
+// open takes or builds a tree and opens it; the caller has pushed the
+// current row onto ctx.OuterRows.
+func (sq *subquery) open(ctx *exec.Ctx) (exec.Operator, error) {
+	op := ctx.TakeTree(sq.key)
+	if op == nil {
+		op = sq.build(&buildCtx{})
+	}
+	return op, op.Open(ctx)
+}
+
+// done closes op and caches it for the next evaluation under ctx, unless
+// its Open or a Next failed (err): a failed tree is dropped.
+func (sq *subquery) done(ctx *exec.Ctx, op exec.Operator, err error) {
+	op.Close()
+	if err == nil {
+		ctx.PutTree(sq.key, op)
+	}
 }
 
 // compileSubquery compiles scalar and EXISTS subqueries; scalar subqueries
 // returning multiple columns yield a tuple value (used by the Aggify
 // multi-live-variable rewrite).
 func (c *compiler) compileSubquery(x *ast.Subquery, sc *scope, env *cteEnv) (exec.Scalar, error) {
-	builder, cols, _, err := c.compileQuery(x.Query, sc, env)
+	sq, cols, err := c.compileSubqueryTree(x.Query, sc, env)
 	if err != nil {
 		return nil, err
 	}
 	if x.Exists {
 		return func(ctx *exec.Ctx, row exec.Row) (sqltypes.Value, error) {
 			ctx.OuterRows = append(ctx.OuterRows, row)
-			op := builder(&buildCtx{})
+			op, err := sq.open(ctx)
 			found := false
-			err := op.Open(ctx)
 			if err == nil {
 				var r exec.Row
 				r, err = op.Next(ctx)
 				found = r != nil
 			}
-			op.Close()
+			sq.done(ctx, op, err)
 			ctx.OuterRows = ctx.OuterRows[:len(ctx.OuterRows)-1]
 			if err != nil {
 				return sqltypes.Null, err
@@ -392,20 +444,33 @@ func (c *compiler) compileSubquery(x *ast.Subquery, sc *scope, env *cteEnv) (exe
 	ncols := len(cols)
 	return func(ctx *exec.Ctx, row exec.Row) (sqltypes.Value, error) {
 		ctx.OuterRows = append(ctx.OuterRows, row)
-		rows, err := exec.Drain(ctx, builder(&buildCtx{}))
-		ctx.OuterRows = ctx.OuterRows[:len(ctx.OuterRows)-1]
-		if err != nil {
-			return sqltypes.Null, err
+		op, err := sq.open(ctx)
+		// Keep the first row and count the rest: more than one is an error.
+		var first exec.Row
+		n := 0
+		for err == nil {
+			var r exec.Row
+			if r, err = op.Next(ctx); err != nil || r == nil {
+				break
+			}
+			if n == 0 {
+				first = r
+			}
+			n++
 		}
+		sq.done(ctx, op, err)
+		ctx.OuterRows = ctx.OuterRows[:len(ctx.OuterRows)-1]
 		switch {
-		case len(rows) == 0:
+		case err != nil:
+			return sqltypes.Null, err
+		case n == 0:
 			return sqltypes.Null, nil
-		case len(rows) > 1:
-			return sqltypes.Null, errf("scalar subquery returned %d rows", len(rows))
+		case n > 1:
+			return sqltypes.Null, errf("scalar subquery returned %d rows", n)
 		case ncols == 1:
-			return rows[0][0], nil
+			return first[0], nil
 		default:
-			return sqltypes.NewTuple(rows[0]), nil
+			return sqltypes.NewTuple(first), nil
 		}
 	}, nil
 }
