@@ -12,6 +12,10 @@ import (
 // Built-in aggregates and Aggify-generated aggregates both implement it.
 type Aggregator interface {
 	// Reset re-initializes the aggregate state (the contract's Init).
+	// Executors reuse instances — a scalar aggregate re-opened per outer
+	// row Resets the same instance — so after Reset an instance must be
+	// indistinguishable from New() followed by Reset(), whatever an earlier
+	// pass (also a failed one) left behind.
 	Reset()
 	// Step folds one input tuple into the state (the contract's Accumulate).
 	// The context gives interpreted aggregates access to query execution
@@ -28,7 +32,8 @@ type Aggregator interface {
 // AggSpec describes an aggregate function available to the planner.
 type AggSpec struct {
 	Name string
-	// New creates a fresh Aggregator instance.
+	// New creates a fresh Aggregator instance; executors call Reset before
+	// its first Step and may Reset it again to reuse it.
 	New func() Aggregator
 	// OrderSensitive marks aggregates whose result depends on input order
 	// (Aggify-generated aggregates over ORDER BY cursors). The planner must
