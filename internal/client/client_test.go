@@ -63,8 +63,8 @@ insert into monthly_investments values
 	if m.RowsTransferred != 3 {
 		t.Fatalf("rows transferred = %d", m.RowsTransferred)
 	}
-	if m.RoundTrips < 2 { // query + at least one fetch batch
-		t.Fatalf("round trips = %d", m.RoundTrips)
+	if m.RoundTrips != 1 { // the query's reply carries all three rows
+		t.Fatalf("round trips = %d, want 1", m.RoundTrips)
 	}
 	if m.BytesToClient <= 0 || m.BytesToServer <= 0 {
 		t.Fatalf("meter = %+v", m)
@@ -100,9 +100,9 @@ func TestFetchBatching(t *testing.T) {
 		t.Fatalf("count = %d", count)
 	}
 	m := conn.Meter()
-	// 1 query round trip + 10 fetch batches.
-	if m.RoundTrips != 11 {
-		t.Fatalf("round trips = %d, want 11", m.RoundTrips)
+	// The query's reply carries the first batch, then 9 fetch batches.
+	if m.RoundTrips != 10 {
+		t.Fatalf("round trips = %d, want 10", m.RoundTrips)
 	}
 	// Early close skips transfer of remaining rows.
 	conn.ResetMeter()
@@ -303,9 +303,10 @@ func TestEarlyCloseNeverTransfersUnfetched(t *testing.T) {
 		if m.RowsTransferred != 10 {
 			t.Fatalf("%s: transferred %d rows, want one batch of 10", name, m.RowsTransferred)
 		}
-		// query + one fetch + cursor close, nothing else.
-		if m.RoundTrips != 3 {
-			t.Fatalf("%s: round trips = %d, want 3", name, m.RoundTrips)
+		// The query (its reply carries the first batch) and one cursor
+		// close, nothing else.
+		if m.RoundTrips != 2 {
+			t.Fatalf("%s: round trips = %d, want 2", name, m.RoundTrips)
 		}
 		meters[name] = m
 		conn.Close()
@@ -318,8 +319,8 @@ func TestEarlyCloseNeverTransfersUnfetched(t *testing.T) {
 	}
 }
 
-// TestZeroRowResult covers the empty result set: one fetch round trip
-// reports done with no rows on both transports.
+// TestZeroRowResult covers the empty result set: the query's reply reports
+// done with no rows.
 func TestZeroRowResult(t *testing.T) {
 	eng := newServer(t)
 	setup := client.Connect(eng, wire.LAN)

@@ -91,12 +91,17 @@ func (t *socket) Prepare(src string) (uint32, error) {
 	return wire.DecodeStmtResp(body)
 }
 
-func (t *socket) Query(stmtID uint32, args []sqltypes.Value) (uint32, []string, error) {
-	body, err := t.expect(wire.MsgQuery, wire.EncodeQueryReq(stmtID, args), wire.MsgCursor)
+func (t *socket) Query(stmtID uint32, args []sqltypes.Value, maxRows int) (uint32, []string, [][]sqltypes.Value, bool, error) {
+	body, err := t.expect(wire.MsgQuery, wire.EncodeQueryBatchReq(stmtID, args, maxRows), wire.MsgCursor)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, nil, false, err
 	}
-	return wire.DecodeCursorResp(body)
+	curID, cols, rows, done, err := wire.DecodeCursorBatchResp(body)
+	if err != nil {
+		return 0, nil, nil, false, err
+	}
+	t.meter.RowsTransferred += int64(len(rows))
+	return curID, cols, rows, done, nil
 }
 
 func (t *socket) Fetch(cursorID uint32, maxRows int) ([][]sqltypes.Value, bool, error) {

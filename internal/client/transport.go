@@ -21,8 +21,11 @@ type Transport interface {
 	Exec(src string) (*wire.ExecResult, error)
 	// Prepare registers a single SELECT and returns its statement id.
 	Prepare(src string) (uint32, error)
-	// Query opens a server-side cursor over a prepared statement's result.
-	Query(stmtID uint32, args []sqltypes.Value) (cursorID uint32, cols []string, err error)
+	// Query opens a server-side cursor over a prepared statement's result
+	// and returns its first batch of at most maxRows rows in the same round
+	// trip; done reports that batch the whole result (the cursor already
+	// released server-side).
+	Query(stmtID uint32, args []sqltypes.Value, maxRows int) (cursorID uint32, cols []string, rows [][]sqltypes.Value, done bool, err error)
 	// Fetch pulls the next batch; done reports the cursor exhausted (and
 	// released server-side).
 	Fetch(cursorID uint32, maxRows int) (rows [][]sqltypes.Value, done bool, err error)
@@ -88,14 +91,15 @@ func (t *inproc) Prepare(src string) (uint32, error) {
 	return id, err
 }
 
-func (t *inproc) Query(stmtID uint32, args []sqltypes.Value) (uint32, []string, error) {
-	curID, cols, err := t.b.Query(stmtID, args)
+func (t *inproc) Query(stmtID uint32, args []sqltypes.Value, maxRows int) (uint32, []string, [][]sqltypes.Value, bool, error) {
+	curID, cols, rows, done, err := t.b.QueryBatch(stmtID, args, maxRows)
 	respBody := 0
 	if err == nil {
-		respBody = len(wire.EncodeCursorResp(curID, cols))
+		respBody = len(wire.EncodeCursorBatchResp(curID, cols, rows, done))
+		t.meter.RowsTransferred += int64(len(rows))
 	}
-	t.charge(len(wire.EncodeQueryReq(stmtID, args)), respBody, err)
-	return curID, cols, err
+	t.charge(len(wire.EncodeQueryBatchReq(stmtID, args, maxRows)), respBody, err)
+	return curID, cols, rows, done, err
 }
 
 func (t *inproc) Fetch(cursorID uint32, maxRows int) ([][]sqltypes.Value, bool, error) {

@@ -118,7 +118,8 @@ func (b *Backend) Prepare(src string) (uint32, error) {
 }
 
 // Query executes a prepared statement and opens a server-side cursor over
-// its full result. No rows travel yet: the client pulls them with Fetch.
+// its full result. It hands out no rows: a MsgQuery exchange goes through
+// QueryBatch, whose reply carries the first batch, and Fetch pulls the rest.
 func (b *Backend) Query(stmtID uint32, args []sqltypes.Value) (uint32, []string, error) {
 	ps, ok := b.stmts[stmtID]
 	if !ok {
@@ -141,6 +142,19 @@ func (b *Backend) Query(stmtID uint32, args []sqltypes.Value) (uint32, []string,
 	return b.nextCursor, cols, nil
 }
 
+// QueryBatch is one MsgQuery exchange: Query, then the first Fetch of at
+// most maxRows rows. A maxRows of 0 fetches nothing and leaves the cursor
+// open. A first batch that exhausts the result comes back done, with the
+// cursor already released, so a small result costs one round trip.
+func (b *Backend) QueryBatch(stmtID uint32, args []sqltypes.Value, maxRows int) (uint32, []string, [][]sqltypes.Value, bool, error) {
+	curID, cols, err := b.Query(stmtID, args)
+	if err != nil || maxRows <= 0 {
+		return curID, cols, nil, false, err
+	}
+	rows, done, err := b.Fetch(curID, maxRows)
+	return curID, cols, rows, done, err
+}
+
 // Fetch returns the next batch of at most maxRows rows. done reports the
 // cursor exhausted; an exhausted cursor is released immediately, so a full
 // scan never needs a CloseCursor round trip.
@@ -159,10 +173,12 @@ func (b *Backend) Fetch(cursorID uint32, maxRows int) ([][]sqltypes.Value, bool,
 	if maxRows < 1 {
 		maxRows = 1
 	}
-	hi := c.pos + maxRows
-	if hi > len(c.rows) {
-		hi = len(c.rows)
+	// Clamp before adding: c.pos + maxRows wraps negative for a maxRows
+	// near MaxInt.
+	if left := len(c.rows) - c.pos; maxRows > left {
+		maxRows = left
 	}
+	hi := c.pos + maxRows
 	batch := c.rows[c.pos:hi]
 	c.pos = hi
 	done := c.pos >= len(c.rows)

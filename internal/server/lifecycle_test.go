@@ -200,7 +200,8 @@ func TestServerMetricsOverSocket(t *testing.T) {
 	if st.Connections != 1 {
 		t.Errorf("connections = %d", st.Connections)
 	}
-	if st.Execs != 1 || st.Queries != 1 || st.Fetches < 1 {
+	// The query's reply carried all three rows: no MsgFetch was sent.
+	if st.Execs != 1 || st.Queries != 1 || st.Fetches != 0 {
 		t.Errorf("execs=%d queries=%d fetches=%d", st.Execs, st.Queries, st.Fetches)
 	}
 	if st.CursorsOpened != 1 || st.OpenCursors != 0 {
@@ -209,15 +210,15 @@ func TestServerMetricsOverSocket(t *testing.T) {
 	if st.BytesIn <= 0 || st.BytesOut <= 0 {
 		t.Errorf("bytes in=%d out=%d", st.BytesIn, st.BytesOut)
 	}
-	// Requests so far: exec + prepare + query + fetch(es); the stats
-	// request itself is recorded after its own reply is assembled.
-	if st.Requests < 4 {
+	// Requests so far: exec + prepare + query; the stats request itself is
+	// recorded after its own reply is assembled.
+	if st.Requests != 3 {
 		t.Errorf("requests = %d", st.Requests)
 	}
 	if st.P50Micros <= 0 || st.P99Micros < st.P50Micros {
 		t.Errorf("p50=%d p99=%d", st.P50Micros, st.P99Micros)
 	}
-	if st.SlowCount < 4 || len(st.Slow) == 0 {
+	if st.SlowCount != 3 || len(st.Slow) == 0 {
 		t.Errorf("slow count=%d entries=%d", st.SlowCount, len(st.Slow))
 	}
 	var sawExec bool

@@ -315,15 +315,15 @@ func (s *Server) dispatch(b *Backend, typ wire.MsgType, body []byte) (wire.MsgTy
 		}
 		return wire.MsgStmt, wire.EncodeStmtResp(id)
 	case wire.MsgQuery:
-		stmtID, args, err := wire.DecodeQueryReq(body)
+		stmtID, args, maxRows, err := wire.DecodeQueryBatchReq(body)
 		if err != nil {
 			return wire.MsgError, []byte(err.Error())
 		}
-		curID, cols, err := b.Query(stmtID, args)
+		curID, cols, rows, done, err := b.QueryBatch(stmtID, args, maxRows)
 		if err != nil {
 			return wire.MsgError, []byte(err.Error())
 		}
-		return wire.MsgCursor, wire.EncodeCursorResp(curID, cols)
+		return wire.MsgCursor, wire.EncodeCursorBatchResp(curID, cols, rows, done)
 	case wire.MsgFetch:
 		curID, maxRows, err := wire.DecodeFetchReq(body)
 		if err != nil {

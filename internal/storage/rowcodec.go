@@ -98,6 +98,9 @@ func DecodeValue(buf []byte) (sqltypes.Value, []byte, error) {
 			return sqltypes.Null, nil, fmt.Errorf("storage: bad tuple arity")
 		}
 		buf = buf[w:]
+		if n > uint64(len(buf)) {
+			return sqltypes.Null, nil, fmt.Errorf("storage: tuple arity %d exceeds the %d bytes left", n, len(buf))
+		}
 		elems := make([]sqltypes.Value, n)
 		var err error
 		for i := range elems {
@@ -128,6 +131,13 @@ func DecodeRow(buf []byte) ([]sqltypes.Value, []byte, error) {
 		return nil, nil, fmt.Errorf("storage: bad row arity")
 	}
 	buf = buf[w:]
+	// Every value costs at least its tag byte, so an arity above the bytes
+	// left is a lie. Checking it before the make keeps a hostile arity off
+	// the wire from asking for terabytes, a fatal out-of-memory that no
+	// recover can contain.
+	if n > uint64(len(buf)) {
+		return nil, nil, fmt.Errorf("storage: row arity %d exceeds the %d bytes left", n, len(buf))
+	}
 	row := make([]sqltypes.Value, n)
 	var err error
 	for i := range row {

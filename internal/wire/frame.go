@@ -42,7 +42,8 @@ const (
 	// Body: UTF-8 statement text. Reply: MsgStmt.
 	MsgPrepare MsgType = 0x02
 	// MsgQuery executes a prepared statement. Body: uvarint statement id +
-	// parameter row in the storage codec. Reply: MsgCursor.
+	// parameter row in the storage codec + optional uvarint max rows of the
+	// first batch (missing reads as 0). Reply: MsgCursor.
 	MsgQuery MsgType = 0x03
 	// MsgFetch pulls the next batch from a server-side cursor. Body: uvarint
 	// cursor id + uvarint max rows. Reply: MsgRows.
@@ -66,7 +67,8 @@ const (
 	MsgResults MsgType = 0x83
 	// MsgStmt answers MsgPrepare. Body: uvarint statement id.
 	MsgStmt MsgType = 0x84
-	// MsgCursor answers MsgQuery. Body: uvarint cursor id + column names.
+	// MsgCursor answers MsgQuery. Body: uvarint cursor id + column names +
+	// the first batch laid out as a MsgRows body.
 	MsgCursor MsgType = 0x85
 	// MsgRows answers MsgFetch. Body: done flag + encoded row batch.
 	MsgRows MsgType = 0x86

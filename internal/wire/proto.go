@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"aggify/internal/sqltypes"
 	"aggify/internal/storage"
@@ -62,6 +63,12 @@ func readStrings(buf []byte) ([]string, []byte, error) {
 		return nil, nil, fmt.Errorf("wire: truncated string list")
 	}
 	buf = buf[w:]
+	// Every string costs at least its length byte, so a count above the
+	// bytes left is a lie; checking it first keeps a hostile count from
+	// sizing the allocation.
+	if n > uint64(len(buf)) {
+		return nil, nil, fmt.Errorf("wire: string count %d exceeds the %d bytes left", n, len(buf))
+	}
 	out := make([]string, n)
 	var err error
 	for i := range out {
@@ -86,6 +93,10 @@ func readRows(buf []byte) ([][]sqltypes.Value, []byte, error) {
 		return nil, nil, fmt.Errorf("wire: truncated row batch")
 	}
 	buf = buf[w:]
+	// Every row costs at least its arity byte.
+	if n > uint64(len(buf)) {
+		return nil, nil, fmt.Errorf("wire: row count %d exceeds the %d bytes left", n, len(buf))
+	}
 	rows := make([][]sqltypes.Value, n)
 	var err error
 	for i := range rows {
@@ -118,6 +129,10 @@ func DecodeExecResult(body []byte) (*ExecResult, error) {
 		return nil, fmt.Errorf("wire: truncated result sets")
 	}
 	rest = rest[w:]
+	// Every set costs at least its column count and its row count.
+	if n > uint64(len(rest))/2 {
+		return nil, fmt.Errorf("wire: result set count %d exceeds the %d bytes left", n, len(rest))
+	}
 	res := &ExecResult{Prints: prints, Sets: make([]ResultSet, n)}
 	for i := range res.Sets {
 		if res.Sets[i].Columns, rest, err = readStrings(rest); err != nil {
@@ -130,23 +145,59 @@ func DecodeExecResult(body []byte) (*ExecResult, error) {
 	return res, nil
 }
 
-// EncodeQueryReq encodes the MsgQuery body: statement id + parameter row.
+// EncodeQueryReq encodes a MsgQuery body that asks for no rows in the
+// reply: EncodeQueryBatchReq with maxRows 0.
 func EncodeQueryReq(stmtID uint32, args []sqltypes.Value) []byte {
-	buf := binary.AppendUvarint(nil, uint64(stmtID))
-	return storage.AppendRow(buf, args)
+	return EncodeQueryBatchReq(stmtID, args, 0)
 }
 
-// DecodeQueryReq decodes the MsgQuery body.
+// EncodeQueryBatchReq encodes the MsgQuery body: statement id, parameter
+// row, then the most rows the MsgCursor reply may carry as its first
+// batch. A maxRows of 0 leaves the count out, and a missing count reads
+// as 0.
+func EncodeQueryBatchReq(stmtID uint32, args []sqltypes.Value, maxRows int) []byte {
+	buf := binary.AppendUvarint(nil, uint64(stmtID))
+	buf = storage.AppendRow(buf, args)
+	if maxRows > 0 {
+		buf = binary.AppendUvarint(buf, uint64(maxRows))
+	}
+	return buf
+}
+
+// DecodeQueryReq decodes the MsgQuery body without its first-batch size.
 func DecodeQueryReq(body []byte) (uint32, []sqltypes.Value, error) {
+	id, args, _, err := DecodeQueryBatchReq(body)
+	return id, args, err
+}
+
+// DecodeQueryBatchReq decodes the MsgQuery body, reading a missing
+// first-batch size as 0.
+func DecodeQueryBatchReq(body []byte) (uint32, []sqltypes.Value, int, error) {
 	id, w := binary.Uvarint(body)
 	if w <= 0 {
-		return 0, nil, fmt.Errorf("wire: truncated query request")
+		return 0, nil, 0, fmt.Errorf("wire: truncated query request")
 	}
-	args, _, err := storage.DecodeRow(body[w:])
+	args, rest, err := storage.DecodeRow(body[w:])
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, 0, err
 	}
-	return uint32(id), args, nil
+	if len(rest) == 0 {
+		return uint32(id), args, 0, nil
+	}
+	n, w := binary.Uvarint(rest)
+	if w <= 0 {
+		return 0, nil, 0, fmt.Errorf("wire: truncated query batch size")
+	}
+	return uint32(id), args, rowCount(n), nil
+}
+
+// rowCount converts a decoded max-rows count to int, saturating at
+// math.MaxInt instead of wrapping negative.
+func rowCount(n uint64) int {
+	if n > math.MaxInt {
+		return math.MaxInt
+	}
+	return int(n)
 }
 
 // EncodeStmtResp encodes the MsgStmt body.
@@ -163,23 +214,52 @@ func DecodeStmtResp(body []byte) (uint32, error) {
 	return uint32(id), nil
 }
 
-// EncodeCursorResp encodes the MsgCursor body: cursor id + column names.
+// EncodeCursorResp encodes a MsgCursor body whose first batch is empty
+// and not done: EncodeCursorBatchResp with no rows.
 func EncodeCursorResp(cursorID uint32, cols []string) []byte {
-	buf := binary.AppendUvarint(nil, uint64(cursorID))
-	return appendStrings(buf, cols)
+	return EncodeCursorBatchResp(cursorID, cols, nil, false)
 }
 
-// DecodeCursorResp decodes the MsgCursor body.
+// EncodeCursorBatchResp encodes the MsgCursor body: cursor id, column
+// names, then the first batch laid out as a MsgRows body (done flag + row
+// batch). done reports that the batch is the whole result and the cursor
+// has been released server-side, so nothing more is owed.
+func EncodeCursorBatchResp(cursorID uint32, cols []string, rows [][]sqltypes.Value, done bool) []byte {
+	buf := binary.AppendUvarint(nil, uint64(cursorID))
+	buf = appendStrings(buf, cols)
+	return appendRowsResp(buf, rows, done)
+}
+
+// DecodeCursorResp decodes the cursor id and column names of a MsgCursor
+// body, ignoring its first batch.
 func DecodeCursorResp(body []byte) (uint32, []string, error) {
+	id, cols, _, err := decodeCursorHead(body)
+	return id, cols, err
+}
+
+// DecodeCursorBatchResp decodes the whole MsgCursor body.
+func DecodeCursorBatchResp(body []byte) (uint32, []string, [][]sqltypes.Value, bool, error) {
+	id, cols, rest, err := decodeCursorHead(body)
+	if err != nil {
+		return 0, nil, nil, false, err
+	}
+	rows, done, err := DecodeRowsResp(rest)
+	if err != nil {
+		return 0, nil, nil, false, err
+	}
+	return id, cols, rows, done, nil
+}
+
+func decodeCursorHead(body []byte) (uint32, []string, []byte, error) {
 	id, w := binary.Uvarint(body)
 	if w <= 0 {
-		return 0, nil, fmt.Errorf("wire: truncated cursor id")
+		return 0, nil, nil, fmt.Errorf("wire: truncated cursor id")
 	}
-	cols, _, err := readStrings(body[w:])
+	cols, rest, err := readStrings(body[w:])
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
-	return uint32(id), cols, nil
+	return uint32(id), cols, rest, nil
 }
 
 // EncodeFetchReq encodes the MsgFetch body: cursor id + max rows.
@@ -198,18 +278,22 @@ func DecodeFetchReq(body []byte) (uint32, int, error) {
 	if w2 <= 0 {
 		return 0, 0, fmt.Errorf("wire: truncated fetch count")
 	}
-	return uint32(id), int(n), nil
+	return uint32(id), rowCount(n), nil
 }
 
 // EncodeRowsResp encodes the MsgRows body: done flag + row batch. done
 // reports that the cursor is exhausted and has been released server-side,
 // so no MsgCloseCursor is needed.
 func EncodeRowsResp(rows [][]sqltypes.Value, done bool) []byte {
-	buf := []byte{0}
+	return appendRowsResp(nil, rows, done)
+}
+
+func appendRowsResp(buf []byte, rows [][]sqltypes.Value, done bool) []byte {
+	var flag byte
 	if done {
-		buf[0] = 1
+		flag = 1
 	}
-	return appendRows(buf, rows)
+	return appendRows(append(buf, flag), rows)
 }
 
 // DecodeRowsResp decodes the MsgRows body.
@@ -305,6 +389,11 @@ func DecodeServerStats(body []byte) (*ServerStats, error) {
 		return nil, fmt.Errorf("wire: truncated slow-query log")
 	}
 	body = body[w:]
+	// Every entry costs at least four bytes: micros, summary length,
+	// fingerprint and count.
+	if n > uint64(len(body))/4 {
+		return nil, fmt.Errorf("wire: slow-query entry count %d exceeds the %d bytes left", n, len(body))
+	}
 	st.Slow = make([]SlowQuery, n)
 	for i := range st.Slow {
 		us, w := binary.Uvarint(body)

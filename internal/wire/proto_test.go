@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"reflect"
@@ -278,5 +279,62 @@ func TestTruncatedBodiesRejected(t *testing.T) {
 	}
 	if _, _, err := DecodeQueryReq([]byte{}); err == nil {
 		t.Fatal("empty query req must error")
+	}
+}
+
+// TestQueryBatchReqRoundTrip: the first-batch size survives the round
+// trip; a size of 0 is the bare EncodeQueryReq body, byte for byte, and a
+// missing size decodes as 0; a size beyond MaxInt saturates.
+func TestQueryBatchReqRoundTrip(t *testing.T) {
+	args := []sqltypes.Value{sqltypes.NewInt(7), sqltypes.NewString("x")}
+	for _, n := range []int{0, 1, 127, 128, 1 << 40} {
+		id, gotArgs, got, err := DecodeQueryBatchReq(EncodeQueryBatchReq(4, args, n))
+		if err != nil || id != 4 || got != n {
+			t.Fatalf("n=%d: id=%d n=%d err=%v", n, id, got, err)
+		}
+		rowsEqual(t, [][]sqltypes.Value{gotArgs}, [][]sqltypes.Value{args})
+	}
+	if !bytes.Equal(EncodeQueryReq(4, args), EncodeQueryBatchReq(4, args, 0)) {
+		t.Fatal("EncodeQueryReq must be the max-rows-0 body")
+	}
+	if _, _, n, err := DecodeQueryBatchReq(EncodeQueryReq(4, args)); err != nil || n != 0 {
+		t.Fatalf("bare body: n=%d err=%v", n, err)
+	}
+	huge := binary.AppendUvarint(EncodeQueryReq(4, nil), 1<<64-1)
+	if _, _, n, err := DecodeQueryBatchReq(huge); err != nil || n != math.MaxInt {
+		t.Fatalf("huge size: n=%d err=%v", n, err)
+	}
+	if _, n, err := DecodeFetchReq(binary.AppendUvarint(binary.AppendUvarint(nil, 1), 1<<64-1)); err != nil || n != math.MaxInt {
+		t.Fatalf("huge fetch: n=%d err=%v", n, err)
+	}
+}
+
+// TestCursorBatchRespRoundTrip: the first batch and done flag survive the
+// round trip; EncodeCursorResp is the empty, not-done batch; and
+// DecodeCursorResp reads the head of a body that carries rows.
+func TestCursorBatchRespRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	cols := []string{"a", "b"}
+	for _, n := range []int{0, 1, 9} {
+		for _, done := range []bool{false, true} {
+			rows := randRows(rng, n, len(cols))
+			body := EncodeCursorBatchResp(5, cols, rows, done)
+			id, gotCols, got, gotDone, err := DecodeCursorBatchResp(body)
+			if err != nil || id != 5 || !reflect.DeepEqual(gotCols, cols) || gotDone != done {
+				t.Fatalf("n=%d done=%v: id=%d cols=%v done=%v err=%v", n, done, id, gotCols, gotDone, err)
+			}
+			rowsEqual(t, got, rows)
+			if id, gotCols, err := DecodeCursorResp(body); err != nil || id != 5 || !reflect.DeepEqual(gotCols, cols) {
+				t.Fatalf("head: id=%d cols=%v err=%v", id, gotCols, err)
+			}
+		}
+	}
+	if !bytes.Equal(EncodeCursorResp(5, cols), EncodeCursorBatchResp(5, cols, nil, false)) {
+		t.Fatal("EncodeCursorResp must be the empty, not-done batch")
+	}
+	head := EncodeCursorResp(5, cols)
+	head = head[:len(head)-2] // id and columns, no done flag or row count
+	if _, _, _, _, err := DecodeCursorBatchResp(head); err == nil {
+		t.Fatal("a cursor body cut before its batch must not decode")
 	}
 }

@@ -110,6 +110,12 @@ layout='TestValueIs24Bytes|TestValueRoundTripEdges|TestCompareGroupEqualHashTabl
 go test -count=1 -run "$layout" ./internal/sqltypes
 go test -race -count=1 -run "$layout" ./internal/sqltypes
 
+stage "wire decoders fuzz (time-boxed)"
+# Every message-body decoder and the row codec under them, fed fuzzed
+# bodies: no panic, and no more allocation than a fixed multiple of the
+# body, so a count read off the wire can never size a slice by itself.
+go test -run '^$' -fuzz FuzzWireDecoders -fuzztime 10s ./internal/wire
+
 stage "benchmark harness (its own module: the root go test never builds it)"
 (cd benchmark && go vet ./... && go test ./...)
 
