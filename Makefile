@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt ci bench bench-gate
+.PHONY: all build test race vet fmt ci bench
 
 all: build
 
@@ -24,10 +24,6 @@ fmt:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-	./scripts/bench_regress.sh
-
-bench-gate:
-	./scripts/bench_regress.sh
 
 # The full gauntlet; scripts/ci.sh is its one definition.
 ci:

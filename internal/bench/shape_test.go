@@ -11,8 +11,10 @@ import (
 // cursor-loop queries all three modes must return the same rows, the
 // original must materialise its cursors into worktables, and Aggify and
 // Aggify+ must touch no worktable at all (the shape behind Figure 9(a) and
-// §10.4, which this engine makes exact). The timing ratios are logged, not
-// asserted: the headline one is the repository benchmark's aggify_speedup.
+// §10.4, which this engine makes exact). The logical reads are pinned too:
+// Aggify saves exactly one read per worktable write, and on Q18 Aggify+
+// reads more than Aggify. The timing ratios are logged, not asserted: the
+// headline one is the repository benchmark's aggify_speedup.
 func TestPaperShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape test runs seconds of benchmarks")
@@ -37,8 +39,10 @@ func TestPaperShape(t *testing.T) {
 		if orig.Stats.WorktableWrites == 0 {
 			t.Errorf("%s: original wrote no worktable rows", id)
 		}
+		reads := map[Mode]int64{Original: orig.Stats.TotalReads()}
 		for _, mode := range []Mode{Aggify, AggifyPlus} {
 			r := run(q, mode)
+			reads[mode] = r.Stats.TotalReads()
 			if r.Checksum != orig.Checksum {
 				t.Errorf("%s %s: checksum %x, original %x", id, mode, r.Checksum, orig.Checksum)
 			}
@@ -48,6 +52,23 @@ func TestPaperShape(t *testing.T) {
 			}
 			t.Logf("%s %s: %.1fx (orig=%v, %v)", id, mode,
 				float64(orig.Elapsed)/float64(r.Elapsed), orig.Elapsed, r.Elapsed)
+		}
+		// §10.4: Aggify saves exactly the worktable reads of the rows the
+		// cursor materialized, one read per worktable write.
+		if saved := reads[Original] - reads[Aggify]; saved != orig.Stats.WorktableWrites {
+			t.Errorf("%s: original reads %d - aggify reads %d = %d, want the original's %d worktable writes",
+				id, reads[Original], reads[Aggify], saved, orig.Stats.WorktableWrites)
+		}
+		if reads[Aggify] > reads[Original] {
+			t.Errorf("%s: aggify reads %d > original reads %d", id, reads[Aggify], reads[Original])
+		}
+		t.Logf("%s reads: original %d, aggify %d, aggify+ %d; worktable writes %d",
+			id, reads[Original], reads[Aggify], reads[AggifyPlus], orig.Stats.WorktableWrites)
+		// Table 2's inversion: on Q18, inlining the aggified UDF into the
+		// query reads more than calling it.
+		if id == "Q18" && reads[AggifyPlus] <= reads[Aggify] {
+			t.Errorf("Q18: aggify+ reads %d <= aggify reads %d, want the paper's inversion",
+				reads[AggifyPlus], reads[Aggify])
 		}
 	}
 }
