@@ -14,16 +14,17 @@ import (
 
 // Property test for the logical rewrite pass: every generated query must
 // return byte-identical rows with the pass enabled, with every rule
-// disabled, and with each cost-based rule off (same trial structure as the
+// disabled, and with the cost-based rule off (same trial structure as the
 // Merge property test in internal/exec). Unlike
-// TestPlannerRewritesPreserveResults this comparison is order-sensitive —
-// each query orders by all its output columns, so a wrongly dropped or
-// misplaced sort shows up as a diff.
+// TestPlannerRewritesPreserveResults this comparison is order-sensitive,
+// and no rule is exempt from it. Most queries order by all their output
+// columns; the join chain orders by nothing, so a rule that changed the
+// join order would show up as a diff.
 
 // randomRewriteQuery emits one query shaped to give the rewrite rules
 // something to chew on: constant subexpressions, filters above derived
-// tables (plain and grouped), unreferenced pass-through columns, and
-// redundant outer sorts.
+// tables (plain and grouped), derived tables over joins and TOP, and
+// range predicates on indexed columns.
 func randomRewriteQuery(rng *rand.Rand) string {
 	k := rng.Intn(10)
 	switch rng.Intn(10) {
@@ -34,10 +35,10 @@ func randomRewriteQuery(rng *rand.Rand) string {
 	case 2: // pushdown into a grouped derived table on the group key
 		return fmt.Sprintf(`select q.a, q.sb from (select a, sum(b) as sb, count(*) as n from t1 group by a) q
 		                    where q.a >= %d order by a`, k)
-	case 3: // unreferenced pass-through columns to prune
+	case 3: // pushdown into a derived join that projects unreferenced columns
 		return fmt.Sprintf(`select q.a from (select t1.a, b, c, t2.d from t1, t2 where t1.a = t2.a) q
 		                    where q.a between %d and %d order by a`, k, k+4)
-	case 4: // redundant outer sort over an ordered TOP derived
+	case 4: // outer sort that re-states an ordered TOP derived table's order
 		return fmt.Sprintf(`select q.a, q.b from (select top %d a, b from t1 order by a, b) q order by a, b`,
 			1+rng.Intn(20))
 	case 5: // derived under a left join: pushdown must respect null-supply
@@ -49,11 +50,13 @@ func randomRewriteQuery(rng *rand.Rand) string {
 	case 7: // eq + range mix: the cost model must pick one access path and
 		// keep the residual predicate
 		return fmt.Sprintf(`select a, b from t1 where a = %d and d > %d order by a, b`, k, rng.Intn(40))
-	case 8: // three-table inner-join chain (reorder_joins), sizes t2 < t3 < t1
+	case 8: // three-table inner-join chain, no ORDER BY: the rows must come
+		// back in the same order under every configuration (pushdown below
+		// the join, access paths on the indexed join keys)
 		return fmt.Sprintf(`select t1.a, t2.d, t3.e from t1
 		                    join t2 on t1.a = t2.a
 		                    join t3 on t2.a = t3.a
-		                    where t1.b >= %d order by t1.a, t2.d, t3.e`, rng.Intn(10)-5)
+		                    where t1.b >= %d`, rng.Intn(10)-5)
 	default: // everything at once, plus a constant CASE
 		return fmt.Sprintf(`select q.g, q.n from
 		  (select a %% 3 as g, count(*) as n, sum(b) as sb from t1 where case when 1 = 1 then b else a end >= %d
@@ -62,9 +65,8 @@ func randomRewriteQuery(rng *rand.Rand) string {
 	}
 }
 
-// runOrdered renders rows without canonicalizing: generated queries order by
-// every output column, so full-row duplicates are the only ties and render
-// identically.
+// runOrdered renders rows in the order the engine returns them, without
+// canonicalizing.
 func runOrdered(t *testing.T, sess *engine.Session, sql string) []string {
 	t.Helper()
 	stmts := parser.MustParse(sql)
@@ -140,11 +142,9 @@ create index o1 on t1(d) using ordered;
 	configs := []cfg{
 		{"rewrite", mk(0)},
 		{"norewrite", mk(plan.RuleAll)},
-		// The cost-based rules off, one at a time and together: each must
-		// reproduce the same rows the full pass produces.
+		// The cost-based rule off must reproduce the same rows the full
+		// pass produces.
 		{"no-accesspath", mk(plan.RuleChooseAccessPath)},
-		{"no-reorder", mk(plan.RuleReorderJoins)},
-		{"no-costbased", mk(plan.RuleChooseAccessPath | plan.RuleReorderJoins)},
 	}
 
 	for trial := 0; trial < 80; trial++ {

@@ -1,30 +1,21 @@
-// Cost-based passes: choose_access_path and reorder_joins.
+// Cost-based pass: choose_access_path.
 //
-// Both run once, after the local rewrite rules reach fixpoint (predicate
-// placement and constant folding are final by then), and both only decide
-// among physically different but semantically equivalent shapes:
+// It runs once, after the local rewrite rules reach fixpoint (predicate
+// placement and constant folding are final by then), and only decides
+// among physically different but semantically equivalent shapes. It costs
+// the access paths available to each base scan — full scan, index equality
+// seek, index range seek — from table statistics and equi-depth histograms,
+// and pins the cheapest on the lScan as an accessHint the physical compiler
+// obeys. Cost formulas (N = live rows, NDV = distinct values, sel =
+// histogram range selectivity):
 //
-//   - choose_access_path costs the access paths available to each base
-//     scan — full scan, index equality seek, index range seek —
-//     from table statistics and equi-depth histograms, and pins the
-//     cheapest on the lScan as an accessHint the physical compiler obeys.
-//     Cost formulas (N = live rows, NDV = distinct values, sel = histogram
-//     range selectivity):
+//	scan   N
+//	eq     1 + N/NDV
+//	range  log2(N) + 1 + sel*N
 //
-//     scan   N
-//     eq     1 + N/NDV
-//     range  log2(N) + 1 + sel*N
-//
-//     Ties prefer the equality seek (today's default), then range seek,
-//     then scan, so enabling the rule without stats pressure reproduces
-//     familiar plans.
-//
-//   - reorder_joins flattens maximal all-inner explicit join chains and
-//     greedily re-joins them smallest-estimated-cardinality-first (staying
-//     connected through equality conjuncts when possible). Inner joins
-//     guarantee no row order, so the rule preserves the result multiset
-//     but not row order — the one documented relaxation of the rewrite
-//     pass's order-identity contract.
+// Ties prefer the equality seek (today's default), then range seek, then
+// scan, so enabling the rule without stats pressure reproduces familiar
+// plans.
 package plan
 
 import (
@@ -370,280 +361,4 @@ func rangeSelectivity(st storage.TableStatistics, col string, h *accessHint) flo
 		vals[i] = lit.Val
 	}
 	return hist.SelectivityRange(vals[0], vals[1], h.loStrict, h.hiStrict)
-}
-
-// --- reorder_joins ---
-
-func (rw *rewriter) reorderPass(n lNode) lNode {
-	if j, ok := n.(*lJoin); ok {
-		return rw.reorderChain(j)
-	}
-	return mapLogicalChildren(n, rw.reorderPass)
-}
-
-// reorderChain flattens a maximal all-inner join chain rooted at j and
-// greedily re-joins it smallest-estimated-leaf-first. Non-inner joins pass
-// through untouched (their subtrees still recurse).
-func (rw *rewriter) reorderChain(j *lJoin) lNode {
-	if j.Kind != ast.JoinInner {
-		j.L = rw.reorderPass(j.L)
-		j.R = rw.reorderPass(j.R)
-		return j
-	}
-	var leaves []lNode
-	var conjs []ast.Expr
-	flattenInner(j, &leaves, &conjs)
-	for i := range leaves {
-		leaves[i] = rw.reorderPass(leaves[i]) // derived bodies may hold chains
-	}
-
-	// Feasibility: every leaf must expose known columns under a unique
-	// binding, every conjunct must be subquery-free, and every leaf must be
-	// estimable. Anything else keeps the user's order.
-	infos := make([]unitRef, len(leaves))
-	bindings := map[string]bool{}
-	for i, leaf := range leaves {
-		var u unitRef
-		u.binding, u.cols, u.known = rw.unitInfo(leaf)
-		if !u.known || u.binding == "" || bindings[u.binding] {
-			return j
-		}
-		bindings[u.binding] = true
-		infos[i] = u
-	}
-	est := make([]float64, len(leaves))
-	for i, leaf := range leaves {
-		e, ok := rw.estimateLeaf(leaf)
-		if !ok {
-			return j
-		}
-		est[i] = e
-	}
-	cinfos := make([]conjInfo, len(conjs))
-	for ci, cj := range conjs {
-		if ast.HasSubquery(cj) {
-			return j
-		}
-		refs := map[int]bool{}
-		top := false
-		for _, cr := range ast.ColRefs(cj) {
-			idx := -1
-			if cr.Table != "" {
-				for i, inf := range infos {
-					if inf.binding == cr.Table && containsStr(inf.cols, cr.Name) {
-						idx = i
-						break
-					}
-				}
-			} else {
-				for i, inf := range infos {
-					if containsStr(inf.cols, cr.Name) {
-						if idx != -1 {
-							return j // ambiguous unqualified reference
-						}
-						idx = i
-					}
-				}
-			}
-			if idx == -1 {
-				top = true
-			} else {
-				refs[idx] = true
-			}
-		}
-		cinfos[ci] = conjInfo{refs: refs, top: top || len(refs) == 0}
-	}
-
-	// Greedy order: start from the smallest leaf, then repeatedly take the
-	// smallest leaf connected to the placed set through a conjunct; fall
-	// back to the smallest remaining leaf when nothing connects.
-	placed := make([]bool, len(leaves))
-	order := make([]int, 0, len(leaves))
-	for len(order) < len(leaves) {
-		pick := -1
-		for i := range leaves {
-			if placed[i] {
-				continue
-			}
-			if len(order) > 0 && !connected(i, placed, cinfos) {
-				continue
-			}
-			if pick == -1 || est[i] < est[pick] {
-				pick = i
-			}
-		}
-		if pick == -1 {
-			for i := range leaves {
-				if !placed[i] && (pick == -1 || est[i] < est[pick]) {
-					pick = i
-				}
-			}
-		}
-		placed[pick] = true
-		order = append(order, pick)
-	}
-	same := true
-	for i, p := range order {
-		if p != i {
-			same = false
-			break
-		}
-	}
-	if same {
-		return j
-	}
-
-	// Rebuild left-deep, attaching each conjunct to the earliest join where
-	// all its referenced leaves are available; top-anchored conjuncts land
-	// on the final join.
-	usedConj := make([]bool, len(conjs))
-	inSet := map[int]bool{order[0]: true}
-	cur := leaves[order[0]]
-	for k := 1; k < len(order); k++ {
-		inSet[order[k]] = true
-		last := k == len(order)-1
-		var on ast.Expr
-		for ci, cj := range conjs {
-			if usedConj[ci] {
-				continue
-			}
-			info := cinfos[ci]
-			ready := !info.top
-			for r := range info.refs {
-				if !inSet[r] {
-					ready = false
-					break
-				}
-			}
-			if ready || last {
-				usedConj[ci] = true
-				on = ast.And(on, cj)
-			}
-		}
-		cur = &lJoin{
-			Kind: ast.JoinInner, L: cur, R: leaves[order[k]], On: on,
-			mark: ruleName(RuleReorderJoins), cost: est[order[k]],
-		}
-	}
-	rw.fire(RuleReorderJoins)
-	return cur
-}
-
-// conjInfo classifies one flattened join conjunct: the leaves it
-// references, and whether an unresolved (outer) reference anchors it to
-// the final join.
-type conjInfo struct {
-	refs map[int]bool
-	top  bool
-}
-
-// connected reports whether leaf i shares a conjunct with the placed set.
-func connected(i int, placed []bool, cinfos []conjInfo) bool {
-	for _, ci := range cinfos {
-		if ci.top || !ci.refs[i] {
-			continue
-		}
-		for r := range ci.refs {
-			if r != i && placed[r] {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// flattenInner expands nested inner joins into leaves + conjuncts.
-func flattenInner(n lNode, leaves *[]lNode, conjs *[]ast.Expr) {
-	if j, ok := n.(*lJoin); ok && j.Kind == ast.JoinInner {
-		flattenInner(j.L, leaves, conjs)
-		flattenInner(j.R, leaves, conjs)
-		*conjs = append(*conjs, splitConjuncts(j.On)...)
-		return
-	}
-	*leaves = append(*leaves, n)
-}
-
-// estimateLeaf estimates a join leaf's output cardinality: base-table rows
-// for a scan, rows scaled by per-predicate selectivity for a filtered
-// derived table over one scan. Anything else is inestimable.
-func (rw *rewriter) estimateLeaf(n lNode) (float64, bool) {
-	switch t := n.(type) {
-	case *lScan:
-		tab, ok := rw.leafTable(t)
-		if !ok {
-			return 0, false
-		}
-		return math.Max(float64(tab.Statistics().Rows), 1), true
-	case *lDerived:
-		inner := t.Child
-		for {
-			switch w := inner.(type) {
-			case *lWith:
-				inner = w.In
-			case *lSort:
-				inner = w.In
-			case *lApply:
-				inner = w.In
-			case *lProject:
-				where, _, agg, from := blockParts(w)
-				s, ok := from.(*lScan)
-				if w.Distinct || agg != nil || !ok {
-					return 0, false
-				}
-				tab, ok := rw.leafTable(s)
-				if !ok {
-					return 0, false
-				}
-				st := tab.Statistics()
-				rows := math.Max(float64(st.Rows), 1)
-				for _, f := range where {
-					rows *= predSelectivity(f.Pred, tab, st)
-				}
-				return math.Max(rows, 0.1), true
-			default:
-				return 0, false
-			}
-		}
-	}
-	return 0, false
-}
-
-func (rw *rewriter) leafTable(s *lScan) (*storage.Table, bool) {
-	if lateBound(s.Name) {
-		return nil, false
-	}
-	tab, err := rw.c.cat.ResolveTable(s.Name)
-	if err != nil {
-		return nil, false
-	}
-	return tab, true
-}
-
-// predSelectivity estimates one predicate's selectivity: 1/NDV for an
-// equality on a known column, histogram range fraction for a literal
-// comparison or BETWEEN, defaultSelectivity otherwise.
-func predSelectivity(p ast.Expr, tab *storage.Table, st storage.TableStatistics) float64 {
-	if col, _, ok := eqColKey(p, tab); ok {
-		ndv := float64(st.DistinctOf(tab.Schema, col))
-		if ndv < 1 {
-			ndv = 1
-		}
-		return clampSel(1 / ndv)
-	}
-	for _, cr := range ast.ColRefs(p) {
-		if h := rangeBounds([]ast.Expr{p}, cr.Name, tab); h != nil {
-			return clampSel(rangeSelectivity(st, cr.Name, h))
-		}
-	}
-	return defaultSelectivity
-}
-
-func clampSel(s float64) float64 {
-	if s < 1e-6 {
-		return 1e-6
-	}
-	if s > 1 {
-		return 1
-	}
-	return s
 }

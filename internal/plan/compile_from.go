@@ -835,9 +835,6 @@ func (c *compiler) compileJoin(j *lJoin, parent *scope, env *cteEnv) (opBuilder,
 		}
 	}
 	label := j.Kind.String() + ")" + rwSuffix(j.mark)
-	if j.cost > 0 {
-		label += costSuffix(j.cost)
-	}
 
 	if len(eqL) > 0 {
 		// Hash join (no outer-level shift for the right side).

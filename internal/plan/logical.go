@@ -3,8 +3,7 @@
 // (rewrite.go, decorrelate.go) normalizes it in place, and physical
 // compilation (compile_select.go, compile_from.go) reads it directly. A
 // rule's decision reaches its operator as a field of the node it decided:
-// lFilter.mark, lDerived.mark, lProject.mark, lScan.hint, lJoin.mark and
-// lJoin.cost.
+// lFilter.mark, lDerived.mark, lProject.mark, lScan.hint and lJoin.mark.
 //
 // Blocks have a fixed spine, innermost to outermost:
 //
@@ -53,14 +52,12 @@ type lDerived struct {
 }
 
 // lJoin is an explicit ANSI join. mark annotates a join a rule built
-// (decorrelate, reorder_joins; "" when untouched); cost is the estimated
-// driving-leaf cardinality reorder_joins shows in EXPLAIN (0 when unset).
+// (decorrelate; "" when untouched).
 type lJoin struct {
 	Kind ast.JoinKind
 	L, R lNode
 	On   ast.Expr
 	mark string
-	cost float64
 }
 
 // lCross is a comma-joined FROM list (len 0: no FROM at all).

@@ -221,8 +221,8 @@ func TestRewriteRoundTrip(t *testing.T) {
 
 func TestAddMark(t *testing.T) {
 	m := addMark("", "push_filter")
-	m = addMark(m, "prune_project")
-	if m != "push_filter,prune_project" {
+	m = addMark(m, "choose_access_path")
+	if m != "push_filter,choose_access_path" {
 		t.Fatalf("addMark chain = %q", m)
 	}
 	if got := addMark(m, "push_filter"); got != m {

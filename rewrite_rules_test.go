@@ -77,10 +77,6 @@ func TestRewriteRuleToggles(t *testing.T) {
 			"select q.ps_suppkey from (select ps_partkey, ps_suppkey from partsupp) q where q.ps_partkey = 1 order by ps_suppkey"},
 		{"push_filter_decor", plan.RulePushFilterDecor,
 			"select q.k, q.s from (select ps_partkey as k, sum(ps_supplycost) as s from partsupp group by ps_partkey) q where q.k = 1"},
-		{"prune_project", plan.RulePruneProject,
-			"select q.ps_partkey from (select ps_partkey, ps_suppkey, ps_supplycost from partsupp) q order by ps_partkey"},
-		{"drop_sort", plan.RuleDropSort,
-			"select q.s_name from (select top 5 s_name from supplier order by s_name) q order by s_name"},
 	}
 	for _, c := range cases {
 		// The rule name followed by '(' distinguishes push_filter from

@@ -14,7 +14,8 @@ import (
 // TestRewriteTraceGolden locks down the EXPLAIN rewrite trace (the `rewrites:`
 // and `declined:` headers plus the [rw:rule] node annotations) for
 // representative queries: predicate pushdown into a derived table, constant
-// folding, redundant-sort elimination, and inline_udf on an aggified UDF,
+// folding, an outer sort that re-states its input's order (no rule drops
+// it), and inline_udf on an aggified UDF,
 // on its cursor-loop twin and on a body whose FROM would capture the
 // argument. The `rules off:` sections pin the plan each basic query shape
 // compiles to when no rule runs (DisableRules = RuleAll), the union section
