@@ -19,8 +19,10 @@ import (
 //	body (length-1 bytes)
 
 // MaxFrame is the largest accepted frame payload in bytes. Frames that
-// declare a larger payload are rejected before any allocation, which bounds
-// the memory a malformed or hostile peer can force the server to commit.
+// declare a larger payload are rejected before any allocation, and a frame
+// within the limit is buffered as its bytes arrive (see frameStep), which
+// bounds the memory a malformed or hostile peer can force the server to
+// commit.
 const MaxFrame = 16 << 20
 
 // frameHeader is the fixed length-prefix size.
@@ -108,9 +110,38 @@ func ReadFrame(r io.Reader) (MsgType, []byte, int, error) {
 	if n > MaxFrame {
 		return 0, nil, frameHeader, fmt.Errorf("wire: frame payload %d exceeds limit %d", n, MaxFrame)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readPayload(r, int(n))
+	if err != nil {
 		return 0, nil, frameHeader, err
 	}
 	return MsgType(payload[0]), payload[1:], FrameSize(int(n) - 1), nil
+}
+
+// frameStep is the most ReadFrame allocates ahead of the bytes it has
+// received. A payload of at most frameStep bytes takes one allocation; a
+// larger one starts at frameStep and doubles as its bytes arrive, so a peer
+// that declares MaxFrame and stalls pins one step, not MaxFrame.
+const frameStep = 64 << 10
+
+// readPayload reads exactly n payload bytes. It returns io.EOF when no byte
+// arrives and io.ErrUnexpectedEOF when the stream ends part-way.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, frameStep))
+	off := 0
+	for {
+		m, err := io.ReadFull(r, buf[off:])
+		off += m
+		if err == io.EOF && off > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+		if off == n {
+			return buf, nil
+		}
+		grown := make([]byte, min(n, 2*len(buf)))
+		copy(grown, buf)
+		buf = grown
+	}
 }
