@@ -7,13 +7,16 @@ import (
 	"aggify/internal/tpch"
 )
 
-// TestPaperShape is the headline regression test: on the per-invocation
+// TestPaperShape is the headline regression test: on the six TPC-H
 // cursor-loop queries all three modes must return the same rows, the
 // original must materialise its cursors into worktables, and Aggify and
 // Aggify+ must touch no worktable at all (the shape behind Figure 9(a) and
-// §10.4, which this engine makes exact). The logical reads are pinned too:
-// Aggify saves exactly one read per worktable write, and on Q18 Aggify+
-// reads more than Aggify. The timing ratios are logged, not asserted: the
+// §10.4, which this engine makes exact). Table 2 is pinned exactly: each
+// mode's logical reads and the original's worktable writes. On top of the
+// pinned counts, the paper's relations are asserted: Aggify saves exactly
+// one read per worktable write, and on Q18 Aggify+ reads more than Aggify.
+// A change that moves a count edits the table below and lists each old and
+// new value in CHANGES.md. The timing ratios are logged, not asserted: the
 // headline one is the repository benchmark's aggify_speedup.
 func TestPaperShape(t *testing.T) {
 	if testing.Short() {
@@ -33,8 +36,26 @@ func TestPaperShape(t *testing.T) {
 		}
 		return r
 	}
-	for _, id := range []string{"Q2", "Q13", "Q18"} {
-		q, _ := tpch.QueryByID(id)
+	// Table 2 at SF 0.005: logical reads per mode, and the original's
+	// worktable writes.
+	table2 := []struct {
+		id                     string
+		orig, aggify, aggifyPl int64
+		worktableWrites        int64
+	}{
+		{"Q2", 13_000, 9_000, 9_000, 4_000},
+		{"Q13", 15_750, 8_250, 8_250, 7_500},
+		{"Q14", 32_339, 31_184, 31_184, 1_155},
+		{"Q18", 100_868, 54_184, 97_587, 46_684},
+		{"Q19", 90_087, 60_058, 60_058, 30_029},
+		{"Q21", 240_735, 221_641, 221_641, 19_094},
+	}
+	for _, want := range table2 {
+		id := want.id
+		q, ok := tpch.QueryByID(id)
+		if !ok {
+			t.Fatalf("no workload query %s", id)
+		}
 		orig := run(q, Original)
 		if orig.Stats.WorktableWrites == 0 {
 			t.Errorf("%s: original wrote no worktable rows", id)
@@ -53,6 +74,10 @@ func TestPaperShape(t *testing.T) {
 			t.Logf("%s %s: %.1fx (orig=%v, %v)", id, mode,
 				float64(orig.Elapsed)/float64(r.Elapsed), orig.Elapsed, r.Elapsed)
 		}
+		got := [4]int64{reads[Original], reads[Aggify], reads[AggifyPlus], orig.Stats.WorktableWrites}
+		if pinned := [4]int64{want.orig, want.aggify, want.aggifyPl, want.worktableWrites}; got != pinned {
+			t.Errorf("%s: reads original/aggify/aggify+ and worktable writes = %v, Table 2 pins %v", id, got, pinned)
+		}
 		// §10.4: Aggify saves exactly the worktable reads of the rows the
 		// cursor materialized, one read per worktable write.
 		if saved := reads[Original] - reads[Aggify]; saved != orig.Stats.WorktableWrites {
@@ -62,8 +87,6 @@ func TestPaperShape(t *testing.T) {
 		if reads[Aggify] > reads[Original] {
 			t.Errorf("%s: aggify reads %d > original reads %d", id, reads[Aggify], reads[Original])
 		}
-		t.Logf("%s reads: original %d, aggify %d, aggify+ %d; worktable writes %d",
-			id, reads[Original], reads[Aggify], reads[AggifyPlus], orig.Stats.WorktableWrites)
 		// Table 2's inversion: on Q18, inlining the aggified UDF into the
 		// query reads more than calling it.
 		if id == "Q18" && reads[AggifyPlus] <= reads[Aggify] {
