@@ -665,7 +665,8 @@ func CallProcedureByName(s *engine.Session, name string, args ...sqltypes.Value)
 
 // CallFunctionInterpreted invokes a scalar UDF through the tree-walking
 // interpreter, bypassing the compiled pipeline. Exists for equivalence
-// tests and the compiled-vs-interpreted benchmark gate.
+// tests and the slow side of TestSameProcessSpeedups' proc_compile pair
+// (compiled ÷ interpreted).
 func CallFunctionInterpreted(s *engine.Session, name string, args ...sqltypes.Value) (sqltypes.Value, error) {
 	def, ok := s.Eng.Function(name)
 	if !ok {

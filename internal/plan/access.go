@@ -1,13 +1,16 @@
 // Cost-based pass: choose_access_path.
 //
 // It runs once, after the local rewrite rules reach fixpoint (predicate
-// placement and constant folding are final by then), and only decides
-// among physically different but semantically equivalent shapes. It costs
-// the access paths available to each base scan — full scan, index equality
-// seek, index range seek — from table statistics and equi-depth histograms,
-// and pins the cheapest on the lScan as an accessHint the physical compiler
-// obeys. Cost formulas (N = live rows, NDV = distinct values, sel =
-// histogram range selectivity):
+// placement and constant folding are final by then), and again on each
+// nested query body (CTE bodies, expression subqueries) as it compiles;
+// it only decides among physically different but semantically equivalent
+// shapes. It costs the access paths available to each base scan — full
+// scan, index equality seek, index range seek — from table statistics and
+// equi-depth histograms, and pins the cheapest on the lScan as an
+// accessHint the physical compiler obeys. It is the one access-path
+// decision: a scan it pins no hint on compiles as a full scan. Cost
+// formulas (N = live rows, NDV = distinct values, sel = histogram range
+// selectivity):
 //
 //	scan   N
 //	eq     1 + N/NDV
@@ -92,14 +95,15 @@ func (rw *rewriter) chooseBlock(p *lProject) {
 		if !ok || len(perUnit[i]) == 0 {
 			continue
 		}
-		rw.decideAccess(scan, perUnit[i])
+		rw.decideAccess(scan, u.binding, perUnit[i])
 	}
 }
 
-// resolveConjuncts assigns each predicate to the single unit it references,
-// mirroring compileFrom's conjunct classification. Predicates that span
-// units, embed subqueries, or resolve ambiguously are skipped (they stay
-// wherever compilation puts them).
+// resolveConjuncts assigns each predicate to the single unit it references
+// (a reference to an enclosing query's column does not count), mirroring
+// compileFrom's conjunct classification. Predicates that span units, embed
+// subqueries, or resolve ambiguously are skipped (they stay wherever
+// compilation puts them).
 func resolveConjuncts(units []unitRef, preds []ast.Expr) map[int][]ast.Expr {
 	out := map[int][]ast.Expr{}
 	for _, pred := range preds {
@@ -113,7 +117,7 @@ func resolveConjuncts(units []unitRef, preds []ast.Expr) map[int][]ast.Expr {
 // decideAccess costs the candidate access paths for one scan and pins the
 // cheapest. Fires only when there is an actual choice (at least one seek
 // candidate); index-less scans compile exactly as before.
-func (rw *rewriter) decideAccess(scan *lScan, conjs []ast.Expr) {
+func (rw *rewriter) decideAccess(scan *lScan, binding string, conjs []ast.Expr) {
 	if lateBound(scan.Name) {
 		return
 	}
@@ -121,16 +125,17 @@ func (rw *rewriter) decideAccess(scan *lScan, conjs []ast.Expr) {
 	if err != nil {
 		return
 	}
-	if h := chooseAccess(tab, conjs); h != nil {
+	if h := chooseAccess(tab, binding, conjs); h != nil {
 		scan.hint = h
 		rw.fire(RuleChooseAccessPath)
 	}
 }
 
-// chooseAccess costs the access paths of one scan of tab filtered by conjs
-// and returns the cheapest, or nil when no seek is a candidate. A table
-// without indexes has none, and its statistics are not read.
-func chooseAccess(tab *storage.Table, conjs []ast.Expr) *accessHint {
+// chooseAccess costs the access paths of one scan of tab, bound as binding
+// and filtered by conjs, and returns the cheapest, or nil when no seek is a
+// candidate. A table without indexes has none, and its statistics are not
+// read.
+func chooseAccess(tab *storage.Table, binding string, conjs []ast.Expr) *accessHint {
 	cols := tab.IndexColumns()
 	if len(cols) == 0 {
 		return nil
@@ -144,7 +149,7 @@ func chooseAccess(tab *storage.Table, conjs []ast.Expr) *accessHint {
 	// Best equality-seek candidate: lowest 1 + N/NDV over indexed columns.
 	var eqBest *accessHint
 	for _, cj := range conjs {
-		col, key, ok := eqColKey(cj, tab)
+		col, key, ok := eqColKey(cj, tab, binding)
 		if !ok || tab.Index(col) == nil {
 			continue
 		}
@@ -161,7 +166,7 @@ func chooseAccess(tab *storage.Table, conjs []ast.Expr) *accessHint {
 	// Best range-seek candidate over indexed columns.
 	var rangeBest *accessHint
 	for _, col := range cols {
-		h := rangeBounds(conjs, col, tab)
+		h := rangeBounds(conjs, col, tab, binding)
 		if h == nil {
 			continue
 		}
@@ -188,7 +193,7 @@ func chooseAccess(tab *storage.Table, conjs []ast.Expr) *accessHint {
 // RowSource is where a DML statement takes its candidate rows from: the
 // access path choose_access_path would pin on a SELECT with the same WHERE
 // over the same table. The zero value is a full scan. A seek's key and
-// bounds are seekOperands, evaluated before it reads a row.
+// bounds are fixed operands, evaluated before it reads a row.
 type RowSource struct {
 	// Column is the seeked index column; "" for a scan.
 	Column string
@@ -207,11 +212,11 @@ func CompileRowSource(cat Catalog, opts Options, where ast.Expr, tab *storage.Ta
 	if where == nil || opts.DisableRules.Has(RuleChooseAccessPath) {
 		return RowSource{}, nil
 	}
-	h := chooseAccess(tab, splitConjuncts(where))
+	h := chooseAccess(tab, tab.Name, splitConjuncts(where))
 	if h == nil || h.kind == accessScan {
 		return RowSource{}, nil
 	}
-	c := &compiler{cat: cat, opts: opts}
+	c := newCompiler(cat, opts)
 	src := RowSource{Column: h.col, LoStrict: h.loStrict, HiStrict: h.hiStrict}
 	for _, op := range []struct {
 		e  ast.Expr
@@ -229,34 +234,45 @@ func CompileRowSource(cat Catalog, opts Options, where ast.Expr, tab *storage.Ta
 	return src, nil
 }
 
-// seekOperand reports whether e may key a seek or bound a range seek: a
-// literal, `?` or `@var`. A seek evaluates its operands at Open, before it
-// reads a row, while a filter evaluates them only on the rows it reaches,
-// so an operand that can raise (1/0, a cast, a call) stays in the filter
-// and both paths fail or succeed together. The one exception is the
-// inliner's coercion of such an operand: it stands for a UDF parameter,
-// which the call it replaced converted before the body read any row.
-func seekOperand(e ast.Expr) bool {
+// ownCol reports whether cr names a column of the scan of tab bound as
+// binding; any other column a conjunct of that scan references belongs to
+// an enclosing query.
+func ownCol(cr *ast.ColRef, tab *storage.Table, binding string) bool {
+	return (cr.Table == "" || cr.Table == binding) && tab.Schema.Ordinal(cr.Name) >= 0
+}
+
+// fixedOperand reports whether e is fixed for one execution of the scan of
+// tab bound as binding, and so may key a seek or bound a range seek: a
+// literal, `?`, `@var` or a column of an enclosing query. A seek evaluates
+// its operands at Open, before it reads a row, while a filter evaluates
+// them only on the rows it reaches, so an operand that can raise (1/0, a
+// cast, a call) stays in the filter and both paths fail or succeed
+// together. The one exception is the inliner's coercion of a fixed operand:
+// it stands for a UDF parameter, which the call it replaced converted
+// before the body read any row.
+func fixedOperand(e ast.Expr, tab *storage.Table, binding string) bool {
 	switch x := e.(type) {
 	case *ast.Literal, *ast.ParamRef, *ast.VarRef:
 		return true
+	case *ast.ColRef:
+		return !ownCol(x, tab, binding)
 	case *ast.FuncCall:
 		operand, _, ok := froid.CoerceArgs(x)
-		return ok && seekOperand(operand)
+		return ok && fixedOperand(operand, tab, binding)
 	}
 	return false
 }
 
 // eqColKey matches `col = key` / `key = col` where col is a bare column of
-// tab and key is a seekOperand.
-func eqColKey(e ast.Expr, tab *storage.Table) (string, ast.Expr, bool) {
+// the scan of tab bound as binding and key is a fixedOperand.
+func eqColKey(e ast.Expr, tab *storage.Table, binding string) (string, ast.Expr, bool) {
 	b, ok := e.(*ast.BinExpr)
 	if !ok || b.Op != sqltypes.OpEq {
 		return "", nil, false
 	}
 	for _, flip := range []struct{ col, key ast.Expr }{{b.L, b.R}, {b.R, b.L}} {
 		cr, isCol := flip.col.(*ast.ColRef)
-		if !isCol || tab.Schema.Ordinal(cr.Name) < 0 || !seekOperand(flip.key) {
+		if !isCol || !ownCol(cr, tab, binding) || !fixedOperand(flip.key, tab, binding) {
 			continue
 		}
 		return cr.Name, flip.key, true
@@ -267,13 +283,17 @@ func eqColKey(e ast.Expr, tab *storage.Table) (string, ast.Expr, bool) {
 // rangeBounds combines comparison conjuncts over col into one [lo, hi]
 // range hint (first conjunct per side wins; a non-negated BETWEEN supplies
 // both sides at once, so only while neither is set); nil when no bound
-// applies. Every bound is a seekOperand.
-func rangeBounds(conjs []ast.Expr, col string, tab *storage.Table) *accessHint {
+// applies. Every bound is a fixedOperand.
+func rangeBounds(conjs []ast.Expr, col string, tab *storage.Table, binding string) *accessHint {
+	colSide := func(e ast.Expr) bool {
+		cr, ok := e.(*ast.ColRef)
+		return ok && strings.EqualFold(cr.Name, col) && ownCol(cr, tab, binding)
+	}
+	fixed := func(e ast.Expr) bool { return fixedOperand(e, tab, binding) }
 	h := &accessHint{kind: accessRange, col: col}
 	for _, cj := range conjs {
 		if bt, ok := cj.(*ast.BetweenExpr); ok {
-			if !bt.Negate && h.lo == nil && h.hi == nil && isColSide(bt.E, col, tab) &&
-				seekOperand(bt.Lo) && seekOperand(bt.Hi) {
+			if !bt.Negate && h.lo == nil && h.hi == nil && colSide(bt.E) && fixed(bt.Lo) && fixed(bt.Hi) {
 				h.lo, h.hi, h.loConj, h.hiConj = bt.Lo, bt.Hi, cj, cj
 			}
 			continue
@@ -285,9 +305,9 @@ func rangeBounds(conjs []ast.Expr, col string, tab *storage.Table) *accessHint {
 		var cmp sqltypes.BinaryOp
 		var bound ast.Expr
 		switch {
-		case isColSide(b.L, col, tab) && seekOperand(b.R):
+		case colSide(b.L) && fixed(b.R):
 			cmp, bound = b.Op, b.R
-		case isColSide(b.R, col, tab) && seekOperand(b.L):
+		case colSide(b.R) && fixed(b.L):
 			// Flip: key OP col ≡ col OP' key.
 			switch b.Op {
 			case sqltypes.OpLt:
@@ -328,11 +348,6 @@ func rangeBounds(conjs []ast.Expr, col string, tab *storage.Table) *accessHint {
 		return nil
 	}
 	return h
-}
-
-func isColSide(e ast.Expr, col string, tab *storage.Table) bool {
-	cr, ok := e.(*ast.ColRef)
-	return ok && strings.EqualFold(cr.Name, col) && tab.Schema.Ordinal(cr.Name) >= 0
 }
 
 // rangeSelectivity estimates the selected fraction from the column's

@@ -16,9 +16,17 @@ import (
 type compiler struct {
 	cat  Catalog
 	opts Options
+	// rules are the rewrite rules this compile runs; nested query bodies
+	// get the cost pass when they include RuleChooseAccessPath.
+	rules RuleSet
 	// slots, when non-nil, resolves variable references to Ctx.VarSlots
 	// indexes at compile time (compiled procedural blocks).
 	slots map[string]int
+}
+
+// newCompiler starts a compile that runs every rule opts leaves enabled.
+func newCompiler(cat Catalog, opts Options) *compiler {
+	return &compiler{cat: cat, opts: opts, rules: RuleAll &^ opts.DisableRules}
 }
 
 // stampingCatalog wraps a Catalog and records the stats version of every

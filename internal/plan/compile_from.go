@@ -3,7 +3,6 @@ package plan
 import (
 	"aggify/internal/ast"
 	"aggify/internal/exec"
-	"aggify/internal/froid"
 	"aggify/internal/sqltypes"
 	"aggify/internal/storage"
 	"fmt"
@@ -44,19 +43,32 @@ func whereConjuncts(filters []*lFilter) []conjunct {
 type fromUnit struct {
 	pos     int
 	node    lNode
-	binding string   // visible qualifier ("" for explicit joins)
-	cols    []string // output column names (for conjunct classification)
+	binding string      // visible qualifier ("" for explicit joins)
+	cols    []string    // output column names (for conjunct classification)
+	sides   []*fromUnit // an explicit join's two inputs, which bind its columns
 	tab     *storage.Table
 	preds   []conjunct // single-unit conjuncts assigned to this unit
 }
 
 // newFromUnit describes a FROM unit for conjunct classification.
 func (c *compiler) newFromUnit(pos int, n lNode, env *cteEnv) (*fromUnit, error) {
+	u := &fromUnit{pos: pos, node: n, binding: bindingName(n)}
+	if j, ok := n.(*lJoin); ok {
+		for _, side := range []lNode{j.L, j.R} {
+			su, err := c.newFromUnit(pos, side, env)
+			if err != nil {
+				return nil, err
+			}
+			u.sides = append(u.sides, su)
+			u.cols = append(u.cols, su.cols...)
+		}
+		return u, nil
+	}
 	cols, err := c.outputNames(n, env)
 	if err != nil {
 		return nil, err
 	}
-	u := &fromUnit{pos: pos, node: n, binding: bindingName(n), cols: cols}
+	u.cols = cols
 	if s, ok := n.(*lScan); ok && !lateBound(s.Name) {
 		if tab, err := c.cat.ResolveTable(s.Name); err == nil {
 			u.tab = tab
@@ -65,8 +77,12 @@ func (c *compiler) newFromUnit(pos int, n lNode, env *cteEnv) (*fromUnit, error)
 	return u, nil
 }
 
-// hasCol reports whether the unit exposes the (possibly qualified) column.
+// hasCol reports whether the unit exposes the (possibly qualified) column;
+// an explicit join exposes the columns of its inputs under their bindings.
 func (u *fromUnit) hasCol(ref *ast.ColRef) bool {
+	if u.sides != nil {
+		return u.sides[0].hasCol(ref) || u.sides[1].hasCol(ref)
+	}
 	if ref.Table != "" && ref.Table != u.binding {
 		return false
 	}
@@ -199,9 +215,10 @@ func eqSides(e ast.Expr) (l, r ast.Expr, ok bool) {
 }
 
 // compileFrom builds the physical access path for a FROM node and its WHERE
-// conjuncts: greedy join ordering over the comma-joined units, index-seek
-// selection for sargable predicates, hash joins for equi-predicates, and
-// filter placement for everything else. All WHERE conjuncts are consumed.
+// conjuncts: greedy join ordering over the comma-joined units, the access
+// path choose_access_path pinned on each base table, index nested-loop or
+// hash joins for equi-predicates, and filter placement for everything else.
+// All WHERE conjuncts are consumed.
 func (c *compiler) compileFrom(from lNode, where []conjunct, parent *scope, env *cteEnv) (opBuilder, *scope, *Node, error) {
 	items := fromUnits(from)
 	if len(items) == 0 {
@@ -255,64 +272,25 @@ func (c *compiler) compileFrom(from lNode, where []conjunct, parent *scope, env 
 		}
 	}
 
-	// sargableIndexed reports whether the unit has an indexed equality
-	// predicate whose key is a seekOperand or an outer column, and returns
-	// its column, its key and the conjunct the seek absorbs.
-	sargableIndexed := func(u *fromUnit) (col string, key ast.Expr, used conjunct, found bool) {
-		if u.tab == nil {
-			return "", nil, conjunct{}, false
-		}
-		for _, p := range u.preds {
-			l, r, ok := eqSides(p.e)
-			if !ok {
-				continue
-			}
-			for _, flip := range []struct{ col, key ast.Expr }{{l, r}, {r, l}} {
-				cr, isCol := flip.col.(*ast.ColRef)
-				if !isCol || !u.hasCol(cr) {
-					continue
-				}
-				// The inliner's coercion of an outer column binds a UDF
-				// parameter, which the call converted before any seek.
-				key := flip.key
-				if operand, _, ok := froid.CoerceArgs(key); ok {
-					key = operand
-				}
-				if _, outer := key.(*ast.ColRef); !outer && !seekOperand(flip.key) ||
-					len(unitsOf(flip.key, units)) != 0 {
-					continue
-				}
-				if u.tab.Index(cr.Name) == nil {
-					continue
-				}
-				return cr.Name, flip.key, p, true
-			}
-		}
-		return "", nil, conjunct{}, false
-	}
-
-	// Pick the starting unit: prefer an indexed sargable predicate, then any
-	// filtered unit, then the first.
-	start := -1
+	// Pick the starting unit: prefer an indexed equality on a fixed key
+	// (whether or not choose_access_path seeks it, so row order does not
+	// depend on the rules), then any filtered unit but an explicit join
+	// (push_filter moves its filters below the join), then the first.
+	start, filtered := -1, -1
 	for i, u := range units {
-		if _, _, _, ok := sargableIndexed(u); ok {
+		if u.tab != nil && hasIndexedEq(u) {
 			start = i
 			break
 		}
-	}
-	if start < 0 {
-		for i, u := range units {
-			if len(u.preds) > 0 {
-				start = i
-				break
-			}
+		if filtered < 0 && len(u.preds) > 0 && u.sides == nil {
+			filtered = i
 		}
 	}
 	if start < 0 {
-		start = 0
+		start = max(filtered, 0)
 	}
 
-	builder, sc, n, err := c.compileUnit(units[start], parent, env, false, sargableIndexed)
+	builder, sc, n, err := c.compileUnit(units[start], parent, env)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -432,7 +410,7 @@ func (c *compiler) compileFrom(from lNode, where []conjunct, parent *scope, env 
 			sc = combined
 			width = sc.width()
 		} else {
-			rightBuilder, rightScope, rightNode, err := c.compileUnit(u, parent, env, false, sargableIndexed)
+			rightBuilder, rightScope, rightNode, err := c.compileUnit(u, parent, env)
 			if err != nil {
 				return nil, nil, nil, err
 			}
@@ -522,13 +500,15 @@ func (c *compiler) compileFrom(from lNode, where []conjunct, parent *scope, env 
 			offsets[p] = off
 			off += len(units[p].cols)
 		}
+		// Each column keeps the qualifier it was compiled with (an explicit
+		// join's columns keep their own tables' bindings).
 		reordered := &scope{parent: parent}
 		var exprs []exec.Scalar
 		for _, u := range units {
 			base := offsets[u.pos]
-			for ci, cn := range u.cols {
+			for ci := range u.cols {
 				exprs = append(exprs, exec.ColScalar(base+ci))
-				reordered.add(u.binding, cn, sqltypes.Unknown)
+				reordered.add(sc.cols[base+ci].Qual, sc.cols[base+ci].Name, sqltypes.Unknown)
 			}
 		}
 		inner := builder
@@ -562,22 +542,24 @@ func andScalars(preds []exec.Scalar) exec.Scalar {
 	}
 }
 
-// seekFinder picks the index equality seek for a unit's conjuncts: the
-// seeked column, its key, and the conjunct the seek absorbs.
-type seekFinder func(u *fromUnit) (col string, key ast.Expr, used conjunct, found bool)
+// hasIndexedEq reports whether one of the base-table unit's predicates is
+// an equality on an indexed column with a fixed key.
+func hasIndexedEq(u *fromUnit) bool {
+	for _, p := range u.preds {
+		if col, _, ok := eqColKey(p.e, u.tab, u.binding); ok && u.tab.Index(col) != nil {
+			return true
+		}
+	}
+	return false
+}
 
 // compileUnit compiles one FROM unit with its assigned single-unit
-// predicates, choosing an index seek for a constant sargable predicate when
-// available. nlRight inserts a phantom scope level for units placed as the
-// right side of a nested-loop join.
-func (c *compiler) compileUnit(u *fromUnit, parent *scope, env *cteEnv, nlRight bool, sargable seekFinder) (opBuilder, *scope, *Node, error) {
-	unitParent := parent
-	if nlRight {
-		unitParent = &scope{parent: parent}
-	}
+// predicates. A base table compiles along the access path
+// choose_access_path pinned on it, or as a full scan when it pinned none.
+func (c *compiler) compileUnit(u *fromUnit, parent *scope, env *cteEnv) (opBuilder, *scope, *Node, error) {
 	var builder opBuilder
 	var n *Node
-	sc := &scope{parent: unitParent}
+	sc := &scope{parent: parent}
 	rest := u.preds
 
 	switch t := u.node.(type) {
@@ -606,22 +588,9 @@ func (c *compiler) compileUnit(u *fromUnit, parent *scope, env *cteEnv, nlRight 
 				return nil, nil, nil, err
 			}
 		default:
-			col, key, used, ok := sargable(u)
-			if !ok {
-				if builder, n, rest, err = c.scanUnit(tab, "", "", rest, sc, env); err != nil {
-					return nil, nil, nil, err
-				}
-				break
-			}
-			keyScalar, err := c.compileExpr(key, &scope{parent: unitParent}, env)
-			if err != nil {
+			if builder, n, rest, err = c.scanUnit(tab, "", "", rest, sc, env); err != nil {
 				return nil, nil, nil, err
 			}
-			n = node(fmt.Sprintf("IndexSeek(%s.%s)", tab.Name, col) + rwSuffix(used.mark))
-			builder = annotate(func(bc *buildCtx) exec.Operator {
-				return &exec.IndexSeekOp{Table: tab, Column: col, Key: keyScalar}
-			}, n)
-			rest = withoutPreds(rest, used.e)
 		}
 	case *lCTERef:
 		b, err := env.resolve(t.Name)
@@ -641,7 +610,7 @@ func (c *compiler) compileUnit(u *fromUnit, parent *scope, env *cteEnv, nlRight 
 			return nil, nil, nil, err
 		}
 	case *lDerived:
-		b, cols, sn, err := c.compileSelect(t.Child, unitParent, env)
+		b, cols, sn, err := c.compileSelect(t.Child, parent, env)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -651,7 +620,7 @@ func (c *compiler) compileUnit(u *fromUnit, parent *scope, env *cteEnv, nlRight 
 		n = node("Derived("+t.Alias+")"+rwSuffix(t.mark), sn)
 		builder = annotate(b, n)
 	case *lJoin:
-		b, jsc, jn, err := c.compileJoin(t, unitParent, env)
+		b, jsc, jn, err := c.compileJoin(t, parent, env)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -909,6 +878,5 @@ func (c *compiler) compileTableSource(n lNode, parent *scope, env *cteEnv) (opBu
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	noSeek := func(*fromUnit) (string, ast.Expr, conjunct, bool) { return "", nil, conjunct{}, false }
-	return c.compileUnit(u, parent, env, false, noSeek)
+	return c.compileUnit(u, parent, env)
 }

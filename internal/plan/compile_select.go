@@ -16,17 +16,16 @@ import (
 // compilation of that IR.
 func Compile(cat Catalog, opts Options, q *ast.Select) (*Plan, error) {
 	sc := &stampingCatalog{inner: cat, seen: map[*storage.Table]uint64{}}
-	c := &compiler{cat: sc, opts: opts}
-	rules := RuleAll &^ opts.DisableRules
-	if !rules.Has(RuleDecorrelate) {
-		rules &^= RulePushFilterDecor
+	c := newCompiler(sc, opts)
+	if !c.rules.Has(RuleDecorrelate) {
+		c.rules &^= RulePushFilterDecor
 	}
-	p, fired, err := c.compileRewritten(q, rules)
+	p, fired, err := c.compileRewritten(q)
 	if err != nil && fired {
 		// A rewritten query must never fail where the original compiles:
 		// compile it again with no rule, so a rule bug degrades to a missed
 		// optimization.
-		p, _, err = c.compileRewritten(q, 0)
+		p, _, err = (&compiler{cat: sc, opts: opts}).compileRewritten(q)
 	}
 	if err != nil {
 		return nil, err
@@ -35,17 +34,17 @@ func Compile(cat Catalog, opts Options, q *ast.Select) (*Plan, error) {
 	return p, nil
 }
 
-// compileRewritten builds q into the IR, runs the enabled rules over it and
-// compiles the result. fired reports whether any rule changed the IR.
-func (c *compiler) compileRewritten(q *ast.Select, rules RuleSet) (p *Plan, fired bool, err error) {
-	if rules != 0 {
+// compileRewritten builds q into the IR, runs the compile's rules over it
+// and compiles the result. fired reports whether any rule changed the IR.
+func (c *compiler) compileRewritten(q *ast.Select) (p *Plan, fired bool, err error) {
+	if c.rules != 0 {
 		q = ast.CloneSelect(q) // the rules rewrite the IR's expressions in place
 	}
 	root, err := c.buildLogical(q, nil)
 	if err != nil {
 		return nil, false, err
 	}
-	rw := &rewriter{c: c, rules: rules, fired: map[RuleSet]int{}}
+	rw := &rewriter{c: c, rules: c.rules, fired: map[RuleSet]int{}}
 	root = rw.run(root)
 	builder, cols, n, err := c.compileSelect(root, nil, nil)
 	if err != nil {
@@ -54,12 +53,18 @@ func (c *compiler) compileRewritten(q *ast.Select, rules RuleSet) (p *Plan, fire
 	return &Plan{Columns: cols, Explain: n, build: builder, Rewrites: rw.firedList(), Declined: rw.declined}, rw.total > 0, nil
 }
 
-// compileQuery compiles a query no rule runs on (a CTE body or an
-// expression subquery) against an enclosing scope.
+// compileQuery compiles a nested query body (a CTE body or an expression
+// subquery) against an enclosing scope. Only the cost pass runs on it, when
+// the compile's rules include RuleChooseAccessPath; its firings are not
+// counted into the root's rewrites.
 func (c *compiler) compileQuery(q *ast.Select, parent *scope, env *cteEnv) (opBuilder, []string, *Node, error) {
 	n, err := c.buildLogical(q, env.names())
 	if err != nil {
 		return nil, nil, nil, err
+	}
+	if c.rules.Has(RuleChooseAccessPath) {
+		rw := &rewriter{c: c, rules: RuleChooseAccessPath, fired: map[RuleSet]int{}}
+		n = rw.choosePass(n)
 	}
 	return c.compileSelect(n, parent, env)
 }

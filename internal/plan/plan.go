@@ -277,8 +277,7 @@ func litScalar(v sqltypes.Value) exec.Scalar { return exec.ConstScalar(v) }
 // CompileScalar compiles an expression that references no table columns
 // (variables, parameters, literals, function calls, scalar subqueries).
 func CompileScalar(cat Catalog, opts Options, e ast.Expr) (exec.Scalar, error) {
-	c := &compiler{cat: cat, opts: opts}
-	return c.compileExpr(e, &scope{}, nil)
+	return newCompiler(cat, opts).compileExpr(e, &scope{}, nil)
 }
 
 // CompileScalarSlots compiles an expression whose variable references are
@@ -286,7 +285,8 @@ func CompileScalar(cat Catalog, opts Options, e ast.Expr) (exec.Scalar, error) {
 // by compiled procedural blocks, i.e. Aggify-generated aggregates). Every
 // variable in e must appear in slots.
 func CompileScalarSlots(cat Catalog, opts Options, e ast.Expr, slots map[string]int) (exec.Scalar, error) {
-	c := &compiler{cat: cat, opts: opts, slots: slots}
+	c := newCompiler(cat, opts)
+	c.slots = slots
 	return c.compileExpr(e, &scope{}, nil)
 }
 
@@ -294,8 +294,7 @@ func CompileScalarSlots(cat Catalog, opts Options, e ast.Expr, slots map[string]
 // table (used for DML: UPDATE SET expressions; WHERE goes through
 // CompileRowPredicate).
 func CompileRowExpr(cat Catalog, opts Options, e ast.Expr, tab *storage.Table) (exec.Scalar, error) {
-	c := &compiler{cat: cat, opts: opts}
-	return c.compileExpr(e, tableScope(tab), nil)
+	return newCompiler(cat, opts).compileExpr(e, tableScope(tab), nil)
 }
 
 // tableScope is the row scope of a single table's columns.

@@ -295,7 +295,6 @@ func CompileRowPredicate(cat Catalog, opts Options, e ast.Expr, tab *storage.Tab
 	if e == nil {
 		return nil, nil
 	}
-	c := &compiler{cat: cat, opts: opts}
-	p, _, err := c.compilePredicate(e, tableScope(tab), nil)
+	p, _, err := newCompiler(cat, opts).compilePredicate(e, tableScope(tab), nil)
 	return p, err
 }

@@ -671,11 +671,12 @@ func (rw *rewriter) tryPush(f *lFilter) (lNode, bool) {
 }
 
 // targetUnit returns the one FROM unit every column reference of pred
-// resolves to. There is none when a reference is ambiguous, outer, unknown
-// or into a unit whose columns are unknown, when pred references no column,
-// and when pred embeds a subquery: such a predicate (possibly correlated)
-// stays where the user wrote it, since moving it would change how often the
-// subquery runs.
+// resolves to; a reference that resolves to no unit of the block is to an
+// enclosing query and does not count. There is none when a reference is
+// ambiguous, unknown or into a unit whose columns are unknown, when pred
+// references no column of the block, and when pred embeds a subquery: such
+// a predicate (possibly correlated) stays where the user wrote it, since
+// moving it would change how often the subquery runs.
 func targetUnit(units []unitRef, pred ast.Expr) (int, bool) {
 	if ast.HasSubquery(pred) {
 		return -1, false
@@ -702,8 +703,11 @@ func targetUnit(units []unitRef, pred ast.Expr) (int, bool) {
 			}
 			idx = i
 		}
-		if idx == -1 || target != -1 && target != idx {
-			return -1, false // outer reference, or the predicate spans units
+		if idx == -1 {
+			continue // a column of an enclosing query
+		}
+		if target != -1 && target != idx {
+			return -1, false // the predicate spans units
 		}
 		target = idx
 	}

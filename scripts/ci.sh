@@ -91,14 +91,18 @@ go test -count=1 -run 'TestKernel|TestScanFilterDefers' ./internal/plan
 go test -race -count=1 -run TestBoundPredicateSharedPlanConcurrentSessions ./internal/engine
 go test -race -count=1 -run 'TestPanicContainedPerConnection|TestTraceFlaggedFrameRejected' ./internal/server
 
-stage "access paths (BETWEEN differential, seek operand parity, sort-once build, DML seeks, statistics drift)"
+stage "access paths (BETWEEN differential, seek operand parity, nested bodies, join chains, sort-once build, DML seeks, statistics drift)"
 # A BETWEEN or comparison on an indexed column range-seeks: same rows, same
 # order and same error as the scan; operands that could raise stay in the
 # filter; the sort-once index build equals the index grown row by row.
+# Nested query bodies (subqueries, EXISTS, CTEs, a procedural SET, an
+# inlined UDF) seek only through choose_access_path, keyed by an outer
+# column when one is fixed, with the scan's rows. A join over a join
+# resolves its qualified columns and hash-joins, reading each table once.
 # UPDATE and DELETE seek their rows the same way and change what the scan
 # would. Statistics and cached plans are rebuilt once a tenth of the table
 # drifted, and CREATE INDEX drops the cached statistics.
-go test -count=1 -run 'TestBetweenRangeSeekDifferential|TestSeekOperandErrorParity|TestDMLRowSourceDifferential|TestUpdateSeeksOneRow|TestPlanCacheStatsDriftReplan|TestCreateIndexRefreshesStatistics' ./internal/engine
+go test -count=1 -run 'TestBetweenRangeSeekDifferential|TestSeekOperandErrorParity|TestNestedBodiesChooseAccess|TestJoinChainHashJoins|TestCommaListJoinUnitColumns|TestDMLRowSourceDifferential|TestUpdateSeeksOneRow|TestPlanCacheStatsDriftReplan|TestCreateIndexRefreshesStatistics' ./internal/engine
 go test -count=1 -run 'TestCreateIndexBuildMatchesIncremental|TestSeekAllocs|TestStatisticsReuseWithinDrift|TestCreateIndexDropsCachedStatistics|TestHistogramEquiDepth' ./internal/storage
 
 stage "Aggify+ rules (inline_udf, decorrelate)"
