@@ -1,13 +1,14 @@
 package storage
 
 import (
-	"sort"
+	"slices"
 
 	"aggify/internal/sqltypes"
 )
 
-// Table statistics: the committed live row count plus per-column distinct
-// estimates and histograms, kept honest across every mutation path.
+// Table statistics: the committed live row count plus a distinct estimate
+// and a histogram per indexed column, kept honest across every mutation
+// path.
 //
 // Every committed Insert/Update/Delete/Truncate — including replayed WAL
 // mutations — bumps the table's statsVersion, by one per row it changed.
@@ -16,7 +17,7 @@ import (
 // tenth of the rows they describe could have changed (at least one
 // mutation). The live row count is read afresh on every call, so it never
 // lags. Adding an index drops the cached snapshot outright, since it has
-// no histogram for the new column.
+// no distinct count or histogram for the new column.
 //
 // Distinct counts are exact over value hashes (a 64-bit collision is
 // indistinguishable from a duplicate, which is far below the estimate's
@@ -108,8 +109,9 @@ type TableStatistics struct {
 	// Rows is the committed live row count (RowCount() when the snapshot
 	// was returned, even when the rest of it was built earlier).
 	Rows int
-	// Distinct holds the distinct-value estimate per column ordinal.
-	// NULLs do not contribute (matching index behavior).
+	// Distinct holds the distinct-value estimate per column ordinal, -1
+	// for a column without an index. NULLs do not contribute (matching
+	// index behavior).
 	Distinct []int
 	// Histograms holds an equi-depth histogram per indexed column (keyed
 	// by lower-cased column name) — the inputs the access-path cost model
@@ -118,7 +120,7 @@ type TableStatistics struct {
 }
 
 // DistinctOf returns the distinct estimate for the named column, or -1
-// when the column does not exist.
+// when the column does not exist or has no index.
 func (ts TableStatistics) DistinctOf(s *Schema, column string) int {
 	ord := s.Ordinal(column)
 	if ord < 0 || ord >= len(ts.Distinct) {
@@ -164,41 +166,34 @@ func (t *Table) dropStatistics() {
 // snapshot. Callers hold statsMu.
 func (t *Table) buildStatistics() {
 	v := t.statsVersion.Load()
-	ncols := t.Schema.Len()
-	sets := make([]map[uint64]struct{}, ncols)
-	for i := range sets {
-		sets[i] = map[uint64]struct{}{}
-	}
-	// Histogram inputs: collect the non-NULL values of every indexed
-	// column during the same scan.
+	// Distinct counts and histograms describe the indexed columns only:
+	// the access-path cost model and aggify_stat_columns read no others.
 	cols := t.IndexColumns()
-	histVals := make(map[string][]sqltypes.Value, len(cols))
-	histOrds := make(map[string]int, len(cols))
-	for _, col := range cols {
-		histVals[col] = nil
-		histOrds[col] = t.Schema.Ordinal(col)
+	ords := make([]int, len(cols))
+	sets := make([]map[uint64]struct{}, len(cols))
+	vals := make([][]sqltypes.Value, len(cols))
+	for i, col := range cols {
+		ords[i] = t.Schema.Ordinal(col)
+		sets[i] = map[uint64]struct{}{}
 	}
 	rows := 0
 	t.Scan(nil, nil, func(_ int, row []sqltypes.Value) bool {
 		rows++
-		for i, val := range row {
-			if !val.IsNull() {
+		for i, ord := range ords {
+			if val := row[ord]; !val.IsNull() {
 				sets[i][sqltypes.Hash(val)] = struct{}{}
-			}
-		}
-		for col, ord := range histOrds {
-			if !row[ord].IsNull() {
-				histVals[col] = append(histVals[col], row[ord])
+				vals[i] = append(vals[i], val)
 			}
 		}
 		return true
 	})
-	st := &TableStatistics{Rows: rows, Distinct: make([]int, ncols), Histograms: make(map[string]Histogram, len(cols))}
-	for i, set := range sets {
-		st.Distinct[i] = len(set)
+	st := &TableStatistics{Rows: rows, Distinct: make([]int, t.Schema.Len()), Histograms: make(map[string]Histogram, len(cols))}
+	for i := range st.Distinct {
+		st.Distinct[i] = -1
 	}
-	for col, vals := range histVals {
-		st.Histograms[col] = buildHistogram(vals, rows)
+	for i, col := range cols {
+		st.Distinct[ords[i]] = len(sets[i])
+		st.Histograms[col] = buildHistogram(vals[i], rows)
 	}
 	t.statsCache = st
 	t.statsCachedAt = v
@@ -222,9 +217,11 @@ func buildHistogram(vals []sqltypes.Value, rows int) Histogram {
 	if len(vals) == 0 {
 		return h
 	}
-	sort.SliceStable(vals, func(i, j int) bool {
-		c, ok := sqltypes.Compare(vals[i], vals[j])
-		return ok && c < 0
+	slices.SortStableFunc(vals, func(a, b sqltypes.Value) int {
+		if c, ok := sqltypes.Compare(a, b); ok {
+			return c
+		}
+		return 0
 	})
 	depth := (len(vals) + HistogramBuckets - 1) / HistogramBuckets
 	count, ndv := 0, 0
