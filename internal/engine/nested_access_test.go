@@ -189,3 +189,38 @@ insert into t2 values (2, 200), (1, 100), (3, 300);
 		}
 	}
 }
+
+// TestCompiledRoutineFollowsSessionRules: a query inside a compiled UDF
+// body is planned with the calling session's rules. The WHILE loop keeps
+// the UDF from being inlined, so its body runs compiled and seeks r twice
+// per call with choose_access_path on and never with it off, whichever
+// session compiled the body first.
+func TestCompiledRoutineFollowsSessionRules(t *testing.T) {
+	eng := nestedAccessDB(t)
+	if _, err := interp.RunScript(eng.NewSession(), parser.MustParse(`
+create function loopv(@x int) returns int as
+begin
+  declare @c int = 0;
+  declare @i int = 0;
+  while @i < 2
+  begin
+    set @c = @c + (select v from r where k = @x);
+    set @i = @i + 1;
+  end
+  return @c;
+end`)); err != nil {
+		t.Fatal(err)
+	}
+	on, off := eng.NewSession(), eng.NewSession()
+	off.Opts.DisableRules = plan.RuleChooseAccessPath
+	for _, step := range []struct {
+		sess  *engine.Session
+		seeks int64
+	}{{on, 2}, {off, 0}, {on, 2}, {off, 0}} {
+		rows, seeks := runNested(t, step.sess, "select loopv(17)")
+		if rows != "4" || seeks != step.seeks {
+			t.Errorf("rules %b off: loopv(17) = %s with %d seeks, want 4 with %d",
+				step.sess.Opts.DisableRules, rows, seeks, step.seeks)
+		}
+	}
+}

@@ -211,11 +211,12 @@ func (e *Engine) CachedScalar(cat plan.Catalog, opts plan.Options, expr ast.Expr
 	return sc, err
 }
 
-// CachedRoutine returns what build made of a routine definition node. The
+// CachedRoutine returns what build made of a routine definition node
+// under the given planner options, which plan the queries in its body. The
 // value is opaque to the engine: the interpreter owns it, including the
 // typed-nil values that mark bodies it will not compile again.
-func (e *Engine) CachedRoutine(def any, build func() any) any {
-	v, _, _ := e.cached(cacheKey{id: def}, "", nil, func() (any, error) { return build(), nil })
+func (e *Engine) CachedRoutine(def any, opts plan.Options, build func() any) any {
+	v, _, _ := e.cached(cacheKey{id: def, opts: opts}, "", nil, func() (any, error) { return build(), nil })
 	return v
 }
 

@@ -448,7 +448,7 @@ func (s *Session) scanMatching(ctx *exec.Ctx, tab *storage.Table, src plan.RowSo
 	}
 	found := false
 	if src.Key != nil {
-		found = tab.Seek(ctx.Snap, s.Stats, src.Column, ops[0], visit)
+		found = tab.Seek(ctx.Snap, s.Stats, src.Column, ops[0], nil, visit)
 	} else if cur, ok := tab.SeekRange(ctx.Snap, s.Stats, src.Column, ops[1], ops[2], src.LoStrict, src.HiStrict); ok {
 		found = true
 		cur.Each(s.Stats, visit)

@@ -164,14 +164,30 @@ type ScanOp struct {
 	Table *storage.Table
 	// Pred, when set, filters inside the scan (see cursorFeed).
 	Pred *Predicate
+	// Chunked lets Pred reject rows from the table's typed column chunks
+	// without loading them (BoundPredicate.Reject). The planner sets it as
+	// part of the access path.
+	Chunked bool
 
 	cursorFeed
+	cur storage.Cursor
 }
 
 // Open implements Operator.
 func (o *ScanOp) Open(ctx *Ctx) error {
-	o.open(o.Table.NewCursor(ctx.Snap), o.Pred)
+	o.Table.OpenCursor(&o.cur, ctx.Snap)
+	o.open(&o.cur, o.Pred)
+	if o.Chunked && o.Pred != nil {
+		o.cur.SetFilter(&o.bp)
+	}
 	return nil
+}
+
+// Close implements Operator, releasing the cursor's hold on the table's
+// slot array.
+func (o *ScanOp) Close() {
+	o.cursorFeed.Close()
+	o.cur = storage.Cursor{}
 }
 
 // BufferedRows reports the rows currently buffered (at most one refill) —
@@ -185,6 +201,7 @@ type IndexSeekOp struct {
 	Column string
 	Key    Scalar
 
+	rids []int // the seek's candidate buffer, kept across Opens
 	rows [][]sqltypes.Value
 	pos  int
 }
@@ -200,7 +217,7 @@ func (o *IndexSeekOp) Open(ctx *Ctx) error {
 	if key.IsNull() {
 		return nil // equality with NULL matches nothing
 	}
-	if !o.Table.Seek(ctx.Snap, ctx.Stats, o.Column, key, func(_ int, row []sqltypes.Value) bool {
+	if !o.Table.Seek(ctx.Snap, ctx.Stats, o.Column, key, &o.rids, func(_ int, row []sqltypes.Value) bool {
 		o.rows = append(o.rows, row)
 		return true
 	}) {

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"strings"
 
 	"aggify/internal/sqltypes"
 )
@@ -79,6 +78,34 @@ func NewPredicate(conj []Conjunct) *Predicate {
 type boundArg struct {
 	val sqltypes.Value
 	ok  bool
+	// date is a string val read as a Date, parsed the first time a Date
+	// is compared with it: NULL when it does not parse, which is what
+	// sqltypes.Compare makes of the pair, row by row.
+	date  sqltypes.Value
+	dated bool
+}
+
+// against returns the operand column value v is compared with.
+func (a *boundArg) against(v *sqltypes.Value) *sqltypes.Value {
+	if v.Kind() != sqltypes.KindDate {
+		return &a.val
+	}
+	return a.forDate()
+}
+
+// forDate returns the operand a Date is compared with: a date-shaped
+// string invariant is the parsed Date, bound once.
+func (a *boundArg) forDate() *sqltypes.Value {
+	if a.val.Kind() != sqltypes.KindString {
+		return &a.val
+	}
+	if !a.dated {
+		a.date, a.dated = sqltypes.Null, true
+		if d, err := sqltypes.ParseDate(a.val.Str()); err == nil {
+			a.date = d
+		}
+	}
+	return &a.date
 }
 
 // BoundPredicate is a Predicate plus the invariants bound so far. Operators
@@ -103,7 +130,7 @@ func (b *BoundPredicate) Reset(p *Predicate) {
 }
 
 // arg returns invariant i of conjunct c, evaluating it on first use.
-func (b *BoundPredicate) arg(ctx *Ctx, c *Conjunct, i int) (*sqltypes.Value, error) {
+func (b *BoundPredicate) arg(ctx *Ctx, c *Conjunct, i int) (*boundArg, error) {
 	a := &b.args[c.off+i]
 	if !a.ok {
 		v, err := c.Args[i](ctx, nil)
@@ -112,7 +139,7 @@ func (b *BoundPredicate) arg(ctx *Ctx, c *Conjunct, i int) (*sqltypes.Value, err
 		}
 		a.val, a.ok = v, true
 	}
-	return &a.val, nil
+	return a, nil
 }
 
 // Match reports whether row satisfies the predicate: every conjunct TRUE.
@@ -159,24 +186,25 @@ func (b *BoundPredicate) kernel(ctx *Ctx, c *Conjunct, v *sqltypes.Value) (tri, 
 		if err != nil {
 			return triNull, err
 		}
-		cmp, ok := compare(v, a)
+		cmp, ok := sqltypes.CompareRef(v, a.against(v))
 		if !ok {
 			return triNull, nil
 		}
 		return triBool(sqltypes.CmpHolds(c.Op, cmp)), nil
 	case ShapeBetween:
-		lo, err := b.arg(ctx, c, 0)
+		la, err := b.arg(ctx, c, 0)
 		if err != nil {
 			return triNull, err
 		}
-		hi, err := b.arg(ctx, c, 1)
+		ha, err := b.arg(ctx, c, 1)
 		if err != nil {
 			return triNull, err
 		}
+		lo, hi := la.against(v), ha.against(v)
 		if k := v.Kind(); k == lo.Kind() && k == hi.Kind() && fastKind(k) {
 			in := false
-			if ge, _ := compare(v, lo); ge >= 0 {
-				le, _ := compare(v, hi)
+			if ge, _ := sqltypes.CompareRef(v, lo); ge >= 0 {
+				le, _ := sqltypes.CompareRef(v, hi)
 				in = le <= 0
 			}
 			return triBool(in != c.Negate), nil
@@ -193,7 +221,7 @@ func (b *BoundPredicate) kernel(ctx *Ctx, c *Conjunct, v *sqltypes.Value) (tri, 
 			if err != nil {
 				return triNull, err
 			}
-			cmp, ok := compare(v, a)
+			cmp, ok := sqltypes.CompareRef(v, a.against(v))
 			if !ok {
 				sawNull = true
 			} else if cmp == 0 {
@@ -210,38 +238,9 @@ func (b *BoundPredicate) kernel(ctx *Ctx, c *Conjunct, v *sqltypes.Value) (tri, 
 	return triNull, fmt.Errorf("exec: predicate conjunct of shape %d has no kernel", c.Shape)
 }
 
-// fastKind reports the kinds compare orders without sqltypes.Compare.
+// fastKind reports the kinds sqltypes.CompareRef orders in place.
 func fastKind(k sqltypes.Kind) bool {
 	return k == sqltypes.KindInt || k == sqltypes.KindDate || k == sqltypes.KindFloat || k == sqltypes.KindString
-}
-
-// compare is sqltypes.Compare with same-kind fast paths that read the two
-// values in place; every other pairing (NULLs, int against float, a
-// date-shaped string against a date, tuples) goes through Compare itself.
-func compare(a, b *sqltypes.Value) (int, bool) {
-	if k := a.Kind(); k == b.Kind() {
-		switch k {
-		case sqltypes.KindInt, sqltypes.KindDate:
-			return threeWay(a.Int(), b.Int()), true
-		case sqltypes.KindFloat:
-			return threeWay(a.Float(), b.Float()), true
-		case sqltypes.KindString:
-			return strings.Compare(a.Str(), b.Str()), true
-		}
-	}
-	return sqltypes.Compare(*a, *b)
-}
-
-// threeWay orders x and y as sqltypes.Compare does: a NaN is neither below
-// nor above anything, so it compares equal.
-func threeWay[T int64 | float64](x, y T) int {
-	switch {
-	case x < y:
-		return -1
-	case x > y:
-		return 1
-	}
-	return 0
 }
 
 // tri is a three-valued truth value.

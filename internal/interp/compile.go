@@ -124,6 +124,10 @@ type blockCompiler struct {
 	eng  *engine.Engine
 	prog *program
 	cat  plan.Catalog
+	// opts plan the queries inside the body's expressions: a routine's
+	// are those of the session that compiled it, an aggregate's the
+	// defaults.
+	opts plan.Options
 
 	// bridge enables statement-level fallthrough to the interpreter:
 	// statements outside the compilable subset (or whose scalar
@@ -251,7 +255,7 @@ func compileAggregate(eng *engine.Engine, def *ast.CreateAggregate) (*program, e
 
 // scalar compiles an expression with slot-resolved variables.
 func (bc *blockCompiler) scalar(e ast.Expr) (evalFn, error) {
-	sc, err := plan.CompileScalarSlots(bc.cat, plan.Options{}, e, bc.prog.slotIndex)
+	sc, err := plan.CompileScalarSlots(bc.cat, bc.opts, e, bc.prog.slotIndex)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 
 	"aggify/internal/ast"
 	"aggify/internal/engine"
+	"aggify/internal/plan"
 	"aggify/internal/sqltypes"
 	"aggify/internal/storage"
 )
@@ -41,13 +42,13 @@ type routine struct {
 // compileRoutine compiles a routine body with the bridge enabled. An
 // error means the routine cannot use the compiled pipeline at all (e.g. a
 // parameter default fails to compile) and the caller should interpret.
-func compileRoutine(eng *engine.Engine, name string, params []ast.Param, body *ast.Block) (*routine, error) {
+func compileRoutine(eng *engine.Engine, opts plan.Options, name string, params []ast.Param, body *ast.Block) (*routine, error) {
 	prog := &program{
 		slotIndex:   map[string]int{},
 		tableIndex:  map[string]int{},
 		cursorIndex: map[string]int{},
 	}
-	bc := &blockCompiler{eng: eng, prog: prog, bridge: true, pinEvals: true}
+	bc := &blockCompiler{eng: eng, opts: opts, prog: prog, bridge: true, pinEvals: true}
 
 	addSlot := func(name string, t sqltypes.Type) int {
 		if i, ok := prog.slotIndex[name]; ok {
@@ -170,17 +171,17 @@ func (rt *routine) call(s *engine.Session, args []sqltypes.Value) (sqltypes.Valu
 }
 
 // routineFor returns the cached compiled form of a procedure or scalar-UDF
-// definition, or nil when the body cannot use the compiled pipeline (the
-// negative result is cached too, as a typed nil, so hot interpreted
-// routines do not recompile per call).
-func routineFor(eng *engine.Engine, def ast.Stmt) *routine {
-	return eng.CachedRoutine(def, func() any {
+// definition under the session's planner options, or nil when the body
+// cannot use the compiled pipeline (the negative result is cached too, as
+// a typed nil, so hot interpreted routines do not recompile per call).
+func routineFor(s *engine.Session, def ast.Stmt) *routine {
+	return s.Eng.CachedRoutine(def, s.Opts, func() any {
 		var rt *routine
 		switch d := def.(type) {
 		case *ast.CreateProcedure:
-			rt, _ = compileRoutine(eng, d.Name, d.Params, d.Body)
+			rt, _ = compileRoutine(s.Eng, s.Opts, d.Name, d.Params, d.Body)
 		case *ast.CreateFunction:
-			rt, _ = compileRoutine(eng, d.Name, d.Params, d.Body)
+			rt, _ = compileRoutine(s.Eng, s.Opts, d.Name, d.Params, d.Body)
 		}
 		return rt
 	}).(*routine)

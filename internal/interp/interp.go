@@ -543,7 +543,7 @@ func bindParams(f *frame, params []ast.Param, args []sqltypes.Value, evalDefault
 // otherwise. Either way the RETURN value is coerced to the declared
 // return type.
 func callFunction(s *engine.Session, _ *exec.Ctx, def *ast.CreateFunction, args []sqltypes.Value) (sqltypes.Value, error) {
-	if rt := routineFor(s.Eng, def); rt != nil {
+	if rt := routineFor(s, def); rt != nil {
 		ret, err := rt.call(s, args)
 		if err != nil {
 			return sqltypes.Null, err
@@ -583,7 +583,7 @@ func callFunctionInterpreted(s *engine.Session, def *ast.CreateFunction, args []
 // callProcedure implements the engine's ProcCaller hook, compile-first
 // like callFunction.
 func callProcedure(s *engine.Session, _ *exec.Ctx, def *ast.CreateProcedure, args []sqltypes.Value) error {
-	if rt := routineFor(s.Eng, def); rt != nil {
+	if rt := routineFor(s, def); rt != nil {
 		_, err := rt.call(s, args)
 		return err
 	}

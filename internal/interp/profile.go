@@ -147,7 +147,7 @@ func ProfileProcedure(s *engine.Session, name string, args ...sqltypes.Value) (*
 		return nil, err
 	}
 	wall := time.Since(start)
-	return buildProcedureProfile(name, def.Body, r.Prof, wall, s.Stats.LogicalReads.Load()-readsBefore, routineFor(s.Eng, def)), nil
+	return buildProcedureProfile(name, def.Body, r.Prof, wall, s.Stats.LogicalReads.Load()-readsBefore, routineFor(s, def)), nil
 }
 
 // buildProcedureProfile assembles the report from the raw per-node stats,

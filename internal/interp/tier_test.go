@@ -72,7 +72,7 @@ func TestClassifyBodyTierCoverage(t *testing.T) {
 func TestRoutineTiersMatchStaticClassification(t *testing.T) {
 	sess := tierSession(t)
 	def, _ := sess.Eng.Procedure("mixed")
-	rt := routineFor(sess.Eng, def)
+	rt := routineFor(sess, def)
 	if rt == nil {
 		t.Fatal("mixed should compile (partially)")
 	}
@@ -88,9 +88,9 @@ func TestRoutineTiersMatchStaticClassification(t *testing.T) {
 func TestPlanCacheWarmZeroAllocs(t *testing.T) {
 	sess := tierSession(t)
 	def, _ := sess.Eng.Procedure("mixed")
-	want := routineFor(sess.Eng, def)
+	want := routineFor(sess, def)
 	allocs := testing.AllocsPerRun(200, func() {
-		if routineFor(sess.Eng, def) != want {
+		if routineFor(sess, def) != want {
 			t.Fatal("warm routine lookup recompiled")
 		}
 	})

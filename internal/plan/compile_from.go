@@ -702,8 +702,11 @@ func (c *compiler) scanUnit(tab *storage.Table, mark, cost string, preds []conju
 		return nil, nil, nil, err
 	}
 	sn := node("Scan(" + tab.Name + ")" + rwSuffix(addMark(mark, f.marks)) + cost + f.suffix())
+	// Reading the filter's columns from typed chunks is part of the access
+	// path: with choose_access_path off the scan loads every row.
+	chunked := c.rules.Has(RuleChooseAccessPath)
 	builder := annotate(func(*buildCtx) exec.Operator {
-		return &exec.ScanOp{Table: tab, Pred: f.pred}
+		return &exec.ScanOp{Table: tab, Pred: f.pred, Chunked: chunked}
 	}, sn)
 	return builder, sn, rest, nil
 }

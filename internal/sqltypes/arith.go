@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"unicode/utf8"
 )
 
 // ErrArithmeticOverflow is returned when integer arithmetic or SUM
@@ -320,9 +321,33 @@ func Not(v Value) Value {
 }
 
 // Like implements SQL LIKE with % (any run) and _ (any one char) wildcards,
-// case-insensitively (matching typical default collations).
+// case-insensitively (matching typical default collations). When both
+// strings are ASCII the matcher folds case byte by byte and allocates
+// nothing; otherwise both are lowercased first, since lowercasing a
+// non-ASCII string can change its byte length.
 func Like(s, pattern string) bool {
+	if isASCII(s) && isASCII(pattern) {
+		return likeMatch(s, pattern)
+	}
 	return likeMatch(strings.ToLower(s), strings.ToLower(pattern))
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
+}
+
+// lowerASCII folds an ASCII upper-case letter; every other byte, including
+// those of multi-byte UTF-8 sequences, is returned as is.
+func lowerASCII(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
 }
 
 func likeMatch(s, p string) bool {
@@ -331,7 +356,7 @@ func likeMatch(s, p string) bool {
 	star, ss := -1, 0
 	for si < len(s) {
 		switch {
-		case pi < len(p) && (p[pi] == '_' || p[pi] == s[si]):
+		case pi < len(p) && (p[pi] == '_' || lowerASCII(p[pi]) == lowerASCII(s[si])):
 			si++
 			pi++
 		case pi < len(p) && p[pi] == '%':

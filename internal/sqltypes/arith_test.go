@@ -1,6 +1,8 @@
 package sqltypes
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -161,6 +163,58 @@ func TestLike(t *testing.T) {
 		if got := Like(c.s, c.p); got != c.want {
 			t.Errorf("Like(%q,%q) = %v, want %v", c.s, c.p, got, c.want)
 		}
+	}
+}
+
+// likeLowered is LIKE as it was defined before ASCII folding: both strings
+// lowercased, then matched byte by byte.
+func likeLowered(s, p string) bool {
+	return likeMatch(strings.ToLower(s), strings.ToLower(p))
+}
+
+// TestLikeMatchesLoweredDefinition draws strings and patterns from an
+// alphabet of both cases, the wildcards and non-ASCII letters (one whose
+// lowercase has another byte length, one that lowercases to ASCII) and
+// checks Like against lowercasing both strings first.
+func TestLikeMatchesLoweredDefinition(t *testing.T) {
+	alphabet := []string{"a", "A", "b", "B", "z", "%", "_", " ", "é", "É", "Ⱥ", "K", "ß"}
+	rng := rand.New(rand.NewSource(1))
+	draw := func(n int, wild bool) string {
+		var b strings.Builder
+		for i := rng.Intn(n); i >= 0; i-- {
+			c := alphabet[rng.Intn(len(alphabet))]
+			if !wild && (c == "%" || c == "_") {
+				c = "a"
+			}
+			b.WriteString(c)
+		}
+		return b.String()
+	}
+	for i := 0; i < 20000; i++ {
+		s, p := draw(8, false), draw(6, true)
+		if rng.Intn(3) == 0 {
+			s, p = strings.ToUpper(s), strings.ToLower(p)
+		}
+		if got, want := Like(s, p), likeLowered(s, p); got != want {
+			t.Fatalf("Like(%q, %q) = %v, lowered definition %v", s, p, got, want)
+		}
+	}
+}
+
+// TestLikeASCIIAllocs: matching ASCII strings of either case allocates
+// nothing.
+func TestLikeASCIIAllocs(t *testing.T) {
+	matched := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		if Like("PROMO BURNISHED COPPER", "promo%") && !Like("Standard Polished Tin", "PROMO%") {
+			matched++
+		}
+	})
+	if matched == 0 {
+		t.Fatal("Like answered wrong")
+	}
+	if allocs != 0 {
+		t.Errorf("Like on ASCII strings allocates %v times, want 0", allocs)
 	}
 }
 

@@ -328,6 +328,35 @@ func Compare(a, b Value) (int, bool) {
 	}
 }
 
+// CompareRef is Compare with same-kind fast paths that read the two values
+// in place; every other pairing (NULLs, int against float, a date-shaped
+// string against a date, tuples) goes through Compare itself.
+func CompareRef(a, b *Value) (int, bool) {
+	if k := a.kind; k == b.kind {
+		switch k {
+		case KindInt, KindDate:
+			return cmpInt(a.vi(), b.vi()), true
+		case KindFloat:
+			return cmpFloat(a.vf(), b.vf()), true
+		case KindString:
+			return strings.Compare(a.vs(), b.vs()), true
+		}
+	}
+	return Compare(*a, *b)
+}
+
+// cmpFloat orders floats as Compare does: a NaN is neither below nor above
+// anything, so it compares equal.
+func cmpFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
 func cmpInt(a, b int64) int {
 	switch {
 	case a < b:

@@ -167,7 +167,7 @@ func TestRollbackUndoesWritesAndIndexes(t *testing.T) {
 	}
 	count := func(key int64) int {
 		n := 0
-		tab.Seek(nil, nil, "id", sqltypes.NewInt(key), func(int, []sqltypes.Value) bool { n++; return true })
+		tab.Seek(nil, nil, "id", sqltypes.NewInt(key), nil, func(int, []sqltypes.Value) bool { n++; return true })
 		return n
 	}
 	if count(7) != 0 || count(9) != 0 || count(1) != 1 {
@@ -191,7 +191,7 @@ func TestIndexSeekIsSnapshotRelative(t *testing.T) {
 
 	// At the old snapshot, key 1 matches and key 2 does not.
 	var got []string
-	tab.Seek(snap, nil, "id", sqltypes.NewInt(1), func(_ int, r []sqltypes.Value) bool {
+	tab.Seek(snap, nil, "id", sqltypes.NewInt(1), nil, func(_ int, r []sqltypes.Value) bool {
 		got = append(got, r[1].Str())
 		return true
 	})
@@ -199,18 +199,18 @@ func TestIndexSeekIsSnapshotRelative(t *testing.T) {
 		t.Fatalf("old-snapshot seek(1) = %v", got)
 	}
 	n := 0
-	tab.Seek(snap, nil, "id", sqltypes.NewInt(2), func(int, []sqltypes.Value) bool { n++; return true })
+	tab.Seek(snap, nil, "id", sqltypes.NewInt(2), nil, func(int, []sqltypes.Value) bool { n++; return true })
 	if n != 0 {
 		t.Fatalf("old-snapshot seek(2) hit %d rows, want 0", n)
 	}
 	// At latest, the reverse.
 	n = 0
-	tab.Seek(nil, nil, "id", sqltypes.NewInt(1), func(int, []sqltypes.Value) bool { n++; return true })
+	tab.Seek(nil, nil, "id", sqltypes.NewInt(1), nil, func(int, []sqltypes.Value) bool { n++; return true })
 	if n != 0 {
 		t.Fatalf("latest seek(1) hit %d rows, want 0", n)
 	}
 	n = 0
-	tab.Seek(nil, nil, "id", sqltypes.NewInt(2), func(int, []sqltypes.Value) bool { n++; return true })
+	tab.Seek(nil, nil, "id", sqltypes.NewInt(2), nil, func(int, []sqltypes.Value) bool { n++; return true })
 	if n != 1 {
 		t.Fatalf("latest seek(2) hit %d rows, want 1", n)
 	}
@@ -235,7 +235,7 @@ func TestVacuumReclaimsOldVersions(t *testing.T) {
 	// Stale index entries for superseded keys are gone.
 	for k := int64(1); k < 10; k++ {
 		n := 0
-		tab.Seek(nil, nil, "id", sqltypes.NewInt(k), func(int, []sqltypes.Value) bool { n++; return true })
+		tab.Seek(nil, nil, "id", sqltypes.NewInt(k), nil, func(int, []sqltypes.Value) bool { n++; return true })
 		if n != 0 {
 			t.Fatalf("stale index entry for key %d survived vacuum", k)
 		}

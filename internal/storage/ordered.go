@@ -152,59 +152,72 @@ func (ix *OrderedIndex) remove(key sqltypes.Value, rid int) {
 
 func (ix *OrderedIndex) clear() { ix.pages = nil }
 
-// lookup returns the rids whose key equals the given value, in rid order:
-// a degenerate range.
-func (ix *OrderedIndex) lookup(key sqltypes.Value) []int {
-	if key.IsNull() {
-		return nil
-	}
-	return ix.rangeRids(key, key, false, false)
-}
-
-// rangeRids returns the rids of every entry whose key falls in [lo, hi]
-// (strict flags make a bound exclusive). A NULL bound means unbounded on
-// that side. The low end is a binary search; the run up to the first entry
-// past hi is counted, then copied, so the result is one exact allocation,
-// in (key, rid) order. Callers may use it after releasing the table lock.
-func (ix *OrderedIndex) rangeRids(lo, hi sqltypes.Value, loStrict, hiStrict bool) []int {
-	clearsLo := func(k sqltypes.Value) bool {
-		c, ok := sqltypes.Compare(k, lo)
-		return ok && (c > 0 || c == 0 && !loStrict)
-	}
+// appendRange appends to dst the rids of every entry whose key falls in
+// [lo, hi] (strict flags make a bound exclusive), in (key, rid) order, and
+// returns it. A NULL bound means unbounded on that side. The low end is a
+// binary search over the keys read in place; the run up to the first entry
+// past hi is counted, then copied, so dst grows at most once. Callers may
+// use the rids after releasing the table lock.
+func (ix *OrderedIndex) appendRange(dst []int, lo, hi sqltypes.Value, loStrict, hiStrict bool) []int {
 	p, i := 0, 0
 	if !lo.IsNull() {
-		p = sort.Search(len(ix.pages), func(p int) bool {
-			pg := ix.pages[p]
-			return clearsLo(pg[len(pg)-1].key)
-		})
-		if p < len(ix.pages) {
-			pg := ix.pages[p]
-			i = sort.Search(len(pg), func(i int) bool { return clearsLo(pg[i].key) })
-		}
+		p, i = ix.search(&lo, loStrict)
 	}
 	n := 0
 count:
 	for q, j := p, i; q < len(ix.pages); q, j = q+1, 0 {
 		for _, e := range ix.pages[q][j:] {
 			if !hi.IsNull() {
-				if c, ok := sqltypes.Compare(e.key, hi); !ok || c > 0 || c == 0 && hiStrict {
+				if c, ok := sqltypes.CompareRef(&e.key, &hi); !ok || c > 0 || c == 0 && hiStrict {
 					break count
 				}
 			}
 			n++
 		}
 	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]int, 0, n)
-	for ; len(out) < n; p, i = p+1, 0 {
+	dst = slices.Grow(dst, n)
+	for ; n > 0; p, i = p+1, 0 {
 		pg := ix.pages[p][i:]
-		for _, e := range pg[:min(len(pg), n-len(out))] {
-			out = append(out, e.rid)
+		pg = pg[:min(len(pg), n)]
+		for _, e := range pg {
+			dst = append(dst, e.rid)
+		}
+		n -= len(pg)
+	}
+	return dst
+}
+
+// search returns the page and position of the first entry whose key is
+// above lo (at or above it unless strict); the page is len(pages) when no
+// entry is.
+func (ix *OrderedIndex) search(lo *sqltypes.Value, strict bool) (int, int) {
+	clears := func(k *sqltypes.Value) bool {
+		c, ok := sqltypes.CompareRef(k, lo)
+		return ok && (c > 0 || c == 0 && !strict)
+	}
+	p, q := 0, len(ix.pages)
+	for p < q {
+		h := int(uint(p+q) >> 1)
+		if pg := ix.pages[h]; clears(&pg[len(pg)-1].key) {
+			q = h
+		} else {
+			p = h + 1
 		}
 	}
-	return out
+	if p == len(ix.pages) {
+		return p, 0
+	}
+	pg := ix.pages[p]
+	i, j := 0, len(pg)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if clears(&pg[h].key) {
+			j = h
+		} else {
+			i = h + 1
+		}
+	}
+	return p, i
 }
 
 // Len returns the total entry count (tests).
@@ -250,7 +263,7 @@ func (t *Table) SeekRange(snap *txn.Snapshot, stats *Stats, column string, lo, h
 		t.mu.RUnlock()
 		return nil, false
 	}
-	rids := oix.rangeRids(lo, hi, loStrict, hiStrict)
+	rids := oix.appendRange(nil, lo, hi, loStrict, hiStrict)
 	slots := t.slots
 	t.mu.RUnlock()
 	if stats != nil {

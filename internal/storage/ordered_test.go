@@ -82,7 +82,7 @@ func TestOrderedIndexEqualityLookup(t *testing.T) {
 	}
 	// Table.Seek is a degenerate range over the same index.
 	n := 0
-	if !tab.Seek(nil, nil, "id", intv(3), func(_ int, r []sqltypes.Value) bool {
+	if !tab.Seek(nil, nil, "id", intv(3), nil, func(_ int, r []sqltypes.Value) bool {
 		if r[0].Int() != 3 {
 			t.Fatalf("seek(3) returned id=%d", r[0].Int())
 		}

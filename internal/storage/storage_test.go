@@ -100,7 +100,7 @@ func TestIndexSeek(t *testing.T) {
 	}
 	var stats Stats
 	var hits int
-	ok := tab.Seek(nil, &stats, "id", sqltypes.NewInt(3), func(rid int, r []sqltypes.Value) bool {
+	ok := tab.Seek(nil, &stats, "id", sqltypes.NewInt(3), nil, func(rid int, r []sqltypes.Value) bool {
 		if r[0].Int() != 3 {
 			t.Errorf("seek returned id %d", r[0].Int())
 		}
@@ -116,7 +116,7 @@ func TestIndexSeek(t *testing.T) {
 	if stats.IndexSeeks.Load() != 1 || stats.LogicalReads.Load() != 10 {
 		t.Fatalf("stats: seeks=%d reads=%d", stats.IndexSeeks.Load(), stats.LogicalReads.Load())
 	}
-	if tab.Seek(nil, nil, "name", sqltypes.NewString("n"), func(int, []sqltypes.Value) bool { return true }) {
+	if tab.Seek(nil, nil, "name", sqltypes.NewString("n"), nil, func(int, []sqltypes.Value) bool { return true }) {
 		t.Fatal("Seek on unindexed column should return false")
 	}
 }
@@ -131,7 +131,7 @@ func TestIndexMaintainedAcrossUpdateDelete(t *testing.T) {
 	}
 	count := func(key int64) int {
 		n := 0
-		tab.Seek(nil, nil, "id", sqltypes.NewInt(key), func(int, []sqltypes.Value) bool { n++; return true })
+		tab.Seek(nil, nil, "id", sqltypes.NewInt(key), nil, func(int, []sqltypes.Value) bool { n++; return true })
 		return n
 	}
 	if count(1) != 0 || count(5) != 1 {
@@ -164,7 +164,7 @@ func TestCreateIndexBackfillsAndIsIdempotent(t *testing.T) {
 		t.Fatal("re-creating index should be a no-op")
 	}
 	n := 0
-	tab.Seek(nil, nil, "id", sqltypes.NewInt(7), func(int, []sqltypes.Value) bool { n++; return true })
+	tab.Seek(nil, nil, "id", sqltypes.NewInt(7), nil, func(int, []sqltypes.Value) bool { n++; return true })
 	if n != 1 {
 		t.Fatal("index did not backfill existing rows")
 	}
@@ -182,7 +182,7 @@ func TestTruncate(t *testing.T) {
 		t.Fatal("truncate left rows")
 	}
 	n := 0
-	tab.Seek(nil, nil, "id", sqltypes.NewInt(1), func(int, []sqltypes.Value) bool { n++; return true })
+	tab.Seek(nil, nil, "id", sqltypes.NewInt(1), nil, func(int, []sqltypes.Value) bool { n++; return true })
 	if n != 0 {
 		t.Fatal("truncate left index entries")
 	}
@@ -193,7 +193,7 @@ func TestNullNotIndexed(t *testing.T) {
 	_ = tab.CreateIndex("id")
 	_ = tab.Insert(nil, []sqltypes.Value{sqltypes.Null, sqltypes.NewString("x"), sqltypes.NewFloat(0)})
 	n := 0
-	tab.Seek(nil, nil, "id", sqltypes.Null, func(int, []sqltypes.Value) bool { n++; return true })
+	tab.Seek(nil, nil, "id", sqltypes.Null, nil, func(int, []sqltypes.Value) bool { n++; return true })
 	if n != 0 {
 		t.Fatal("NULL keys must not match index seeks")
 	}

@@ -47,6 +47,12 @@ type Table struct {
 
 	liveRows atomic.Int64 // committed live rows (satellite fix: excludes deleted slots)
 
+	// chunks holds one chunk range per ChunkSlots slots: the generation
+	// writers bump and the typed column chunks filtered scans read
+	// (chunk.go). chunkRejects counts the rows scans rejected from them.
+	chunks       []*chunkRange
+	chunkRejects atomic.Int64
+
 	// Table statistics cache (see tablestats.go): statsVersion bumps on
 	// every committed mutation; the cached snapshot is rebuilt once the
 	// table has Drifted from statsCachedAt. statsRows is the row count the
@@ -177,6 +183,7 @@ func (t *Table) Insert(tx *txn.Txn, row []sqltypes.Value) error {
 		rid := len(t.slots)
 		s := &slot{}
 		s.head.Store(txn.NewCommittedVersion(coerced, nil, 0))
+		t.touch(rid)
 		t.slots = append(t.slots, s)
 		for _, idx := range t.indexes {
 			idx.add(coerced[idx.ord()], rid)
@@ -195,6 +202,7 @@ func (t *Table) insertTx(tx *txn.Txn, coerced []sqltypes.Value) error {
 	s := &slot{}
 	v := txn.NewVersion(coerced, nil, tx.ID)
 	s.head.Store(v)
+	t.touch(rid)
 	t.slots = append(t.slots, s)
 	for _, idx := range t.indexes {
 		idx.add(coerced[idx.ord()], rid)
@@ -208,6 +216,7 @@ func (t *Table) insertTx(tx *txn.Txn, coerced []sqltypes.Value) error {
 	tx.OnAbort(func() {
 		t.mu.Lock()
 		defer t.mu.Unlock()
+		t.touch(rid)
 		s.head.Store(nil)
 		for _, idx := range t.indexes {
 			idx.remove(coerced[idx.ord()], rid)
@@ -313,6 +322,7 @@ func (t *Table) Update(tx *txn.Txn, rid int, row []sqltypes.Value) error {
 			idx.remove(old[idx.ord()], rid)
 			idx.add(coerced[idx.ord()], rid)
 		}
+		t.touch(rid)
 		s.head.Store(txn.NewCommittedVersion(coerced, nil, 0))
 		t.statsVersion.Add(1)
 		return nil
@@ -341,6 +351,7 @@ func (t *Table) Delete(tx *txn.Txn, rid int) error {
 		for _, idx := range t.indexes {
 			idx.remove(old[idx.ord()], rid)
 		}
+		t.touch(rid)
 		s.head.Store(nil)
 		t.liveRows.Add(-1)
 		t.statsVersion.Add(1)
@@ -386,6 +397,7 @@ func (t *Table) writeTx(tx *txn.Txn, rid int, coerced []sqltypes.Value, tombston
 		return fmt.Errorf("storage: table %s has no row %d", t.Name, rid)
 	}
 	v := txn.NewVersion(coerced, head, tx.ID)
+	t.touch(rid)
 	s.head.Store(v)
 	tx.Track(v)
 	if tombstone {
@@ -408,6 +420,7 @@ func (t *Table) writeTx(tx *txn.Txn, rid int, coerced []sqltypes.Value, tombston
 	tx.OnAbort(func() {
 		t.mu.Lock()
 		defer t.mu.Unlock()
+		t.touch(rid)
 		s.head.Store(head)
 		if !tombstone {
 			t.dropKeyUnlessChained(coerced, head, rid)
@@ -421,6 +434,7 @@ func (t *Table) writeTx(tx *txn.Txn, rid int, coerced []sqltypes.Value, tombston
 // list but is unreachable, so its commit stamp is harmless.
 func (t *Table) replaceOwnVersion(tx *txn.Txn, s *slot, rid int, head *txn.Version, coerced []sqltypes.Value, tombstone bool) error {
 	v := txn.NewVersion(coerced, head.Prev(), tx.ID)
+	t.touch(rid)
 	s.head.Store(v)
 	tx.Track(v)
 	if !tombstone {
@@ -445,6 +459,7 @@ func (t *Table) replaceOwnVersion(tx *txn.Txn, s *slot, rid int, head *txn.Versi
 	tx.OnAbort(func() {
 		t.mu.Lock()
 		defer t.mu.Unlock()
+		t.touch(rid)
 		s.head.Store(head)
 		if !tombstone {
 			t.dropKeyUnlessChained(coerced, head, rid)
@@ -492,6 +507,7 @@ func (t *Table) Truncate(tx *txn.Txn) error {
 		t.mu.Lock()
 		defer t.mu.Unlock()
 		t.slots = nil
+		t.resetChunks()
 		for _, idx := range t.indexes {
 			idx.clear()
 		}
@@ -534,6 +550,7 @@ func (t *Table) truncateTx(tx *txn.Txn) error {
 		} else {
 			v = txn.NewVersion(nil, head, tx.ID)
 		}
+		t.touch(rid)
 		s.head.Store(v)
 		tx.Track(v)
 		restore := head
@@ -541,6 +558,7 @@ func (t *Table) truncateTx(tx *txn.Txn) error {
 		tx.OnAbort(func() {
 			t.mu.Lock()
 			defer t.mu.Unlock()
+			t.touch(rid)
 			slotRef.head.Store(restore)
 			if restore.Row != nil {
 				for _, idx := range t.indexes {
@@ -632,15 +650,21 @@ func (t *Table) IndexColumns() []string {
 
 // Seek looks up rows whose indexed column equals key via the index on the
 // named column, charging one index seek plus one logical read per visible
-// row. It returns false when no such index exists.
+// row. It returns false when no such index exists. The candidate rids are
+// gathered into *buf, which the caller keeps between seeks so a seek
+// allocates nothing; a nil buf gathers them into a fresh slice.
 //
 // Index entries are written eagerly by uncommitted transactions and
 // retained for old snapshots after updates, so each candidate's visible
 // version is re-verified against the key before it is emitted.
-func (t *Table) Seek(snap *txn.Snapshot, stats *Stats, column string, key sqltypes.Value, fn func(rid int, row []sqltypes.Value) bool) bool {
+func (t *Table) Seek(snap *txn.Snapshot, stats *Stats, column string, key sqltypes.Value, buf *[]int, fn func(rid int, row []sqltypes.Value) bool) bool {
 	ord := t.Schema.Ordinal(column)
 	if ord < 0 {
 		return false
+	}
+	var rids []int
+	if buf != nil {
+		rids = (*buf)[:0]
 	}
 	t.mu.RLock()
 	idx := t.indexes[t.Schema.Columns[ord].Name]
@@ -648,9 +672,14 @@ func (t *Table) Seek(snap *txn.Snapshot, stats *Stats, column string, key sqltyp
 		t.mu.RUnlock()
 		return false
 	}
-	rids := idx.lookup(key)
+	if !key.IsNull() {
+		rids = idx.appendRange(rids, key, key, false, false)
+	}
 	slots := t.slots
 	t.mu.RUnlock()
+	if buf != nil {
+		*buf = rids
+	}
 	if stats != nil {
 		stats.IndexSeeks.Add(1)
 	}
@@ -704,6 +733,7 @@ func (t *Table) Vacuum(oldest uint64) {
 					}
 				}
 			}
+			t.touch(rid)
 			s.head.Store(nil)
 			continue
 		}
@@ -755,6 +785,7 @@ func (t *Table) LoadCheckpointSlots(rows [][]sqltypes.Value) {
 		}
 		t.slots[rid] = s
 	}
+	t.resetChunks()
 	for col, idx := range t.indexes {
 		t.indexes[col] = t.buildIndex(idx.ord())
 	}
@@ -771,8 +802,10 @@ func (t *Table) ReplayApply(m txn.Mutation, epoch uint64) error {
 	switch m.Op {
 	case txn.MutInsert:
 		for len(t.slots) < m.Rid {
+			t.touch(len(t.slots))
 			t.slots = append(t.slots, &slot{})
 		}
+		t.touch(m.Rid)
 		s := &slot{}
 		s.head.Store(txn.NewCommittedVersion(m.Row, nil, epoch))
 		if m.Rid == len(t.slots) {
@@ -800,6 +833,7 @@ func (t *Table) ReplayApply(m txn.Mutation, epoch uint64) error {
 				idx.remove(old.Row[idx.ord()], m.Rid)
 			}
 		}
+		t.touch(m.Rid)
 		s.head.Store(txn.NewCommittedVersion(m.Row, nil, epoch))
 		for _, idx := range t.indexes {
 			idx.add(m.Row[idx.ord()], m.Rid)
@@ -815,6 +849,7 @@ func (t *Table) ReplayApply(m txn.Mutation, epoch uint64) error {
 			}
 			t.liveRows.Add(-1)
 		}
+		t.touch(m.Rid)
 		s.head.Store(nil)
 	case txn.MutTruncate:
 		for rid, s := range t.slots {
@@ -823,6 +858,7 @@ func (t *Table) ReplayApply(m txn.Mutation, epoch uint64) error {
 					idx.remove(old.Row[idx.ord()], rid)
 				}
 			}
+			t.touch(rid)
 			s.head.Store(nil)
 		}
 		t.statsVersion.Add(uint64(t.liveRows.Swap(0)))

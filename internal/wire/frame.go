@@ -97,13 +97,12 @@ func WriteFrame(w io.Writer, typ MsgType, body []byte) (int, error) {
 
 // ReadFrame reads one frame, returning its type, body, and the total bytes
 // consumed. Frames whose declared payload exceeds MaxFrame are rejected
-// without reading the payload.
+// without reading the payload. The payload is the one allocation.
 func ReadFrame(r io.Reader) (MsgType, []byte, int, error) {
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	n, err := readHeader(r)
+	if err != nil {
 		return 0, nil, 0, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
 	if n == 0 {
 		return 0, nil, frameHeader, fmt.Errorf("wire: empty frame")
 	}
@@ -115,6 +114,35 @@ func ReadFrame(r io.Reader) (MsgType, []byte, int, error) {
 		return 0, nil, frameHeader, err
 	}
 	return MsgType(payload[0]), payload[1:], FrameSize(int(n) - 1), nil
+}
+
+// readHeader reads the 4-byte length prefix. A reader that reads bytes
+// (bufio.Reader, bytes.Reader and Buffer: every caller's) yields them one
+// at a time out of its own buffer, so no header array escapes to the heap
+// on the way through io.Reader; any other reader gets one. Like
+// io.ReadFull, it returns io.EOF when no byte arrives and
+// io.ErrUnexpectedEOF when the stream ends part-way.
+func readHeader(r io.Reader) (uint32, error) {
+	br, ok := r.(io.ByteReader)
+	if !ok {
+		var hdr [frameHeader]byte
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return 0, err
+		}
+		return binary.BigEndian.Uint32(hdr[:]), nil
+	}
+	var n uint32
+	for i := 0; i < frameHeader; i++ {
+		c, err := br.ReadByte()
+		if err != nil {
+			if i > 0 && err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, err
+		}
+		n = n<<8 | uint32(c)
+	}
+	return n, nil
 }
 
 // frameStep is the most ReadFrame allocates ahead of the bytes it has

@@ -73,8 +73,18 @@ go test -race ./...
 stage "plan-cache guard (a warm lookup by AST node must not allocate; re-parsed text hits its entry)"
 go test -count=1 -run 'TestPlanCacheWarmZeroAllocs|TestPlanCacheWarmHitSharedText' ./internal/engine ./internal/interp
 
-stage "filtered-scan guard (a rejected row must not allocate: same count over 1 000 and 50 000 rows)"
+stage "filtered-scan guard (a rejected row must not allocate: same count over 1 000 and 50 000 rows; column chunks reject what the row scan rejects, under writers, -race)"
+# A scan with choose_access_path on rejects rows from typed column chunks
+# without loading them: the same rows, order, errors and logical reads as
+# the row scan with the rule off, at fresh, old and in-transaction
+# snapshots between random writes; no chunk rejects with the rule off; a
+# warm chunked scan allocates nothing; 8 sessions count right while a
+# writer commits; date strings bind as dates once, unparseable ones stay
+# unknown.
 go test -count=1 -run TestFilteredScanAllocsIndependentOfTableSize ./internal/engine
+go test -count=1 -run 'TestChunkedScanDifferential|TestChunkedScanFollowsAccessPathRule|TestDateStringOperandParsedOnce' ./internal/engine
+go test -count=1 -run 'TestChunkedCursorDifferential|TestChunkedCursorWarmAllocs' ./internal/storage
+go test -race -count=1 -run TestChunkedScanConcurrentWriter ./internal/engine
 
 stage "correlated-apply guard (subquery trees re-opened, not rebuilt; shared plan under -race)"
 # A correlated subquery builds its operator tree, aggregates and compiled
@@ -102,7 +112,7 @@ stage "access paths (BETWEEN differential, seek operand parity, nested bodies, j
 # UPDATE and DELETE seek their rows the same way and change what the scan
 # would. Statistics and cached plans are rebuilt once a tenth of the table
 # drifted, and CREATE INDEX drops the cached statistics.
-go test -count=1 -run 'TestBetweenRangeSeekDifferential|TestSeekOperandErrorParity|TestNestedBodiesChooseAccess|TestJoinChainHashJoins|TestCommaListJoinUnitColumns|TestDMLRowSourceDifferential|TestUpdateSeeksOneRow|TestPlanCacheStatsDriftReplan|TestCreateIndexRefreshesStatistics' ./internal/engine
+go test -count=1 -run 'TestBetweenRangeSeekDifferential|TestSeekOperandErrorParity|TestNestedBodiesChooseAccess|TestCompiledRoutineFollowsSessionRules|TestJoinChainHashJoins|TestCommaListJoinUnitColumns|TestDMLRowSourceDifferential|TestUpdateSeeksOneRow|TestPlanCacheStatsDriftReplan|TestCreateIndexRefreshesStatistics' ./internal/engine
 go test -count=1 -run 'TestCreateIndexBuildMatchesIncremental|TestSeekAllocs|TestStatisticsReuseWithinDrift|TestCreateIndexDropsCachedStatistics|TestHistogramEquiDepth' ./internal/storage
 
 stage "Aggify+ rules (inline_udf, decorrelate)"
